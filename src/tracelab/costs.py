@@ -6,11 +6,21 @@ A cost table holds q(s, x) for stages 0 <= s < horizon and positions
 Positions at or beyond the width read as 0; facts that depend on stages beyond
 the horizon are reported with an explicit `truncated` flag rather than
 silently treated as final.
+
+A table is stored as its distinct rows plus a per-stage row index.  Its
+checks see each distinct row once and each distinct pair of adjacent rows
+once, and they compare integer codes, not rationals: an entry's code is its
+rank among the table's distinct values after one exact sort, shifted so that
+the value 0 has code 0.  Ranks, unlike numerators over a common denominator,
+stay small however the denominators mix.  Reads (`rows`, `value`) return
+exact `Fraction`s, one object per distinct value, shared across the table.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ScenarioError
@@ -19,51 +29,139 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class CostTable:
-    rows: tuple[tuple[Fraction, ...], ...]
-    normalized: bool = False
-    listed_form: bool = False
+    """Exact cost table; stage s reads `rows[s]`.
 
-    def __post_init__(self):
-        if not self.rows:
+    `CostTable(rows)` takes one row per stage.  `from_rows` takes the
+    distinct rows and each stage's row number, `from_codes` rows of indices
+    into a list of values; all three run the same checks.
+    """
+
+    __slots__ = (
+        "rows", "horizon", "width", "normalized", "listed_form", "_values", "_codes", "_index"
+    )
+
+    def __init__(self, rows, normalized: bool = False, listed_form: bool = False):
+        rows = [tuple(row) for row in rows]
+        self._build(*_encode(rows), range(len(rows)), normalized, listed_form)
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Sequence[Sequence],
+        index: Sequence[int],
+        normalized: bool = False,
+        listed_form: bool = False,
+    ) -> "CostTable":
+        """Table whose stage s reads rows[index[s]]."""
+        table = cls.__new__(cls)
+        table._build(*_encode(rows), index, normalized, listed_form)
+        return table
+
+    @classmethod
+    def from_codes(
+        cls,
+        values: Sequence,
+        codes: Sequence[Sequence[int]],
+        index: Sequence[int],
+        normalized: bool = False,
+        listed_form: bool = False,
+    ) -> "CostTable":
+        """Table whose stage s reads values[c] for each c in codes[index[s]]."""
+        table = cls.__new__(cls)
+        table._build(values, codes, index, normalized, listed_form)
+        return table
+
+    def _build(self, values, codes, index, normalized, listed_form, lines=None) -> None:
+        """Recode to ranks, check, and store.  `lines[s]`, when given, is the
+        text line of stage s, and a failed check names it."""
+        if not len(index):
             raise ScenarioError("cost table needs at least one stage row")
-        width = len(self.rows[0])
-        checked_rows: set[int] = set()
-        for s, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ScenarioError(f"row {s} has width {len(row)}, expected {width}")
-            if id(row) not in checked_rows:
-                checked_rows.add(id(row))
-                for x, value in enumerate(row):
-                    if value < 0:
-                        raise ScenarioError(f"negative cost at ({s},{x})")
-                    if x > 0 and row[x - 1] < value:
-                        raise ScenarioError(f"row {s} increases at position {x}")
-                    if self.normalized and value > 1:
-                        raise ScenarioError(f"value above 1 at ({s},{x}) in normalized table")
-            if self.listed_form and s < width and any(v != 0 for v in row[s:]):
-                raise ScenarioError(f"nonzero tail value in listed-form row {s}")
-            if s > 0 and self.rows[s - 1] is not row:
-                previous = self.rows[s - 1]
-                for x in range(width):
-                    p, v = previous[x], row[x]
-                    if p is not v and p > v:
-                        raise ScenarioError(f"column {x} decreases at stage {s}")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.rows)
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
+        exact = [Fraction(v) for v in values]
+        ordered = sorted(set(exact).union((ZERO, ONE)))
+        zero = bisect_left(ordered, ZERO)
+        rank = {v: r - zero for r, v in enumerate(ordered)}
+        recode = [rank[v] for v in exact]
+        distinct: dict[tuple[int, ...], int] = {}
+        renumber = {
+            i: distinct.setdefault(tuple(map(recode.__getitem__, codes[i])), len(distinct))
+            for i in dict.fromkeys(index)
+        }
+        codes = list(distinct)
+        index = list(map(renumber.__getitem__, index))
+        fault = _first_fault(codes, index, rank[ONE], normalized, listed_form)
+        if fault is not None:
+            stage, message = fault
+            raise ScenarioError(message if lines is None else f"line {lines[stage]}: {message}")
+        # Accepted: nothing is negative, so code c reads ordered[zero + c].
+        values = tuple(ordered[zero:])
+        entries = [tuple(map(values.__getitem__, row)) for row in codes]
+        self.rows = tuple(map(entries.__getitem__, index))
+        self.horizon = len(index)
+        self.width = len(codes[index[0]])
+        self.normalized = normalized
+        self.listed_form = listed_form
+        self._values, self._codes, self._index = values, codes, index
 
     def value(self, stage: int, position: int) -> Fraction:
         """Table entry; positions beyond the width read as 0."""
         if position >= self.width:
             return ZERO
         return self.rows[stage][position]
+
+
+def _encode(rows) -> tuple[list, list[tuple[int, ...]]]:
+    """The distinct entries of `rows`, and each row as indices into them."""
+    values = list(set().union(*rows))
+    position = {v: k for k, v in enumerate(values)}
+    return values, [tuple(map(position.__getitem__, row)) for row in rows]
+
+
+def _first_fault(codes, index, one, normalized, listed_form) -> Optional[tuple[int, str]]:
+    """(stage, message) of the first failed check, in stage order, or None.
+
+    Rows hold codes (0 is the value 0, `one` the value 1).  Within a stage
+    the checks run in a fixed order: width, then entry by entry negative
+    cost, row increase and value above 1, then the listed-form tail, then
+    the column check against the previous stage.  A row that passed at its
+    first stage passes at every later one (its listed-form tail only
+    shrinks), and so does a pair of adjacent rows.
+    """
+    width = len(codes[index[0]])
+    seen = [False] * len(codes)
+    pairs: set[tuple[int, int]] = set()
+    previous = None
+    for s, i in enumerate(index):
+        row = codes[i]
+        if not seen[i]:
+            seen[i] = True
+            if len(row) != width:
+                return s, f"row {s} has width {len(row)}, expected {width}"
+            if row and (
+                min(row) < 0 or any(map(lt, row, row[1:])) or normalized and max(row) > one
+            ):
+                return s, _row_fault(row, s, one, normalized)
+            if listed_form and any(row[s:]):
+                return s, f"nonzero tail value in listed-form row {s}"
+        if previous is not None and previous != i and (previous, i) not in pairs:
+            pairs.add((previous, i))
+            before = codes[previous]
+            if any(map(gt, before, row)):
+                x = next(x for x in range(width) if before[x] > row[x])
+                return s, f"column {x} decreases at stage {s}"
+        previous = i
+    return None
+
+
+def _row_fault(row, s, one, normalized) -> str:
+    for x, c in enumerate(row):
+        if c < 0:
+            return f"negative cost at ({s},{x})"
+        if x > 0 and row[x - 1] < c:
+            return f"row {s} increases at position {x}"
+        if normalized and c > one:
+            return f"value above 1 at ({s},{x}) in normalized table"
+    raise AssertionError("row passed every entry check")
 
 
 @dataclass(frozen=True)
@@ -86,14 +184,13 @@ def marker_sequence(table: CostTable, epsilon) -> MarkerSequence:
     if eps <= 0:
         raise ScenarioError("threshold must be positive")
     marks = [0]
-    while True:
+    # Positions beyond the width read 0, below any threshold.
+    while marks[-1] < table.width:
         prev = marks[-1]
-        found = None
-        for s in range(prev + 1, table.horizon):
-            if table.value(s, prev) >= eps:
-                found = s
-                break
-        if found is None:
+        # Columns never decrease, so the stages reaching eps at `prev` form a
+        # suffix of the table: bisect for its first stage.
+        found = bisect_left(table.rows, eps, prev + 1, key=itemgetter(prev))
+        if found == table.horizon:
             break
         marks.append(found)
     # The scan ends because no in-horizon stage reaches eps at the last
@@ -306,10 +403,10 @@ def totalize(
 
 
 def format_cost_table(table: CostTable) -> str:
-    lines = [f"{table.horizon} {table.width}"]
-    for row in table.rows:
-        lines.append(" ".join(f"{v.numerator}/{v.denominator}" for v in row))
-    return "\n".join(lines) + "\n"
+    texts = [f"{v.numerator}/{v.denominator}" for v in table._values]
+    lines = [" ".join(map(texts.__getitem__, row)) for row in table._codes]
+    header = f"{table.horizon} {table.width}"
+    return "\n".join([header, *map(lines.__getitem__, table._index)]) + "\n"
 
 
 def _parse_fraction(token: str, lineno: int) -> Fraction:
@@ -320,6 +417,9 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
 
 
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
+    """Parse the text format; errors name the line (counting non-blank
+    lines).  Each distinct line is split once and each distinct token
+    parsed once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ScenarioError("line 1: empty cost table")
@@ -329,23 +429,34 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     S, X = int(header[0]), int(header[1])
     if len(lines) - 1 != S:
         raise ScenarioError(f"line 1: header promises {S} rows, found {len(lines) - 1}")
-    rows = []
-    token_memo: dict[str, Fraction] = {}
-    line_memo: dict[str, tuple[Fraction, ...]] = {}
+    if S == 0:
+        raise ScenarioError("line 1: cost table needs at least one stage row")
+    values: dict[str, Fraction] = {}  # distinct token -> its value
+    row_of: dict[str, int] = {}  # distinct line -> its row number
+    token_rows: list[list[str]] = []
+    index = []
     for i, line in enumerate(lines[1:], start=2):
-        cached = line_memo.get(line)
-        if cached is not None:
-            rows.append(cached)
-            continue
-        tokens = line.split()
-        if len(tokens) != X:
-            raise ScenarioError(f"line {i}: expected {X} values, found {len(tokens)}")
-        row = tuple(
-            token_memo.setdefault(tok, _parse_fraction(tok, i)) for tok in tokens
-        )
-        line_memo[line] = row
-        rows.append(row)
-    return CostTable(tuple(rows), normalized=normalized, listed_form=listed_form)
+        row = row_of.get(line)
+        if row is None:
+            tokens = line.split()
+            if len(tokens) != X:
+                raise ScenarioError(f"line {i}: expected {X} values, found {len(tokens)}")
+            fresh = set(tokens).difference(values)
+            try:
+                values.update({tok: Fraction(tok) for tok in fresh})
+            except (ValueError, ZeroDivisionError):
+                for tok in tokens:  # name the line's first bad token
+                    _parse_fraction(tok, i)
+                raise
+            row = row_of[line] = len(token_rows)
+            token_rows.append(tokens)
+        index.append(row)
+    position = {tok: k for k, tok in enumerate(values)}
+    codes = [tuple(map(position.__getitem__, tokens)) for tokens in token_rows]
+    table = CostTable.__new__(CostTable)
+    line_of_stage = range(2, S + 2)
+    table._build(list(values.values()), codes, index, normalized, listed_form, line_of_stage)
+    return table
 
 
 def parse_partial_table(text: str) -> PartialCostTable:
@@ -383,8 +494,7 @@ def to_listed_form(table: CostTable) -> CostTable:
 
 
 def static_table(base_row: Sequence, horizon: int, normalized: bool = False) -> CostTable:
-    row = tuple(Fraction(v) for v in base_row)
-    return CostTable(tuple(row for _ in range(horizon)), normalized=normalized)
+    return CostTable.from_rows([base_row], [0] * horizon, normalized=normalized)
 
 
 def dyadic_decay_row(width: int, shift: int = 0, scale=ONE) -> tuple[Fraction, ...]:

@@ -23,23 +23,22 @@ def fuzz_cost_table(rng: random.Random, horizon: int) -> costs.CostTable:
     width = horizon
     flavor = rng.randrange(4)
     if flavor == 0:
-        row = costs.dyadic_decay_row(width)
-        rows = [row] * horizon
+        rows = [costs.dyadic_decay_row(width)]
+        index = [0] * horizon
     elif flavor == 1:
         scale = rng.choice([Fraction(1, 2), Fraction(3, 4)])
-        row = costs.dyadic_decay_row(width, scale=scale)
-        rows = [row] * horizon
-    elif flavor == 2:
-        start = rng.randrange(2, 7)
-        zero = tuple(Fraction(0) for _ in range(width))
-        row = costs.dyadic_decay_row(width)
-        rows = [zero] * min(start, horizon) + [row] * max(0, horizon - start)
+        rows = [costs.dyadic_decay_row(width, scale=scale)]
+        index = [0] * horizon
     else:
+        # A lower row for the first `start` stages, then the dyadic decay.
         start = rng.randrange(2, 7)
-        low = costs.dyadic_decay_row(width, scale=Fraction(1, 2))
-        high = costs.dyadic_decay_row(width)
-        rows = [low] * min(start, horizon) + [high] * max(0, horizon - start)
-    return costs.CostTable(tuple(rows), normalized=True)
+        if flavor == 2:
+            low = (Fraction(0),) * width
+        else:
+            low = costs.dyadic_decay_row(width, scale=Fraction(1, 2))
+        rows = [low, costs.dyadic_decay_row(width)]
+        index = [0] * min(start, horizon) + [1] * max(0, horizon - start)
+    return costs.CostTable.from_rows(rows, index, normalized=True)
 
 
 CANNED_SCRIPT = [
@@ -135,11 +134,15 @@ def listed_cost_block(rng: random.Random, horizon: int, flavor: str | None = Non
         base = tuple(Fraction(1, 2 ** (x // 4)) for x in range(horizon))
     else:
         base = costs.dyadic_decay_row(horizon, shift=rng.randint(1, 3))
-    rows = tuple(
-        tuple(v if x < s else Fraction(0) for x, v in enumerate(base))
-        for s in range(horizon)
+    # Stage s keeps the first s entries of `base` and zeroes the rest.  The
+    # rows are built as codes into `values`, so no cell costs `Fraction` work.
+    values = list(dict.fromkeys((costs.ZERO, *base)))
+    code = {v: k for k, v in enumerate(values)}
+    kept = tuple(map(code.__getitem__, base))
+    rows = [kept[:s] + (0,) * (horizon - s) for s in range(horizon)]
+    table = costs.CostTable.from_codes(
+        values, rows, range(horizon), normalized=True, listed_form=True
     )
-    table = costs.CostTable(rows, normalized=True, listed_form=True)
     return costs.format_cost_table(table)
 
 

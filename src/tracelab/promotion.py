@@ -137,31 +137,30 @@ class PromotionEngine:
         self,
         *,
         cost: CostTable,
-        overhead: int,
-        top_level: int,
+        markers: dict[int, MarkerSequence],
+        layout: BoxLayout,
         horizon: int,
         policy,
         ground_truth: Optional[str] = None,
-        slack: Optional[dict[int, int]] = None,
         family_cap: int = 20000,
     ):
+        """`markers` is `marker_table(cost, layout.top_level)`; the layout's
+        slack is usually derived from it."""
         if cost.horizon < horizon:
             raise ScenarioError("cost table must cover the run horizon")
         if ground_truth is not None and len(ground_truth) < horizon:
             raise ScenarioError("ground truth must be at least horizon bits long")
         self.cost = cost
         self.horizon = horizon
-        self.markers = marker_table(cost, top_level)
-        self.layout = BoxLayout(
-            overhead, slack or slack_from_markers(self.markers, top_level), top_level
-        )
+        self.markers = markers
+        self.layout = layout
         self.env = Environment(self.layout, ground_truth, family_cap=family_cap)
         self.policy = policy
+        self.overhead = layout.overhead
+        self.top_level = layout.top_level
         self.levels = {
-            n: LevelState(n) for n in range(overhead, top_level + 1)
+            n: LevelState(n) for n in range(self.overhead, self.top_level + 1)
         }
-        self.overhead = overhead
-        self.top_level = top_level
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
         self.max_trace_seen = 0

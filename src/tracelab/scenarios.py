@@ -15,14 +15,14 @@ from typing import Optional
 from . import approximations as appr_mod
 from . import costs
 from .errors import ScenarioError
-from .promotion import PromotionEngine
+from .promotion import PromotionEngine, marker_table, slack_from_markers
 from .synthesis import (
     PartialStageMap,
     Requirement,
     SynthesisRun,
     audit_requirement,
 )
-from .tracer import HonestPolicy, RandomPolicy, ScriptedPolicy
+from .tracer import BoxLayout, HonestPolicy, RandomPolicy, ScriptedPolicy
 
 
 def fraction_str(value: Fraction) -> str:
@@ -105,21 +105,16 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     slack = None
     if "slack" in payload:
         slack = {int(k): int(v) for k, v in payload["slack"].items()}
-    from .promotion import marker_table, slack_from_markers  # local to avoid cycles
-
-    layout_slack = slack or slack_from_markers(marker_table(cost, top_level), top_level)
-    from .tracer import BoxLayout
-
-    layout = BoxLayout(overhead, layout_slack, top_level)
+    markers = marker_table(cost, top_level)
+    layout = BoxLayout(overhead, slack or slack_from_markers(markers, top_level), top_level)
     policy = _build_policy(payload.get("oracle", {"policy": "honest"}), layout, ground_truth)
     return PromotionEngine(
         cost=cost,
-        overhead=overhead,
-        top_level=top_level,
+        markers=markers,
+        layout=layout,
         horizon=horizon,
         policy=policy,
         ground_truth=ground_truth,
-        slack=layout_slack,
         family_cap=int(payload.get("family_cap", 20000)),
     )
 

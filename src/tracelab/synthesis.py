@@ -50,10 +50,6 @@ class PartialStageMap:
                     raise ScenarioError("stage map entries must become visible in order")
         self.entries = parsed
 
-    @classmethod
-    def identity(cls, size: int, delay: int = 0) -> "PartialStageMap":
-        return cls([(i, i, i + delay) for i in range(size)])
-
     def observed(self, arg: int, stage: int) -> Optional[int]:
         if arg < len(self.entries) and self.entries[arg].visible_at <= stage:
             return self.entries[arg].value
@@ -61,9 +57,6 @@ class PartialStageMap:
 
     def observed_values(self, stage: int) -> list[int]:
         return [e.value for e in self.entries if e.visible_at <= stage]
-
-    def total_within(self, bound: int) -> bool:
-        return len(self.entries) >= bound
 
 
 @dataclass
@@ -74,8 +67,8 @@ class Requirement:
     def __post_init__(self):
         if not self.cost.listed_form:
             raise ScenarioError("requirement cost tables must be in listed form")
-        if any(v > 1 for row in self.cost.rows for v in row):
-            raise ScenarioError("requirement cost tables must be bounded by 1")
+        if not self.cost.normalized:
+            raise ScenarioError("requirement cost tables must be normalized (bounded by 1)")
 
 
 @dataclass
@@ -146,9 +139,12 @@ class SynthesisRun:
         self.requirements = requirements
         self.horizon = horizon
         self.width = width if width is not None else horizon
-        base = [Fraction(1, 2**z) for z in range(self.width)]
-        # No stage defines the index-1 row; it is identified with the initial one.
-        self.rows: list[list[Fraction]] = [base, base]
+        # The distinct cost rows, and per stage the number of the row it
+        # reads.  No stage defines the index-1 row; it is identified with the
+        # initial one.
+        base = tuple(Fraction(1, 2**z) for z in range(self.width))
+        self.cost_rows: list[tuple[Fraction, ...]] = [base]
+        self.row_of: list[int] = [0, 0]
         self.speedup: list[int] = [0]
         self.last_change = 0  # index of the last row that differs from its predecessor
         self.halted_at: Optional[int] = None
@@ -180,7 +176,8 @@ class SynthesisRun:
                     position = x
                     break
             if position is not None:
-                self.measured += self.rows[u][position] if position < self.width else ZERO
+                if position < self.width:
+                    self.measured += self.cost_rows[self.row_of[u]][position]
                 self._charges[u] = ("found", position)
             else:
                 self._charges[u] = ("pending", limit)
@@ -214,14 +211,8 @@ class SynthesisRun:
             if self.halted_at is not None:
                 break
             self._stage(stage)
-        last = self.rows[-1]
-        while len(self.rows) < self.horizon + 1:
-            self.rows.append(last)
-        shared: dict[int, tuple[Fraction, ...]] = {}
-        table_rows = tuple(
-            shared.setdefault(id(row), tuple(row)) for row in self.rows
-        )
-        table = CostTable(table_rows, normalized=True)
+        self.row_of += self.row_of[-1:] * (self.horizon + 1 - len(self.row_of))
+        table = CostTable.from_rows(self.cost_rows, self.row_of, normalized=True)
         cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
         return SynthOutputs(
             approximation=self.appr,
@@ -276,40 +267,41 @@ class SynthesisRun:
                     state.first_seen = stage
             self._activity(e, stage)
         if bar <= self.last_change:
-            self.rows.append(self.rows[-1])
+            self.row_of.append(self.row_of[-1])
             return
         worried = self._worried_pairs(stage, bar)
         if worried:
             target = min(z for _, z in worried)
             for e, z in worried:
                 self.worried_log.append((stage, e, z))
-            current = self.rows[-1]
+            current = self.cost_rows[self.row_of[-1]]
             raised = 2 * current[target]
             if raised > 1:
                 raise InvariantViolation(
                     f"cost doubling escaped the unit bound at stage {stage}"
                 )
-            new_row = [
+            new_row = tuple(
                 max(v, raised) if y < frontier else v for y, v in enumerate(current)
-            ]
-            self.rows.append(new_row)
+            )
+            self.cost_rows.append(new_row)
+            self.row_of.append(len(self.cost_rows) - 1)
             self.last_change = stage + 1
             self.doubling_stages.append((stage, target))
             return
         if bar > self.speedup[-1]:
             self.speedup.append(bar)
-            self.rows.append(self.rows[-1])
+            self.row_of.append(self.row_of[-1])
             self.extension_stages.append(stage)
             self._extend_checkpoints(stage)
             if self.speedup[-1] <= self.speedup[-2]:
                 raise InvariantViolation("speed-up map stopped increasing")
             return
-        self.rows.append(self.rows[-1])
+        self.row_of.append(self.row_of[-1])
 
     def _worried_pairs(self, stage: int, bar: int) -> list[tuple[int, int]]:
         frontier = len(self.speedup) - 1
         out = []
-        row = self.rows[-1]
+        row = self.cost_rows[self.row_of[-1]]
         for e in range(min(len(self.requirements), frontier)):
             state = self.states[e]
             if not state.checkpoints or state.activity > 1:

@@ -142,6 +142,13 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_cli_table_check_error_names_the_line(tmp_path, capsys):
+    table = tmp_path / "bad.table"
+    table.write_text("2 2\n1/2 1/4\n1/4 1/4\n")
+    assert main(["costfn", "markers", str(table), "--eps", "1/2"]) == 1
+    assert capsys.readouterr().err.strip() == "error: line 3: column 0 decreases at stage 1"
+
+
 def test_cli_failed_benignity_bound_is_exit_two(tmp_path, capsys):
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))

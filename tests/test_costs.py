@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracelab.costs import (
     CostTable,
@@ -279,6 +279,17 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("2 2\n1/2 1/4\n1/2\n")
     with pytest.raises(ScenarioError, match="line 2"):
         parse_cost_table("1 2\n1/2 x\n")
+    # Table checks name the line of the stage that fails them.
+    with pytest.raises(ScenarioError, match=r"^line 2: negative cost at \(0,1\)$"):
+        parse_cost_table("1 2\n1/2 -1/4\n")
+    with pytest.raises(ScenarioError, match=r"^line 3: row 1 increases at position 1$"):
+        parse_cost_table("2 2\n1/2 1/4\n1/4 1/2\n")
+    with pytest.raises(ScenarioError, match=r"^line 3: column 0 decreases at stage 1$"):
+        parse_cost_table("2 2\n1/2 1/4\n1/4 1/4\n")
+    with pytest.raises(ScenarioError, match=r"^line 3: value above 1 at \(1,0\) in normalized table$"):
+        parse_cost_table("2 1\n1\n3/2\n", normalized=True)
+    with pytest.raises(ScenarioError, match=r"^line 3: nonzero tail value in listed-form row 1$"):
+        parse_cost_table("2 2\n0 0\n1/2 1/4\n", listed_form=True)
 
 
 def test_parse_partial_table_tokens():
@@ -301,6 +312,8 @@ def test_cost_table_validation_catches_bad_monotonicity():
         CostTable(((F(0), F(1)),))  # row increases
     with pytest.raises(ScenarioError):
         CostTable(((F(1), F(1)), (F(0), F(0))))  # column decreases
+    with pytest.raises(ScenarioError, match=r"^row 1 has width 2, expected 1$"):
+        CostTable(((F(1),), (F(1), F(0))))
 
 
 def test_sum_benign_single_part_reproduces_it_from_stage_one():
@@ -309,3 +322,103 @@ def test_sum_benign_single_part_reproduces_it_from_stage_one():
     assert all(v == 0 for v in combined.rows[0])
     for s in range(1, combined.horizon):
         assert combined.rows[s] == part.rows[s]
+
+
+# ---- the coded checks against the dense reference ------------------------------
+
+
+def reference_fault(rows, normalized=False, listed_form=False):
+    """Dense `Fraction` validation, entry by entry and stage by stage: the
+    (stage, message) of the first failed check, or None for a valid table."""
+    if not rows:
+        return 0, "cost table needs at least one stage row"
+    width = len(rows[0])
+    for s, row in enumerate(rows):
+        if len(row) != width:
+            return s, f"row {s} has width {len(row)}, expected {width}"
+        for x, value in enumerate(row):
+            if value < 0:
+                return s, f"negative cost at ({s},{x})"
+            if x > 0 and row[x - 1] < value:
+                return s, f"row {s} increases at position {x}"
+            if normalized and value > 1:
+                return s, f"value above 1 at ({s},{x}) in normalized table"
+        if listed_form and s < width and any(v != 0 for v in row[s:]):
+            return s, f"nonzero tail value in listed-form row {s}"
+        if s > 0:
+            for x in range(width):
+                if rows[s - 1][x] > row[x]:
+                    return s, f"column {x} decreases at stage {s}"
+    return None
+
+
+def reference_markers(rows, eps):
+    """Stage-by-stage marker scan over a valid dense grid."""
+    marks = [0]
+    while True:
+        prev = marks[-1]
+        found = next(
+            (s for s in range(prev + 1, len(rows)) if prev < len(rows[0]) and rows[s][prev] >= eps),
+            None,
+        )
+        if found is None:
+            return tuple(marks)
+        marks.append(found)
+
+
+# Mixed, non-dyadic denominators, zeros, a negative and values above 1.
+ENTRIES = st.sampled_from(
+    [F(0), F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(-1, 5), F(5, 7), F(1, 6), F(7, 12)]
+)
+
+
+@st.composite
+def grids(draw):
+    """Small grids built from a few distinct rows, repeated at will; most are
+    sorted into valid shape and some get listed-form zero tails."""
+    width = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # Sort each column up, then take running minima along each row.
+        columns = [sorted(column) for column in zip(*pool)]
+        pool = [[min(columns[y][r] for y in range(x + 1)) for x in range(width)] for r in range(len(pool))]
+    index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        index.sort()
+    rows = [tuple(pool[i]) for i in index]
+    if draw(st.booleans()):
+        rows = [row[:s] + (F(0),) * max(0, width - s) for s, row in enumerate(rows)]
+    return rows
+
+
+def grid_text(rows):
+    lines = [f"{len(rows)} {len(rows[0])}"]
+    lines += [" ".join(f"{v.numerator}/{v.denominator}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500)
+@given(grids(), st.booleans(), st.booleans(), st.sampled_from([F(1, 6), F(1, 3), F(1, 2), F(1)]))
+def test_coded_checks_match_the_dense_reference(rows, normalized, listed_form, eps):
+    fault = reference_fault(rows, normalized, listed_form)
+    distinct = list(dict.fromkeys(rows))
+    builds = [
+        (lambda: CostTable(rows, normalized, listed_form), "{}"),
+        (lambda: CostTable.from_rows(distinct, [distinct.index(r) for r in rows], normalized, listed_form), "{}"),
+        (lambda: parse_cost_table(grid_text(rows), normalized, listed_form), "line {line}: {}"),
+    ]
+    for build, form in builds:
+        if fault is not None:
+            stage, message = fault
+            with pytest.raises(ScenarioError) as caught:
+                build()
+            assert str(caught.value) == form.format(message, line=stage + 2)
+            continue
+        table = build()
+        assert table.rows == tuple(rows)
+        assert (table.horizon, table.width) == (len(rows), len(rows[0]))
+        for s, row in enumerate(rows):
+            for x in range(table.width + 2):
+                assert table.value(s, x) == (row[x] if x < len(row) else 0)
+        assert format_cost_table(table) == grid_text(rows)
+        assert marker_sequence(table, eps).markers == reference_markers(rows, eps)

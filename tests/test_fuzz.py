@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -74,3 +76,35 @@ def test_boxpromo_fuzz_accepts_a_fixed_horizon():
         assert payload["horizon"] == 40
     report = fuzz("boxpromo", 5, seed=4, horizon=24)
     assert report["ok"]
+
+
+def _sha256(payloads) -> str:
+    return hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+
+
+def test_payloads_are_pinned_byte_for_byte():
+    """Generated payloads are the benchmark's inputs: any change to table
+    building or formatting that alters one byte shows here."""
+    rng = random.Random(1)
+    synth_h500 = [
+        synth_payload(
+            rng,
+            i,
+            horizon=500,
+            max_flips=2,
+            min_flip_position=4,
+            slow_maps=i % 4 == 0,
+            requirement_flavor="dyadic",
+        )
+        for i in range(2)
+    ]
+    assert _sha256(synth_h500) == "4e2b7fb38de1a02e865fba2308120bcc5bca6dc28fac9bd05bf47f91e09079d1"
+    rng = random.Random(5)
+    synth_mixed = [synth_payload(rng, i, horizon=60) for i in range(8)]
+    assert _sha256(synth_mixed) == "d627207ec361647518a096ca6227cbc01167314c416f8831a07431263739195a"
+    rng = random.Random(3)
+    boxpromo = [boxpromo_payload(rng, i) for i in range(10)]
+    assert _sha256(boxpromo) == "1bbcdf86819131dedcd83750043d6e80b96f3906ac7a301ca53080457e9c45b6"
+    rng = random.Random(3)
+    boxpromo_h100 = [boxpromo_payload(rng, 2, horizon=100) for _ in range(4)]
+    assert _sha256(boxpromo_h100) == "a2825028a796c30bcc880a28c2e8a082c5d4b349e3f3e71e187a932deb9a798f"
