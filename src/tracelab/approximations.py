@@ -1,13 +1,18 @@
 """Stagewise 0/1 word approximations with explicit convergence schedules,
 change sets, change-set decoding, and the obedience speed-up construction.
+
+Readable depth is a readiness frontier: shell t (cells with max(u, x) == t)
+is ready at max(t, its scheduled walls), the prefix max of those times is
+built once per approximation, and each depth query bisects it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .costs import CostTable, ZERO, first_difference
+from .costs import CostTable, ZERO, first_difference, ready_depth, ready_prefix
 from .errors import HorizonExhausted, ScenarioError
 from .words import check_word
 
@@ -89,6 +94,17 @@ class WordApproximation:
         ready = self.schedule.get((stage, position), stage)
         return ready is not None and ready <= wall
 
+    @cached_property
+    def square_ready(self) -> tuple[int, ...]:
+        """Entry b: the wall from which the square u, x <= b is readable
+        (see `costs.ready_prefix`)."""
+        shells: list[Optional[int]] = list(range(min(self.horizon, self.width)))
+        for (s, x), wall in self.schedule.items():
+            t = max(s, x)
+            if t < len(shells) and shells[t] is not None:
+                shells[t] = None if wall is None else max(shells[t], wall)
+        return ready_prefix(shells)
+
 
 def readable_depth(appr: WordApproximation, stage: int) -> int:
     """Greatest b < stage with every cell (u, x), u, x <= b readable at wall
@@ -96,10 +112,7 @@ def readable_depth(appr: WordApproximation, stage: int) -> int:
     if stage < 1:
         raise ScenarioError("readable_depth needs a stage >= 1")
     top = min(stage - 1, appr.horizon - 1, appr.width - 1)
-    for b in range(top, -1, -1):
-        if all(appr.readable(u, x, stage) for u in range(b + 1) for x in range(b + 1)):
-            return b
-    return 0
+    return max(0, ready_depth(appr.square_ready, stage, top))
 
 
 @dataclass(frozen=True)
@@ -294,28 +307,36 @@ def format_word_approx(appr: WordApproximation) -> str:
 
 
 def parse_word_approx(text: str, limit: Optional[str] = None) -> WordApproximation:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not numbered:
         raise ScenarioError("line 1: empty approximation")
-    header = lines[0].split()
+    head, header_line = numbered[0]
+    header = header_line.split()
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise ScenarioError(f"line 1: expected header 'S X', got {lines[0]!r}")
+        raise ScenarioError(f"line {head}: expected header 'S X', got {header_line!r}")
     S, X = int(header[0]), int(header[1])
-    if len(lines) < 1 + S:
-        raise ScenarioError(f"line 1: header promises {S} rows, found {len(lines) - 1}")
+    if len(numbered) < 1 + S:
+        raise ScenarioError(f"line {head}: header promises {S} rows, found {len(numbered) - 1}")
     rows = []
-    for i, line in enumerate(lines[1 : 1 + S], start=2):
-        if len(line) != X or any(ch not in "01" for ch in line):
+    for i, line in numbered[1 : 1 + S]:
+        if len(line) != X or line.strip("01"):
             raise ScenarioError(f"line {i}: expected {X} bits, got {line!r}")
         rows.append(line)
     schedule: dict[tuple[int, int], Optional[int]] = {}
-    for i, line in enumerate(lines[1 + S :], start=2 + S):
+    for i, line in numbered[1 + S :]:
         if not (line.startswith("(") and line.endswith(")")):
             raise ScenarioError(f"line {i}: expected schedule triple, got {line!r}")
         parts = [p.strip() for p in line[1:-1].split(",")]
         if len(parts) != 3:
             raise ScenarioError(f"line {i}: expected three fields in {line!r}")
-        s, x = int(parts[0]), int(parts[1])
-        wall = None if parts[2] in ("∞", "inf") else int(parts[2])
+        try:
+            s, x = int(parts[0]), int(parts[1])
+            wall = None if parts[2] in ("∞", "inf") else int(parts[2])
+        except ValueError:
+            raise ScenarioError(f"line {i}: expected integer fields in {line!r}") from None
+        if not (0 <= s < S and 0 <= x < X):
+            raise ScenarioError(f"line {i}: schedule entry ({s},{x}) outside the table")
+        if wall is not None and wall < s:
+            raise ScenarioError(f"line {i}: schedule entry ({s},{x}) readable before its stage")
         schedule[(s, x)] = wall
     return WordApproximation(tuple(rows), schedule, limit)

@@ -14,12 +14,19 @@ rank among the table's distinct values after one exact sort, shifted so that
 the value 0 has code 0.  Ranks, unlike numerators over a common denominator,
 stay small however the denominators mix.  Reads (`rows`, `value`) return
 exact `Fraction`s, one object per distinct value, shared across the table.
+
+Readiness frontier: shell t of a square table is the cells (u, x) with
+max(u, x) == t; `ready_prefix` takes each shell's ready time, builds their
+prefix max once, and `ready_depth` bisects it for the largest square ready
+by a given time.  Readable depth, the synthesis stage loop and `totalize`
+all ask this one question.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -164,6 +171,18 @@ def _row_fault(row, s, one, normalized) -> str:
     raise AssertionError("row passed every entry check")
 
 
+def ready_prefix(shell_ready: Iterable[Optional[int]]) -> tuple[int, ...]:
+    """Prefix max of per-shell ready times: entry b is the time by which
+    shells 0..b are all ready.  A shell that is never ready (None) ends the
+    tuple, since no square containing it is ever ready."""
+    return tuple(accumulate(takewhile(lambda t: t is not None, shell_ready), max))
+
+
+def ready_depth(prefix: Sequence[int], time: int, top: int) -> int:
+    """Largest b <= top whose square is ready by `time`, or -1 if none."""
+    return min(bisect_right(prefix, time), top + 1) - 1
+
+
 @dataclass(frozen=True)
 class MarkerSequence:
     """Stages where the approximation's value at the previous marker first
@@ -201,6 +220,8 @@ def marker_sequence(table: CostTable, epsilon) -> MarkerSequence:
 
 
 def first_difference(a: str, b: str) -> Optional[int]:
+    if a == b:
+        return None
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i
@@ -356,20 +377,20 @@ class PartialCostTable:
         return self.cells[u][x]
 
 
-def _square_certified(partial: PartialCostTable, t: int, budget: int) -> bool:
-    for u in range(t + 1):
-        for x in range(t + 1):
-            cell = partial.cell(u, x)
-            if cell is None:
-                return False
-            value, delay = cell
-            if delay > budget or value > 1:
-                return False
-            if x > 0 and partial.cell(u, x - 1)[0] < value:
-                return False
-            if u > 0 and partial.cell(u - 1, x)[0] > value:
-                return False
-    return True
+def _certified_at(cells, u: int, x: int) -> Optional[int]:
+    """Budget from which cell (u, x) is certified: its delay, if its value is
+    at most 1 and monotone against its left and upper neighbours; else None
+    (never)."""
+    cell = cells[u][x]
+    if cell is None or cell[0] > 1:
+        return None
+    left = cells[u][x - 1] if x else None
+    upper = cells[u - 1][x] if u else None
+    if x and (left is None or left[0] < cell[0]):
+        return None
+    if u and (upper is None or upper[0] > cell[0]):
+        return None
+    return cell[1]
 
 
 def totalize(
@@ -377,26 +398,25 @@ def totalize(
 ) -> CostTable:
     """Total, always-valid cost table from an arbitrary partial one.
 
-    Row s copies the largest certified square prefix reachable with a
-    per-cell step budget of s (cells scanned stage-major, positions
-    ascending), and is 0 elsewhere.  Where the input is a genuine monotone
-    approximation bounded by 1, the output agrees with it on the certified
-    prefix.
+    Row s copies the largest square prefix whose cells are all certified
+    with a per-cell step budget of s (see `_certified_at`), and is 0
+    elsewhere.  Where the input is a genuine monotone approximation bounded
+    by 1, the output agrees with it on the certified prefix.
     """
     S = horizon if horizon is not None else max(partial.stages, 1)
     X = width if width is not None else max(partial.width, 1)
-    rows = []
-    certified = -1  # largest certified square so far; grows with the budget
-    for s in range(S):
-        while certified + 1 <= s and _square_certified(partial, certified + 1, s):
-            certified += 1
-        frontier = min(certified, s)
-        row = tuple(
-            partial.cell(frontier, x)[0] if frontier >= 0 and x <= frontier else ZERO
-            for x in range(X)
-        )
-        rows.append(row)
-    return CostTable(tuple(rows), normalized=True)
+    cells = partial.cells
+
+    def shell(t: int) -> Optional[int]:
+        times = [_certified_at(cells, u, t) for u in range(t + 1)]
+        times += [_certified_at(cells, t, x) for x in range(t)]
+        return None if None in times else max(times)
+
+    prefix = ready_prefix(map(shell, range(min(partial.stages, partial.width))))
+    frontiers = [ready_depth(prefix, s, s) for s in range(S)]
+    row_of = {f: k for k, f in enumerate(dict.fromkeys(frontiers))}
+    rows = [tuple(cells[f][x][0] if x <= f else ZERO for x in range(X)) for f in row_of]
+    return CostTable.from_rows(rows, [row_of[f] for f in frontiers], normalized=True)
 
 
 # --- plain-text matrix format: first line "S X", then S rows of X rationals ---
@@ -409,6 +429,12 @@ def format_cost_table(table: CostTable) -> str:
     return "\n".join([header, *map(lines.__getitem__, table._index)]) + "\n"
 
 
+def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
+    """The text's non-blank lines, and their 1-based line numbers."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    return [i for i, _ in numbered], [ln for _, ln in numbered]
+
+
 def _parse_fraction(token: str, lineno: int) -> Fraction:
     try:
         return Fraction(token)
@@ -417,25 +443,26 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
 
 
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
-    """Parse the text format; errors name the line (counting non-blank
-    lines).  Each distinct line is split once and each distinct token
+    """Parse the text format; errors name the text line.  Blank lines are
+    skipped.  Each distinct line is split once and each distinct token
     parsed once."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbers, lines = _nonblank_lines(text)
     if not lines:
         raise ScenarioError("line 1: empty cost table")
+    head = numbers[0]
     header = lines[0].split()
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise ScenarioError(f"line 1: expected header 'S X', got {lines[0]!r}")
+        raise ScenarioError(f"line {head}: expected header 'S X', got {lines[0]!r}")
     S, X = int(header[0]), int(header[1])
     if len(lines) - 1 != S:
-        raise ScenarioError(f"line 1: header promises {S} rows, found {len(lines) - 1}")
+        raise ScenarioError(f"line {head}: header promises {S} rows, found {len(lines) - 1}")
     if S == 0:
-        raise ScenarioError("line 1: cost table needs at least one stage row")
+        raise ScenarioError(f"line {head}: cost table needs at least one stage row")
     values: dict[str, Fraction] = {}  # distinct token -> its value
     row_of: dict[str, int] = {}  # distinct line -> its row number
     token_rows: list[list[str]] = []
     index = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in zip(numbers[1:], lines[1:]):
         row = row_of.get(line)
         if row is None:
             tokens = line.split()
@@ -454,18 +481,17 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     position = {tok: k for k, tok in enumerate(values)}
     codes = [tuple(map(position.__getitem__, tokens)) for tokens in token_rows]
     table = CostTable.__new__(CostTable)
-    line_of_stage = range(2, S + 2)
-    table._build(list(values.values()), codes, index, normalized, listed_form, line_of_stage)
+    table._build(list(values.values()), codes, index, normalized, listed_form, numbers[1:])
     return table
 
 
 def parse_partial_table(text: str) -> PartialCostTable:
     """Rows of cells: 'p/q' (instant), 'p/q@d' (readable at budget d), '?' (never)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    numbers, lines = _nonblank_lines(text)
     if not lines:
         raise ScenarioError("line 1: empty partial table")
     rows = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in zip(numbers, lines):
         row: list[PartialCell] = []
         for token in line.split():
             if token == "?":
@@ -478,9 +504,9 @@ def parse_partial_table(text: str) -> PartialCostTable:
             else:
                 row.append((_parse_fraction(token, i), 0))
         rows.append(tuple(row))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ScenarioError("line 1: ragged partial table")
+    for i, row in zip(numbers, rows):
+        if len(row) != len(rows[0]):
+            raise ScenarioError(f"line {i}: ragged partial table")
     return PartialCostTable(tuple(rows))
 
 

@@ -5,9 +5,15 @@ set of the sped-up approximation is the produced enumerable cover.
 
 All outputs stay total whatever the input does; a divergent approximation
 just freezes the speed-up and leaves the cost table at its initial shape.
+
+Each stage reads the square readable so far from the approximation's
+readiness frontier (shell ready times, their prefix max, one bisect per
+stage), and books each stage's change charge once, when the bar first
+covers both the stage and its first changed position.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -18,6 +24,7 @@ from .approximations import (
     change_set,
     compose_rows,
     pair_code,
+    readable_depth,
     unpair,
 )
 from .costs import CostTable, ZERO, first_difference
@@ -49,6 +56,8 @@ class PartialStageMap:
                 if entry.visible_at < parsed[i - 1].visible_at:
                     raise ScenarioError("stage map entries must become visible in order")
         self.entries = parsed
+        self._visible_at = [e.visible_at for e in parsed]
+        self._values = [e.value for e in parsed]
 
     def observed(self, arg: int, stage: int) -> Optional[int]:
         if arg < len(self.entries) and self.entries[arg].visible_at <= stage:
@@ -56,7 +65,14 @@ class PartialStageMap:
         return None
 
     def observed_values(self, stage: int) -> list[int]:
-        return [e.value for e in self.entries if e.visible_at <= stage]
+        return self._values[: bisect_right(self._visible_at, stage)]
+
+    def least_observed_above(self, bound: int, stage: int) -> Optional[int]:
+        """Least value above `bound` observed by `stage`, or None.  The
+        observed entries are a prefix, and values increase along it."""
+        visible = bisect_right(self._visible_at, stage)
+        k = bisect_right(self._values, bound, 0, visible)
+        return self._values[k] if k < visible else None
 
 
 @dataclass
@@ -152,35 +168,27 @@ class SynthesisRun:
         self.doubling_stages: list[tuple[int, int]] = []
         self.extension_stages: list[int] = []
         self.worried_log: list[tuple[int, int, int]] = []
-        # Per readable stage u: ("found", change position) once the charge is
-        # booked, else ("pending", first column not yet scanned).
-        self._charges: dict[int, tuple[str, int]] = {}
+        # Stage u's change charge falls due once the bar covers both u and
+        # its first changed position p: due[max(u, p)] lists those (u, p).
+        # Positions at or past the cost width charge nothing.
+        self._due: dict[int, list[tuple[int, int]]] = {}
+        rows = approximation.rows
+        for u in range(1, approximation.horizon):
+            p = first_difference(rows[u], rows[u - 1])
+            if p is not None and p < self.width:
+                self._due.setdefault(max(u, p), []).append((u, p))
+        self._booked = 0  # every charge due at a bar up to this one is booked
         self.measured = ZERO
-        # Incremental readable-square tracker; matches readable_depth but
-        # touches each cell once (plus re-checks of the currently blocking
-        # cell) instead of re-verifying whole squares.
-        self._verified = -1
-        self._pending_cells: list[tuple[int, int]] = []
 
-    # ---- measurement caches -------------------------------------------------
+    # ---- measurement ----------------------------------------------------------
 
     def _measure(self, bar: int) -> Fraction:
-        for u in range(1, bar + 1):
-            status, data = self._charges.get(u, ("pending", 0))
-            if status == "found":
-                continue
-            limit = min(bar + 1, self.appr.width)
-            position = None
-            for x in range(data, limit):
-                if self.appr.rows[u][x] != self.appr.rows[u - 1][x]:
-                    position = x
-                    break
-            if position is not None:
-                if position < self.width:
-                    self.measured += self.cost_rows[self.row_of[u]][position]
-                self._charges[u] = ("found", position)
-            else:
-                self._charges[u] = ("pending", limit)
+        """Total charge readable at `bar`; stage u pays the cost in force at
+        u (row_of[u] is fixed once u < the current stage)."""
+        while self._booked < bar:
+            self._booked += 1
+            for u, p in self._due.get(self._booked, ()):
+                self.measured += self.cost_rows[self.row_of[u]][p]
         return self.measured
 
     def _activity(self, e: int, stage: int) -> Fraction:
@@ -234,22 +242,7 @@ class SynthesisRun:
         )
 
     def _readable_depth(self, stage: int) -> int:
-        top = min(stage - 1, self.appr.horizon - 1, self.appr.width - 1)
-        while self._verified < top:
-            if not self._pending_cells:
-                t = self._verified + 1
-                self._pending_cells = [(t, x) for x in range(t)] + [(u, t) for u in range(t + 1)]
-            blocked = False
-            while self._pending_cells:
-                u, x = self._pending_cells[-1]
-                if not self.appr.readable(u, x, stage):
-                    blocked = True
-                    break
-                self._pending_cells.pop()
-            if blocked:
-                break
-            self._verified += 1
-        return max(0, min(self._verified, top))
+        return readable_depth(self.appr, stage)
 
     def _stage(self, stage: int) -> None:
         bar = self._readable_depth(stage)
@@ -335,13 +328,10 @@ class SynthesisRun:
             top_row = self.appr.rows[self.speedup[frontier]][:prefix]
             while floor - 1 > last and self.appr.rows[self.speedup[floor - 1]][:prefix] == top_row:
                 floor -= 1
-            candidates = [
-                v
-                for v in self.requirements[e].stage_map.observed_values(stage)
-                if last < v <= frontier and v >= floor
-            ]
-            if candidates:
-                chosen = min(candidates)
+            chosen = self.requirements[e].stage_map.least_observed_above(
+                max(last, floor - 1), stage
+            )
+            if chosen is not None and chosen <= frontier:
                 if chosen <= last or chosen > len(self.speedup) - 1:
                     raise InvariantViolation(
                         "checkpoint left the observed-range/speed-up-domain corridor"

@@ -12,7 +12,7 @@ from typing import Iterable
 
 
 def check_word(word: str) -> str:
-    if not isinstance(word, str) or any(ch not in "01" for ch in word):
+    if not isinstance(word, str) or word.strip("01"):
         raise ValueError(f"not a 0/1 word: {word!r}")
     return word
 

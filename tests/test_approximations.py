@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import scan_readable_depth
 from tracelab.approximations import (
     ChangeSet,
     WordApproximation,
@@ -56,6 +58,28 @@ def test_readable_depth_with_delay():
 def test_readable_depth_never_convergent_origin():
     block = WordApproximation(tuple("01010" for _ in range(6)), schedule={(0, 0): None})
     assert readable_depth(block, 5) == 0
+
+
+@st.composite
+def scheduled_blocks(draw):
+    """Constant approximations with a random schedule: walls may be never
+    (None) or lie past the horizon, and the width may differ from it."""
+    horizon = draw(st.integers(1, 9))
+    width = draw(st.integers(0, 9))
+    cells = st.tuples(st.integers(0, horizon - 1), st.integers(0, max(width - 1, 0)))
+    delays = st.one_of(st.none(), st.integers(0, 3), st.integers(0, 15))
+    schedule = {}
+    if width:
+        for (s, x), delay in draw(st.lists(st.tuples(cells, delays), max_size=8)):
+            schedule[(s, x)] = None if delay is None else s + delay
+    return WordApproximation(tuple("0" * width for _ in range(horizon)), schedule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduled_blocks())
+def test_readable_depth_matches_the_square_scan(block):
+    for stage in range(1, block.horizon + 20):
+        assert readable_depth(block, stage) == scan_readable_depth(block, stage)
 
 
 # ---- change sets ----------------------------------------------------------------
@@ -239,6 +263,24 @@ def test_word_approx_parse_errors_carry_line_numbers():
         parse_word_approx("1 3\n01\n")
     with pytest.raises(ScenarioError, match="line 3"):
         parse_word_approx("1 2\n01\n(0,0)\n")
+    # Blank lines count: errors name the text line.
+    with pytest.raises(ScenarioError, match="^line 3: expected header"):
+        parse_word_approx("\n  \nS X\n")
+    with pytest.raises(ScenarioError, match="^line 4: expected 2 bits, got '0a'$"):
+        parse_word_approx("2 2\n01\n\n0a\n")
+    with pytest.raises(ScenarioError, match=r"^line 5: expected three fields in '\(0,0\)'$"):
+        parse_word_approx("1 2\n\n01\n\n(0,0)\n")
+    # Schedule triples fail with their line, not a bare int() error.
+    with pytest.raises(ScenarioError, match=r"^line 3: expected integer fields in '\(a,1,2\)'$"):
+        parse_word_approx("1 2\n01\n(a,1,2)\n")
+    with pytest.raises(ScenarioError, match=r"^line 4: expected integer fields in '\(0,0,x\)'$"):
+        parse_word_approx("1 2\n01\n\n(0,0,x)\n")
+    with pytest.raises(ScenarioError, match=r"^line 3: schedule entry \(0,2\) outside the table$"):
+        parse_word_approx("1 2\n01\n(0,2,5)\n")
+    with pytest.raises(ScenarioError, match=r"^line 3: schedule entry \(-1,0\) outside the table$"):
+        parse_word_approx("1 2\n01\n(-1,0,5)\n")
+    with pytest.raises(ScenarioError, match=r"^line 4: schedule entry \(1,0\) readable before"):
+        parse_word_approx("2 2\n01\n01\n(1,0,0)\n")
 
 
 def test_limit_mismatch_is_rejected():

@@ -147,6 +147,20 @@ def test_cli_table_check_error_names_the_line(tmp_path, capsys):
     table.write_text("2 2\n1/2 1/4\n1/4 1/4\n")
     assert main(["costfn", "markers", str(table), "--eps", "1/2"]) == 1
     assert capsys.readouterr().err.strip() == "error: line 3: column 0 decreases at stage 1"
+    # Blank lines count: the row is on text line 5.
+    table.write_text("2 2\n\n1/2 1/4\n\n1/4 1/4\n")
+    assert main(["costfn", "markers", str(table), "--eps", "1/2"]) == 1
+    assert capsys.readouterr().err.strip() == "error: line 5: column 0 decreases at stage 1"
+
+
+def test_cli_bad_schedule_triple_is_a_one_line_error(tmp_path, capsys):
+    block = tmp_path / "a.approx"
+    block.write_text("2 2\n00\n01\n\n(a,1,2)\n")
+    assert main(["approx", "change-set", str(block)]) == 1
+    assert capsys.readouterr().err == "error: line 5: expected integer fields in '(a,1,2)'\n"
+    block.write_text("2 2\n00\n01\n(1,2,3)\n")
+    assert main(["approx", "change-set", str(block)]) == 1
+    assert capsys.readouterr().err == "error: line 4: schedule entry (1,2) outside the table\n"
 
 
 def test_cli_failed_benignity_bound_is_exit_two(tmp_path, capsys):

@@ -8,6 +8,7 @@ from tracelab.costs import (
     PartialCostTable,
     check_benign,
     dyadic_decay_row,
+    first_difference,
     format_cost_table,
     halving_exponent,
     marker_sequence,
@@ -263,6 +264,40 @@ def test_totalize_agrees_with_reference_on_random_partials():
                 assert out.value(s, x) == expected
 
 
+@st.composite
+def partial_tables(draw):
+    """Partial tables: monotone or arbitrary values (some negative, some
+    above the unit cap), never-convergent cells and per-cell delays."""
+    stages, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = st.sampled_from([F(-1, 8), F(0), F(1, 8), F(1, 4), F(1, 2), F(1), F(9, 8)])
+    rows = st.lists(st.lists(values, min_size=width, max_size=width), min_size=stages, max_size=stages)
+    grid = draw(rows)
+    if draw(st.booleans()):
+        # Sort each column up, then take running minima along each row.
+        columns = [sorted(column) for column in zip(*grid)]
+        grid = [[min(columns[y][u] for y in range(x + 1)) for x in range(width)] for u in range(stages)]
+    cell = lambda v: None if draw(st.integers(0, 9)) == 0 else (v, draw(st.integers(0, 8)))
+    return PartialCostTable(tuple(tuple(map(cell, row)) for row in grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_tables(), st.integers(1, 9), st.integers(1, 8))
+def test_totalize_matches_the_certified_prefix(partial, horizon, width):
+    expected = []
+    for s in range(horizon):
+        frontier = min(certified_prefix(partial, s), s)
+        row = [partial.cell(frontier, x)[0] if 0 <= x <= frontier else F(0) for x in range(width)]
+        expected.append(tuple(row))
+    try:
+        reference = CostTable(expected, normalized=True)
+    except ScenarioError as exc:  # a certified negative value in the first row
+        with pytest.raises(ScenarioError) as caught:
+            totalize(partial, horizon=horizon, width=width)
+        assert str(caught.value) == str(exc)
+        return
+    assert totalize(partial, horizon=horizon, width=width).rows == reference.rows
+
+
 # ---- text format ---------------------------------------------------------------
 
 
@@ -290,6 +325,19 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("2 1\n1\n3/2\n", normalized=True)
     with pytest.raises(ScenarioError, match=r"^line 3: nonzero tail value in listed-form row 1$"):
         parse_cost_table("2 2\n0 0\n1/2 1/4\n", listed_form=True)
+    # Blank lines count: errors name the text line.
+    with pytest.raises(ScenarioError, match="^line 3: expected header"):
+        parse_cost_table("\n \nnonsense\n")
+    with pytest.raises(ScenarioError, match=r"^line 2: header promises 2 rows, found 1$"):
+        parse_cost_table("\n2 2\n1/2 1/4\n")
+    with pytest.raises(ScenarioError, match="^line 4: bad rational 'x'$"):
+        parse_cost_table("1 2\n\n\n1/2 x\n")
+    with pytest.raises(ScenarioError, match="^line 4: expected 2 values, found 1$"):
+        parse_cost_table("2 2\n1/2 1/4\n\n1/2\n")
+    with pytest.raises(ScenarioError, match=r"^line 5: column 0 decreases at stage 1$"):
+        parse_cost_table("2 2\n\n1/2 1/4\n\n1/4 1/4\n")
+    with pytest.raises(ScenarioError, match=r"^line 6: nonzero tail value in listed-form row 1$"):
+        parse_cost_table("2 2\n\n0 0\n\n\n1/2 1/4\n", listed_form=True)
 
 
 def test_parse_partial_table_tokens():
@@ -297,6 +345,22 @@ def test_parse_partial_table_tokens():
     assert partial.cell(0, 0) == (F(1, 2), 0)
     assert partial.cell(0, 1) == (F(1, 4), 3)
     assert partial.cell(0, 2) is None
+
+
+def test_parse_partial_table_names_text_lines():
+    with pytest.raises(ScenarioError, match="^line 3: bad delay in '1/2@x'$"):
+        parse_partial_table("1/2 ?\n\n1/2@x ?\n")
+    with pytest.raises(ScenarioError, match="^line 4: bad rational 'y'$"):
+        parse_partial_table("\n1/2 ?\n\ny ?\n")
+    with pytest.raises(ScenarioError, match="^line 3: ragged partial table$"):
+        parse_partial_table("1/2 ?\n\n1/2\n")
+
+
+def test_first_difference():
+    assert first_difference("0101", "0101") is None
+    assert first_difference("0101", "0111") == 2
+    assert first_difference("01", "011") == 2
+    assert first_difference("", "") is None
 
 
 def test_to_listed_form_zeroes_the_diagonal_tail():

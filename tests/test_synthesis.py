@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import scan_readable_depth
 from tracelab.approximations import WordApproximation, readable_depth
 from tracelab.costs import CostTable, marker_sequence
 from tracelab.errors import ScenarioError
@@ -62,6 +64,22 @@ def test_stage_map_observation_delays():
     assert sm.observed(1, 8) is None
     assert sm.observed(1, 9) == 4
     assert sm.observed_values(8) == [0]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8),
+    st.integers(0, 14),
+    st.integers(-1, 14),
+)
+def test_least_observed_above_matches_a_scan(shape, stage, bound):
+    entries, value, visible = [], -1, 0
+    for arg, (step, delay) in enumerate(shape):
+        value, visible = value + 1 + step, visible + delay
+        entries.append((arg, value, visible))
+    sm = PartialStageMap(entries)
+    above = [v for v in sm.observed_values(stage) if v > bound]
+    assert sm.least_observed_above(bound, stage) == (min(above) if above else None)
+    assert sm.observed_values(stage) == [v for _, v, d in entries if d <= stage]
 
 
 def test_requirement_validates_listed_form():
@@ -126,7 +144,80 @@ def test_incremental_readable_depth_matches_reference():
         )
         run = SynthesisRun(block, 0, [], horizon)
         for stage in range(1, horizon):
-            assert run._readable_depth(stage) == readable_depth(block, stage)
+            assert run._readable_depth(stage) == scan_readable_depth(block, stage)
+
+
+class PendingScanRun(SynthesisRun):
+    """The stage loop with the reference charge booking: every stage re-walks
+    each readable stage u <= bar and scans rows u - 1 and u up to the bar for
+    their first difference."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.found: dict[int, int] = {}
+
+    def _measure(self, bar):
+        for u in range(1, bar + 1):
+            if u in self.found:
+                continue
+            for x in range(min(bar + 1, self.appr.width)):
+                if self.appr.rows[u][x] != self.appr.rows[u - 1][x]:
+                    self.found[u] = x
+                    if x < self.width:
+                        self.measured += self.cost_rows[self.row_of[u]][x]
+                    break
+        return self.measured
+
+
+@st.composite
+def measured_runs(draw):
+    """Run arguments: a flipping approximation with a random schedule, a run
+    horizon and cost width that may be smaller or larger than the
+    approximation's, a budget that some flip sets exceed, and at most one
+    delayed requirement, whose worry doubles costs."""
+    appr_horizon, appr_width = draw(st.integers(2, 40)), draw(st.integers(2, 12))
+    stages, positions = st.integers(1, appr_horizon - 1), st.integers(0, appr_width - 1)
+    cheap = st.integers(0, min(3, appr_width - 1))  # flips here cost most
+    flips = draw(st.lists(st.tuples(stages, st.one_of(cheap, positions)), max_size=12))
+    cells = st.tuples(st.integers(0, appr_horizon - 1), positions)
+    walls = draw(st.lists(st.tuples(cells, st.integers(0, 12)), max_size=3))
+    schedule = {(u, x): u + d for (u, x), d in walls}
+    if draw(st.integers(0, 5)) == 0:
+        schedule[draw(cells)] = None  # a never-readable cell freezes the bar
+    block = WordApproximation(flipping_block(appr_horizon, flips, appr_width).rows, schedule)
+    horizon = max(2, appr_horizon + draw(st.integers(-4, 4)))
+    width = draw(st.sampled_from([None, appr_width, max(1, appr_width - 3), appr_width + 3]))
+    delay = draw(st.integers(0, 20))
+    requirements = [flat_requirement(horizon, delay=delay)] * draw(st.integers(0, 1))
+    return block, draw(st.integers(0, 2)), requirements, horizon, width
+
+
+def alternating_block(horizon):
+    rest = "0" * (horizon - 1)
+    return WordApproximation(tuple(("1" if s % 2 else "0") + rest for s in range(horizon)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(measured_runs())
+@example((alternating_block(10), 0, [], 10, None))  # halts at stage 3
+@example((alternating_block(12), 2, [], 12, 1))
+@example((flipping_block(60, [(36, 3)]), 0, [flat_requirement(60, delay=20)], 60, None))  # doubles
+@example((flipping_block(60, [(36, 3)]), 0, [flat_requirement(60, delay=20)], 60, 3))
+# The stage-37 change is charged at stage 37's cost, before that stage's doubling.
+@example((flipping_block(60, [(36, 3), (37, 4)]), 0, [flat_requirement(60, delay=20)], 60, None))
+@example((flipping_block(70, [(40, 1), (43, 1)]), 0, [flat_requirement(70, 18, F(1, 2))], 70, 80))
+def test_measure_matches_the_pending_scan_at_every_stage(args):
+    block, budget_exp, requirements, horizon, width = args
+    fast = SynthesisRun(block, budget_exp, requirements, horizon, width)
+    slow = PendingScanRun(block, budget_exp, requirements, horizon, width)
+    for stage in range(1, horizon):
+        if fast.halted_at is not None:
+            break
+        fast._stage(stage)
+        slow._stage(stage)
+        assert fast.measured == slow.measured
+        assert fast.row_of == slow.row_of
+    assert fast.halted_at == slow.halted_at
 
 
 def test_closed_form_bound_evaluates_the_reference_point():
