@@ -338,5 +338,7 @@ def parse_word_approx(text: str, limit: Optional[str] = None) -> WordApproximati
             raise ScenarioError(f"line {i}: schedule entry ({s},{x}) outside the table")
         if wall is not None and wall < s:
             raise ScenarioError(f"line {i}: schedule entry ({s},{x}) readable before its stage")
+        if (s, x) in schedule:
+            raise ScenarioError(f"line {i}: schedule entry ({s},{x}) listed twice")
         schedule[(s, x)] = wall
     return WordApproximation(tuple(rows), schedule, limit)

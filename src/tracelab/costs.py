@@ -7,13 +7,27 @@ Positions at or beyond the width read as 0; facts that depend on stages beyond
 the horizon are reported with an explicit `truncated` flag rather than
 silently treated as final.
 
-A table is stored as its distinct rows plus a per-stage row index.  Its
-checks see each distinct row once and each distinct pair of adjacent rows
-once, and they compare integer codes, not rationals: an entry's code is its
-rank among the table's distinct values after one exact sort, shifted so that
-the value 0 has code 0.  Ranks, unlike numerators over a common denominator,
-stay small however the denominators mix.  Reads (`rows`, `value`) return
-exact `Fraction`s, one object per distinct value, shared across the table.
+A table is stored as one row per run of equal stages plus a per-stage run
+index.  Each stage's row is its predecessor's with one window of positions
+[k, X-m) replaced; stage 0's window is the whole row, and a stage equal to
+its predecessor has no window and shares its predecessor's row objects.
+Only a window's entries are recoded and checked, and a row is built by
+splicing the window into its predecessor's row.  The checks compare integer
+codes, not rationals: an entry's code is its rank among the table's distinct
+values after one exact sort, shifted so that the value 0 has code 0.  Ranks,
+unlike numerators over a common denominator, stay small however the
+denominators mix.  Reads (`rows`, `value`) return exact `Fraction`s, one
+object per distinct value, shared across the table.
+
+The text parser finds each line's window against the line before it with
+string compares alone: the two lines' common prefix and suffix, snapped to
+the spaces between tokens, and the shared tokens counted by their spaces.
+Only the window's text is split and its tokens parsed.  A line whose
+whitespace is irregular (not ASCII, a tab, a unit separator, a run of
+spaces, or a space at either end) is split whole, and so is the line after
+it.  Table constructors give a stage its whole row as its window, or none
+where its row number (for `CostTable(rows)`, its row) repeats its
+predecessor's.
 
 Readiness frontier: shell t of a square table is the cells (u, x) with
 max(u, x) == t; `ready_prefix` takes each shell's ready time, builds their
@@ -26,9 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ScenarioError
 
@@ -50,7 +64,9 @@ class CostTable:
 
     def __init__(self, rows, normalized: bool = False, listed_form: bool = False):
         rows = [tuple(row) for row in rows]
-        self._build(*_encode(rows), range(len(rows)), normalized, listed_form)
+        # Stage s reads the row of the first stage of its run of equal rows.
+        index = list(accumulate(range(len(rows)), lambda i, s: i if rows[s] == rows[i] else s))
+        self._build(_exact(rows), _whole_rows(rows, index), normalized, listed_form)
 
     @classmethod
     def from_rows(
@@ -62,7 +78,7 @@ class CostTable:
     ) -> "CostTable":
         """Table whose stage s reads rows[index[s]]."""
         table = cls.__new__(cls)
-        table._build(*_encode(rows), index, normalized, listed_form)
+        table._build(_exact(rows), _whole_rows(rows, index), normalized, listed_form)
         return table
 
     @classmethod
@@ -76,36 +92,61 @@ class CostTable:
     ) -> "CostTable":
         """Table whose stage s reads values[c] for each c in codes[index[s]]."""
         table = cls.__new__(cls)
-        table._build(values, codes, index, normalized, listed_form)
+        exact = {k: Fraction(v) for k, v in enumerate(values)}
+        table._build(exact, _whole_rows(codes, index), normalized, listed_form)
         return table
 
-    def _build(self, values, codes, index, normalized, listed_form, lines=None) -> None:
-        """Recode to ranks, check, and store.  `lines[s]`, when given, is the
-        text line of stage s, and a failed check names it."""
-        if not len(index):
-            raise ScenarioError("cost table needs at least one stage row")
-        exact = [Fraction(v) for v in values]
-        ordered = sorted(set(exact).union((ZERO, ONE)))
+    def _build(self, exact, windows, normalized, listed_form, lines=None) -> None:
+        """Recode to ranks, check, and store.
+
+        `exact` maps each key the windows use to its value.  `windows` gives
+        each stage's row as its predecessor's with one window replaced:
+        (k, keys, m) puts `keys` in place of every position but the first k
+        and the last m, and None repeats the predecessor's row.  Only the
+        checks a window can fail are run (see `_window_fault`).  `lines[s]`,
+        when given, is the text line of stage s, and a failed check names it.
+        """
+        # One exact sort ranks the distinct values, 0 and 1 among them.  Equal
+        # values are found as sorted neighbours, not by hashing: the hashes
+        # of 1/2, 1/4, 1/8, ... repeat with period 61.
+        ordered: list[Fraction] = []
+        rank = {}
+        for key, v in sorted([(None, ZERO), (None, ONE), *exact.items()], key=itemgetter(1)):
+            if not ordered or ordered[-1] != v:
+                ordered.append(v)
+            rank[key] = len(ordered) - 1
+        del rank[None]
         zero = bisect_left(ordered, ZERO)
-        rank = {v: r - zero for r, v in enumerate(ordered)}
-        recode = [rank[v] for v in exact]
-        distinct: dict[tuple[int, ...], int] = {}
-        renumber = {
-            i: distinct.setdefault(tuple(map(recode.__getitem__, codes[i])), len(distinct))
-            for i in dict.fromkeys(index)
-        }
-        codes = list(distinct)
-        index = list(map(renumber.__getitem__, index))
-        fault = _first_fault(codes, index, rank[ONE], normalized, listed_form)
-        if fault is not None:
-            stage, message = fault
-            raise ScenarioError(message if lines is None else f"line {lines[stage]}: {message}")
-        # Accepted: nothing is negative, so code c reads ordered[zero + c].
-        values = tuple(ordered[zero:])
-        entries = [tuple(map(values.__getitem__, row)) for row in codes]
+        one = bisect_left(ordered, ONE) - zero
+        code = {key: r - zero for key, r in rank.items()}
+        values = tuple(ordered[zero:])  # code c >= 0 reads values[c]
+        codes: list[tuple[int, ...]] = []  # one row per run of equal stages
+        entries: list[tuple[Fraction, ...]] = []
+        index: list[int] = []
+        before = width = None  # the codes of the previous stage's row
+        for s, window in enumerate(windows):
+            if window is None:
+                index.append(len(codes) - 1)
+                continue
+            k, keys, m = window
+            fresh = tuple(map(code.__getitem__, keys))
+            row = _splice(before, k, fresh, m)
+            if width is None:
+                width = len(row)
+            end = k + len(fresh)
+            message = _window_fault(before, row, k, end, s, width, one, normalized, listed_form)
+            if message is not None:
+                raise ScenarioError(message if lines is None else f"line {lines[s]}: {message}")
+            index.append(len(codes))
+            codes.append(row)
+            fresh = tuple(map(values.__getitem__, fresh))
+            entries.append(_splice(entries[-1] if entries else None, k, fresh, m))
+            before = row
+        if not index:
+            raise ScenarioError("cost table needs at least one stage row")
         self.rows = tuple(map(entries.__getitem__, index))
         self.horizon = len(index)
-        self.width = len(codes[index[0]])
+        self.width = width
         self.normalized = normalized
         self.listed_form = listed_form
         self._values, self._codes, self._index = values, codes, index
@@ -117,46 +158,52 @@ class CostTable:
         return self.rows[stage][position]
 
 
-def _encode(rows) -> tuple[list, list[tuple[int, ...]]]:
-    """The distinct entries of `rows`, and each row as indices into them."""
-    values = list(set().union(*rows))
-    position = {v: k for k, v in enumerate(values)}
-    return values, [tuple(map(position.__getitem__, row)) for row in rows]
+def _exact(rows) -> dict:
+    """Each distinct entry of `rows`, mapped to its exact value."""
+    return {v: Fraction(v) for v in set().union(*rows)}
 
 
-def _first_fault(codes, index, one, normalized, listed_form) -> Optional[tuple[int, str]]:
-    """(stage, message) of the first failed check, in stage order, or None.
-
-    Rows hold codes (0 is the value 0, `one` the value 1).  Within a stage
-    the checks run in a fixed order: width, then entry by entry negative
-    cost, row increase and value above 1, then the listed-form tail, then
-    the column check against the previous stage.  A row that passed at its
-    first stage passes at every later one (its listed-form tail only
-    shrinks), and so does a pair of adjacent rows.
-    """
-    width = len(codes[index[0]])
-    seen = [False] * len(codes)
-    pairs: set[tuple[int, int]] = set()
+def _whole_rows(rows, index) -> Iterator[Optional[tuple[int, Sequence, int]]]:
+    """Windows (see `CostTable._build`) for stages reading rows[index[s]]:
+    the whole row, or None where a stage's row number repeats its
+    predecessor's.  Columns never decrease, so a valid table never returns
+    to an earlier distinct row."""
     previous = None
-    for s, i in enumerate(index):
-        row = codes[i]
-        if not seen[i]:
-            seen[i] = True
-            if len(row) != width:
-                return s, f"row {s} has width {len(row)}, expected {width}"
-            if row and (
-                min(row) < 0 or any(map(lt, row, row[1:])) or normalized and max(row) > one
-            ):
-                return s, _row_fault(row, s, one, normalized)
-            if listed_form and any(row[s:]):
-                return s, f"nonzero tail value in listed-form row {s}"
-        if previous is not None and previous != i and (previous, i) not in pairs:
-            pairs.add((previous, i))
-            before = codes[previous]
-            if any(map(gt, before, row)):
-                x = next(x for x in range(width) if before[x] > row[x])
-                return s, f"column {x} decreases at stage {s}"
+    for i in index:
+        yield None if i == previous else (0, rows[i], 0)
         previous = i
+
+
+def _splice(row, k: int, window: tuple, m: int) -> tuple:
+    """`row` with every position but its first k and last m replaced by
+    `window`; all of it when `row` is None."""
+    return window if row is None else row[:k] + window + row[len(row) - m :]
+
+
+def _window_fault(before, row, k, end, s, width, one, normalized, listed_form) -> Optional[str]:
+    """Message of the first check stage s fails, or None.
+
+    `row` is `before` (stage s-1's row, already accepted; None at stage 0)
+    with positions [k, end) replaced, and holds codes (0 is the value 0,
+    `one` the value 1).  The checks run in a fixed order: width, then entry
+    by entry negative cost, row increase and value above 1, then the
+    listed-form tail, then the column check against stage s-1.  Outside the
+    window `row` equals `before`, which passed all of them, so each check
+    looks only where the window can break it: the entry checks at the window
+    and one neighbour on each side, the tail at window positions >= s, the
+    column check at the window.  A failure's message comes from a scan of
+    the whole row, which finds the same first fault.
+    """
+    if len(row) != width:
+        return f"row {s} has width {len(row)}, expected {width}"
+    near = row[max(k - 1, 0) : end + 1]
+    if near and (min(near) < 0 or any(map(lt, near, near[1:])) or normalized and max(near) > one):
+        return _row_fault(row, s, one, normalized)
+    if listed_form and any(row[max(s, k) : end]):
+        return f"nonzero tail value in listed-form row {s}"
+    if before is not None and any(map(gt, before[k:end], row[k:end])):
+        x = next(x for x in range(width) if before[x] > row[x])
+        return f"column {x} decreases at stage {s}"
     return None
 
 
@@ -294,7 +341,9 @@ def sum_benign(
     tables = [p[0] for p in parts]
     bounds = [_as_bound_fn(p[1]) for p in parts]
     for idx, t in enumerate(tables):
-        if any(v > 1 for row in t.rows for v in row):
+        # Rows never increase and columns never decrease, so the last stage's
+        # first entry is the table's largest.
+        if t.width and t.rows[-1][0] > 1:
             raise ScenarioError(f"part {idx} is not bounded by 1")
     S = horizon if horizon is not None else min(t.horizon for t in tables)
     X = width if width is not None else min(t.width for t in tables)
@@ -442,10 +491,66 @@ def _parse_fraction(token: str, lineno: int) -> Fraction:
         raise ScenarioError(f"line {lineno}: bad rational {token!r}") from exc
 
 
+def _regular(text: str) -> bool:
+    """True when `text` is tokens joined by single spaces (ASCII, no tab or
+    unit separator), so that `text.split()` is `text.split(" ")`."""
+    return (
+        text.isascii()
+        and text[:1] not in ("", " ")
+        and text[-1] != " "
+        and "  " not in text
+        and "\t" not in text
+        and "\x1f" not in text
+    )
+
+
+def _match_length(same: Callable[[int, int], bool], hint: int, limit: int) -> int:
+    """Largest p <= limit such that positions [0, p) match, searching outward
+    from `hint`.  `same(lo, hi)` compares positions [lo, hi) and is only
+    asked once [0, lo) is known to match."""
+    lo, hi = 0, limit + 1
+    hint = min(hint, limit)
+    if same(0, hint):
+        lo, step = hint, 1
+        while lo + step <= limit and same(lo, lo + step):
+            lo += step
+            step *= 2
+        hi = min(lo + step, limit + 1)
+    else:
+        hi = hint
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(lo, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _line_window(before: str, line: str, hints: tuple[int, int]) -> tuple[int, str, int, tuple]:
+    """(k, window text, m, (p, q)) for two different lines, `before`
+    regular.  When the window text is regular, `line` is `before` with every
+    token but the first k and the last m replaced by the window's tokens.
+    p and q are the lengths in characters of the two lines' common prefix
+    and (not overlapping it) common suffix, found by searching outward from
+    `hints`, the previous line's (p, q); the window is snapped out to the
+    spaces around them."""
+    n, b = len(line), len(before)
+    p = _match_length(lambda lo, hi: line.startswith(before[lo:hi], lo), hints[0], min(n, b))
+    q = _match_length(
+        lambda lo, hi: line.endswith(before[b - hi : b - lo], 0, n - lo), hints[1], min(n, b) - p
+    )
+    start = line.rfind(" ", 0, p) + 1
+    stop = line.find(" ", n - q)
+    if stop < 0:
+        return line.count(" ", 0, start), line[start:], 0, (p, q)
+    return line.count(" ", 0, start), line[start:stop], line.count(" ", stop), (p, q)
+
+
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
     """Parse the text format; errors name the text line.  Blank lines are
-    skipped.  Each distinct line is split once and each distinct token
-    parsed once."""
+    skipped.  Each line is read as a window against the line before it (see
+    `_line_window`), so only tokens in a window are split and parsed."""
     numbers, lines = _nonblank_lines(text)
     if not lines:
         raise ScenarioError("line 1: empty cost table")
@@ -458,30 +563,39 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         raise ScenarioError(f"line {head}: header promises {S} rows, found {len(lines) - 1}")
     if S == 0:
         raise ScenarioError(f"line {head}: cost table needs at least one stage row")
-    values: dict[str, Fraction] = {}  # distinct token -> its value
-    row_of: dict[str, int] = {}  # distinct line -> its row number
-    token_rows: list[list[str]] = []
-    index = []
+    windows: list[Optional[tuple[int, list[str], int]]] = []
+    before, regular_before, hints, wrong_width = None, False, (0, 0), None
     for i, line in zip(numbers[1:], lines[1:]):
-        row = row_of.get(line)
-        if row is None:
-            tokens = line.split()
-            if len(tokens) != X:
-                raise ScenarioError(f"line {i}: expected {X} values, found {len(tokens)}")
-            fresh = set(tokens).difference(values)
-            try:
-                values.update({tok: Fraction(tok) for tok in fresh})
-            except (ValueError, ZeroDivisionError):
-                for tok in tokens:  # name the line's first bad token
+        if line == before:
+            windows.append(None)
+            continue
+        # Outside its window a line repeats a regular `before`, so it is
+        # regular when its window is.
+        window = _line_window(before, line, hints) if regular_before else None
+        if window is not None and _regular(window[1]):
+            k, middle, m, hints = window
+            tokens, regular = middle.split(" "), True
+        else:
+            k, tokens, m = 0, line.split(), 0
+            regular = _regular(line)
+        if k + len(tokens) + m != X:  # raised after any bad token on an earlier line
+            wrong_width = i, k + len(tokens) + m
+            break
+        windows.append((k, tokens, m))
+        before, regular_before = line, regular
+    distinct = dict.fromkeys(chain.from_iterable(w[1] for w in windows if w is not None))
+    try:
+        exact = {tok: Fraction(tok) for tok in distinct}
+    except (ValueError, ZeroDivisionError):
+        for i, window in zip(numbers[1:], windows):  # name the first bad token's line
+            if window is not None:
+                for tok in window[1]:
                     _parse_fraction(tok, i)
-                raise
-            row = row_of[line] = len(token_rows)
-            token_rows.append(tokens)
-        index.append(row)
-    position = {tok: k for k, tok in enumerate(values)}
-    codes = [tuple(map(position.__getitem__, tokens)) for tokens in token_rows]
+        raise
+    if wrong_width is not None:
+        raise ScenarioError(f"line {wrong_width[0]}: expected {X} values, found {wrong_width[1]}")
     table = CostTable.__new__(CostTable)
-    table._build(list(values.values()), codes, index, normalized, listed_form, numbers[1:])
+    table._build(exact, windows, normalized, listed_form, numbers[1:])
     return table
 
 

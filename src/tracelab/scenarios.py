@@ -23,6 +23,7 @@ from .synthesis import (
     audit_requirement,
 )
 from .tracer import BoxLayout, HonestPolicy, RandomPolicy, ScriptedPolicy
+from .words import check_word
 
 
 def fraction_str(value: Fraction) -> str:
@@ -36,6 +37,13 @@ def text_block(value) -> str:
     if isinstance(value, str):
         return value
     raise ScenarioError("expected a text block (string or list of lines)")
+
+
+def _required(payload: dict, field: str, where: str):
+    """payload[field]; a missing field is a `ScenarioError` naming it."""
+    if field not in payload:
+        raise ScenarioError(f"{where} is missing the {field!r} field")
+    return payload[field]
 
 
 def parse_script(text: str) -> list[tuple[int, str, str]]:
@@ -96,9 +104,15 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     overhead = int(payload.get("overhead", 1))
     top_level = int(payload.get("top_level", 3))
     cost = costs.parse_cost_table(
-        text_block(payload["cost_table"]), normalized=bool(payload.get("normalized", True))
+        text_block(_required(payload, "cost_table", "boxpromo scenario")),
+        normalized=bool(payload.get("normalized", True)),
     )
     ground_truth = payload.get("ground_truth")
+    if ground_truth is not None:
+        try:
+            check_word(ground_truth)
+        except ValueError as exc:
+            raise ScenarioError(f"ground_truth: {exc}") from None
     if ground_truth is None and "approximation" in payload:
         block = appr_mod.parse_word_approx(text_block(payload["approximation"]))
         ground_truth = block.rows[-1]
@@ -205,13 +219,17 @@ def run_boxpromo(payload: dict) -> dict:
 
 def build_synthesis_run(payload: dict) -> SynthesisRun:
     horizon = int(payload.get("horizon", 0))
-    approximation = appr_mod.parse_word_approx(text_block(payload["approximation"]))
+    approximation = appr_mod.parse_word_approx(
+        text_block(_required(payload, "approximation", "synth scenario"))
+    )
     requirements = []
-    for block in payload.get("requirements", []):
+    for r, block in enumerate(payload.get("requirements", [])):
+        where = f"synth requirement {r}"
         table = costs.parse_cost_table(
-            text_block(block["cost_table"]), normalized=True, listed_form=True
+            text_block(_required(block, "cost_table", where)), normalized=True, listed_form=True
         )
-        stage_map = PartialStageMap([tuple(entry) for entry in block["stage_map"]])
+        entries = _required(block, "stage_map", where)
+        stage_map = PartialStageMap([tuple(entry) for entry in entries])
         requirements.append(Requirement(table, stage_map))
     return SynthesisRun(
         approximation,
@@ -317,7 +335,7 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
 
 def run_costfn_check(payload: dict) -> dict:
     table = costs.parse_cost_table(
-        text_block(payload["cost_table"]),
+        text_block(_required(payload, "cost_table", "costfn-check scenario")),
         normalized=bool(payload.get("normalized", False)),
     )
     eps_list = [Fraction(e) for e in payload.get("eps", ["1/2"])]

@@ -281,6 +281,8 @@ def test_word_approx_parse_errors_carry_line_numbers():
         parse_word_approx("1 2\n01\n(-1,0,5)\n")
     with pytest.raises(ScenarioError, match=r"^line 4: schedule entry \(1,0\) readable before"):
         parse_word_approx("2 2\n01\n01\n(1,0,0)\n")
+    with pytest.raises(ScenarioError, match=r"^line 6: schedule entry \(0,1\) listed twice$"):
+        parse_word_approx("2 2\n00\n00\n(0,1,3)\n\n(0,1,inf)\n")
 
 
 def test_limit_mismatch_is_rejected():

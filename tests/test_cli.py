@@ -140,6 +140,23 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     path = write_json(tmp_path, "bad.json", payload)
     assert main(["boxpromo", "run", path]) == 1
     assert "line 1" in capsys.readouterr().err
+    # Missing fields and bad words are one-line errors that name them.
+    no_table = canned_scripted_payload()
+    del no_table["cost_table"]
+    bad_truth = dict(canned_scripted_payload(), ground_truth="0120")
+    no_approximation = synth_payload_small()
+    del no_approximation["approximation"]
+    no_requirement_table = dict(synth_payload_small(), requirements=[{"stage_map": []}])
+    cases = [
+        ("boxpromo", no_table, "boxpromo scenario is missing the 'cost_table' field"),
+        ("boxpromo", bad_truth, "ground_truth: not a 0/1 word: '0120'"),
+        ("synth", no_approximation, "synth scenario is missing the 'approximation' field"),
+        ("synth", no_requirement_table, "synth requirement 0 is missing the 'cost_table' field"),
+    ]
+    for command, payload, message in cases:
+        path = write_json(tmp_path, "bad.json", payload)
+        assert main([command, "run", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_table_check_error_names_the_line(tmp_path, capsys):
@@ -161,6 +178,9 @@ def test_cli_bad_schedule_triple_is_a_one_line_error(tmp_path, capsys):
     block.write_text("2 2\n00\n01\n(1,2,3)\n")
     assert main(["approx", "change-set", str(block)]) == 1
     assert capsys.readouterr().err == "error: line 4: schedule entry (1,2) outside the table\n"
+    block.write_text("2 2\n00\n00\n(0,1,3)\n(0,1,inf)\n")
+    assert main(["approx", "change-set", str(block)]) == 1
+    assert capsys.readouterr().err == "error: line 5: schedule entry (0,1) listed twice\n"
 
 
 def test_cli_failed_benignity_bound_is_exit_two(tmp_path, capsys):

@@ -334,6 +334,9 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("1 2\n\n\n1/2 x\n")
     with pytest.raises(ScenarioError, match="^line 4: expected 2 values, found 1$"):
         parse_cost_table("2 2\n1/2 1/4\n\n1/2\n")
+    # A line one repeated token short of the line before it.
+    with pytest.raises(ScenarioError, match="^line 3: expected 3 values, found 2$"):
+        parse_cost_table("2 3\n1/2 0 0\n1/2 0\n")
     with pytest.raises(ScenarioError, match=r"^line 5: column 0 decreases at stage 1$"):
         parse_cost_table("2 2\n\n1/2 1/4\n\n1/4 1/4\n")
     with pytest.raises(ScenarioError, match=r"^line 6: nonzero tail value in listed-form row 1$"):
@@ -430,29 +433,67 @@ def reference_markers(rows, eps):
         marks.append(found)
 
 
-# Mixed, non-dyadic denominators, zeros, a negative and values above 1.
+# Mixed, non-dyadic denominators, zeros, a negative, values above 1, and
+# values whose texts share a prefix (1/4, 1/40).
 ENTRIES = st.sampled_from(
-    [F(0), F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(-1, 5), F(5, 7), F(1, 6), F(7, 12)]
+    [F(0), F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(-1, 5), F(5, 7), F(1, 6), F(7, 12),
+     F(1, 4), F(1, 40)]
 )
 
 
 @st.composite
 def grids(draw):
-    """Small grids built from a few distinct rows, repeated at will; most are
-    sorted into valid shape and some get listed-form zero tails."""
-    width = draw(st.integers(1, 5))
-    pool = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), min_size=1, max_size=4))
+    """Small grids built from a few distinct rows, repeated at will, or wider
+    ones where each stage replaces one window of its predecessor's row, so
+    that adjacent lines share prefixes and suffixes; most are sorted into
+    valid shape and some get listed-form zero tails."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 5))
+        pool = draw(st.lists(st.lists(ENTRIES, min_size=width, max_size=width), min_size=1, max_size=4))
+        index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+        if draw(st.booleans()):
+            index.sort()
+    else:
+        width = draw(st.integers(1, 40))
+        pool = [draw(st.lists(ENTRIES, min_size=width, max_size=width))]
+        for _ in range(draw(st.integers(0, 7))):
+            k = draw(st.integers(0, width))
+            end = draw(st.integers(k, width))
+            window = draw(st.lists(ENTRIES, min_size=end - k, max_size=end - k))
+            pool.append(pool[-1][:k] + window + pool[-1][end:])
+        index = list(range(len(pool)))
     if draw(st.booleans()):
         # Sort each column up, then take running minima along each row.
         columns = [sorted(column) for column in zip(*pool)]
         pool = [[min(columns[y][r] for y in range(x + 1)) for x in range(width)] for r in range(len(pool))]
-    index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        index.sort()
     rows = [tuple(pool[i]) for i in index]
     if draw(st.booleans()):
         rows = [row[:s] + (F(0),) * max(0, width - s) for s, row in enumerate(rows)]
     return rows
+
+
+@st.composite
+def spelled_texts(draw, rows):
+    """The text of `rows` with each position's values spelled one of several
+    ways (1/2, 2/4, 3/6), respelled over a window now and then, and with
+    some lines' whitespace irregular: runs of spaces, tabs, a space at
+    either end, U+00A0."""
+    width = len(rows[0])
+    scale = draw(st.lists(st.integers(1, 3), min_size=width, max_size=width))
+    odd = st.sampled_from(["  ", "\t", " \t", "\u00a0", " \u00a0 "])
+    lines = [f"{len(rows)} {width}"]
+    for row in rows:
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, width))
+            end = draw(st.integers(k, width))
+            scale[k:end] = draw(st.lists(st.integers(1, 3), min_size=end - k, max_size=end - k))
+        tokens = [f"{v.numerator * c}/{v.denominator * c}" for v, c in zip(row, scale)]
+        # One gap in six, counting both ends, is irregular.
+        gaps = [""] + [" "] * (width - 1) + [""]
+        if draw(st.integers(0, 5)) == 0:
+            gaps[draw(st.integers(0, width))] = draw(odd)
+        lines.append("".join(map(str.__add__, gaps, tokens + [""])))
+    return "\n".join(lines) + "\n"
 
 
 def grid_text(rows):
@@ -462,14 +503,18 @@ def grid_text(rows):
 
 
 @settings(max_examples=500)
-@given(grids(), st.booleans(), st.booleans(), st.sampled_from([F(1, 6), F(1, 3), F(1, 2), F(1)]))
-def test_coded_checks_match_the_dense_reference(rows, normalized, listed_form, eps):
+@given(
+    grids(), st.booleans(), st.booleans(), st.sampled_from([F(1, 6), F(1, 3), F(1, 2), F(1)]), st.data()
+)
+def test_coded_checks_match_the_dense_reference(rows, normalized, listed_form, eps, data):
     fault = reference_fault(rows, normalized, listed_form)
     distinct = list(dict.fromkeys(rows))
+    spelled = data.draw(spelled_texts(rows))
     builds = [
         (lambda: CostTable(rows, normalized, listed_form), "{}"),
         (lambda: CostTable.from_rows(distinct, [distinct.index(r) for r in rows], normalized, listed_form), "{}"),
         (lambda: parse_cost_table(grid_text(rows), normalized, listed_form), "line {line}: {}"),
+        (lambda: parse_cost_table(spelled, normalized, listed_form), "line {line}: {}"),
     ]
     for build, form in builds:
         if fault is not None:
