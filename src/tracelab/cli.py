@@ -17,7 +17,7 @@ from . import __version__
 from . import approximations as appr_mod
 from . import costs, fuzz
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
-from .scenarios import fraction_str, machine_format, run_scenario, table_format
+from .scenarios import fraction_str, machine_format, parse_rational, run_scenario, table_format
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +119,7 @@ def _cmd_costfn(args) -> dict:
         table = costs.parse_cost_table(Path(args.table).read_text())
         out = {}
         for eps in args.eps:
-            seq = costs.marker_sequence(table, Fraction(eps))
+            seq = costs.marker_sequence(table, parse_rational(eps, "--eps"))
             out[eps] = {
                 "markers": list(seq.markers),
                 "count": seq.count,
@@ -145,18 +145,19 @@ def _cmd_costfn(args) -> dict:
     tables = [
         costs.parse_cost_table(Path(p).read_text(), normalized=True) for p in args.tables
     ]
+    eps_of = {text: parse_rational(text, "--eps") for text in args.eps}
     parts = [
-        (t, {Fraction(e) / 4: costs.marker_sequence(t, Fraction(e) / 4).count for e in args.eps})
+        (t, {e / 4: costs.marker_sequence(t, e / 4).count for e in eps_of.values()})
         for t in tables
     ]
     combined, bound = costs.sum_benign(parts)
     thresholds = {}
-    for eps in args.eps:
-        seq = costs.marker_sequence(combined, Fraction(eps))
-        thresholds[eps] = {
+    for text, eps in eps_of.items():
+        seq = costs.marker_sequence(combined, eps)
+        thresholds[text] = {
             "count": seq.count,
-            "bound": bound(Fraction(eps)),
-            "ok": seq.count <= bound(Fraction(eps)),
+            "bound": bound(eps),
+            "ok": seq.count <= bound(eps),
             "truncated": seq.truncated,
         }
     return {
@@ -188,8 +189,9 @@ def _cmd_approx(args) -> dict:
     witness_cost = costs.parse_cost_table(Path(args.witness_cost).read_text())
     target = appr_mod.parse_word_approx(Path(args.target).read_text())
     witness = appr_mod.parse_word_approx(Path(args.witness).read_text())
+    budget = parse_rational(args.budget, "--budget")
     result = appr_mod.obedience_speedup(
-        cost, witness_cost, target, witness, budget=Fraction(args.budget), steps=args.steps
+        cost, witness_cost, target, witness, budget=budget, steps=args.steps
     )
     return {
         "kind": "speedup",
@@ -198,7 +200,7 @@ def _cmd_approx(args) -> dict:
         "omitted": result.omitted,
         "tail_sum": fraction_str(result.tail_sum),
         "full_sum": fraction_str(result.full_sum),
-        "ok": result.tail_sum <= Fraction(args.budget),
+        "ok": result.tail_sum <= budget,
     }
 
 

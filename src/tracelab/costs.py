@@ -7,27 +7,21 @@ Positions at or beyond the width read as 0; facts that depend on stages beyond
 the horizon are reported with an explicit `truncated` flag rather than
 silently treated as final.
 
-A table is stored as one row per run of equal stages plus a per-stage run
-index.  Each stage's row is its predecessor's with one window of positions
-[k, X-m) replaced; stage 0's window is the whole row, and a stage equal to
-its predecessor has no window and shares its predecessor's row objects.
-Only a window's entries are recoded and checked, and a row is built by
-splicing the window into its predecessor's row.  The checks compare integer
-codes, not rationals: an entry's code is its rank among the table's distinct
-values after one exact sort, shifted so that the value 0 has code 0.  Ranks,
-unlike numerators over a common denominator, stay small however the
-denominators mix.  Reads (`rows`, `value`) return exact `Fraction`s, one
-object per distinct value, shared across the table.
+A table is stored as one tuple of exact `Fraction`s per stage, and a run of
+equal stages shares one row object.  Each stage's row is built as its
+predecessor's with one window of positions [k, X-m) replaced; stage 0's
+window is the whole row, and a stage equal to its predecessor has no window.
+Only a window's entries are checked, against their neighbours and the row
+before, so a table costs the sum of its windows' sizes to check.
 
 The text parser finds each line's window against the line before it with
 string compares alone: the two lines' common prefix and suffix, snapped to
 the spaces between tokens, and the shared tokens counted by their spaces.
-Only the window's text is split and its tokens parsed.  A line whose
-whitespace is irregular (not ASCII, a tab, a unit separator, a run of
-spaces, or a space at either end) is split whole, and so is the line after
-it.  Table constructors give a stage its whole row as its window, or none
-where its row number (for `CostTable(rows)`, its row) repeats its
-predecessor's.
+Only the window's text is split, and each distinct token is parsed once.  A
+line whose whitespace is irregular (not ASCII, a tab, a unit separator, a
+run of spaces, or a space at either end) is split whole, and so is the line
+after it.  `CostTable(rows)` gives a stage its whole row as its window, or
+none where its row equals its predecessor's.
 
 Readiness frontier: shell t of a square table is the cells (u, x) with
 max(u, x) == t; `ready_prefix` takes each shell's ready time, builds their
@@ -42,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ScenarioError
 
@@ -51,105 +45,55 @@ ONE = Fraction(1)
 
 
 class CostTable:
-    """Exact cost table; stage s reads `rows[s]`.
+    """Exact cost table; stage s reads `rows[s]`, a tuple of `Fraction`s.
 
-    `CostTable(rows)` takes one row per stage.  `from_rows` takes the
-    distinct rows and each stage's row number, `from_codes` rows of indices
-    into a list of values; all three run the same checks.
+    `CostTable(rows)` takes one row per stage, of anything `Fraction`
+    accepts; a row equal to its predecessor's is neither converted nor
+    copied, and its stage shares the predecessor's row object.
     """
 
-    __slots__ = (
-        "rows", "horizon", "width", "normalized", "listed_form", "_values", "_codes", "_index"
-    )
+    __slots__ = ("rows", "horizon", "width", "normalized", "listed_form")
 
-    def __init__(self, rows, normalized: bool = False, listed_form: bool = False):
-        rows = [tuple(row) for row in rows]
-        # Stage s reads the row of the first stage of its run of equal rows.
-        index = list(accumulate(range(len(rows)), lambda i, s: i if rows[s] == rows[i] else s))
-        self._build(_exact(rows), _whole_rows(rows, index), normalized, listed_form)
+    def __init__(self, rows: Sequence[Sequence], normalized=False, listed_form=False):
+        windows = (
+            None if s and row == rows[s - 1] else (0, tuple(map(Fraction, row)), 0)
+            for s, row in enumerate(rows)
+        )
+        self._build(windows, normalized, listed_form)
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence],
-        index: Sequence[int],
-        normalized: bool = False,
-        listed_form: bool = False,
-    ) -> "CostTable":
-        """Table whose stage s reads rows[index[s]]."""
-        table = cls.__new__(cls)
-        table._build(_exact(rows), _whole_rows(rows, index), normalized, listed_form)
-        return table
+    def _build(self, windows, normalized, listed_form, lines=None) -> None:
+        """Check and store.
 
-    @classmethod
-    def from_codes(
-        cls,
-        values: Sequence,
-        codes: Sequence[Sequence[int]],
-        index: Sequence[int],
-        normalized: bool = False,
-        listed_form: bool = False,
-    ) -> "CostTable":
-        """Table whose stage s reads values[c] for each c in codes[index[s]]."""
-        table = cls.__new__(cls)
-        exact = {k: Fraction(v) for k, v in enumerate(values)}
-        table._build(exact, _whole_rows(codes, index), normalized, listed_form)
-        return table
-
-    def _build(self, exact, windows, normalized, listed_form, lines=None) -> None:
-        """Recode to ranks, check, and store.
-
-        `exact` maps each key the windows use to its value.  `windows` gives
-        each stage's row as its predecessor's with one window replaced:
-        (k, keys, m) puts `keys` in place of every position but the first k
-        and the last m, and None repeats the predecessor's row.  Only the
-        checks a window can fail are run (see `_window_fault`).  `lines[s]`,
-        when given, is the text line of stage s, and a failed check names it.
+        `windows` gives each stage's row as its predecessor's with one window
+        replaced: (k, entries, m) puts the `Fraction`s `entries` in place of
+        every position but the first k and the last m, and None repeats the
+        predecessor's row.  Only the checks a window can fail are run (see
+        `_window_fault`).  `lines[s]`, when given, is the text line of stage
+        s, and a failed check names it.
         """
-        # One exact sort ranks the distinct values, 0 and 1 among them.  Equal
-        # values are found as sorted neighbours, not by hashing: the hashes
-        # of 1/2, 1/4, 1/8, ... repeat with period 61.
-        ordered: list[Fraction] = []
-        rank = {}
-        for key, v in sorted([(None, ZERO), (None, ONE), *exact.items()], key=itemgetter(1)):
-            if not ordered or ordered[-1] != v:
-                ordered.append(v)
-            rank[key] = len(ordered) - 1
-        del rank[None]
-        zero = bisect_left(ordered, ZERO)
-        one = bisect_left(ordered, ONE) - zero
-        code = {key: r - zero for key, r in rank.items()}
-        values = tuple(ordered[zero:])  # code c >= 0 reads values[c]
-        codes: list[tuple[int, ...]] = []  # one row per run of equal stages
-        entries: list[tuple[Fraction, ...]] = []
-        index: list[int] = []
-        before = width = None  # the codes of the previous stage's row
+        rows: list[tuple[Fraction, ...]] = []
+        before = width = None  # the previous stage's row
         for s, window in enumerate(windows):
             if window is None:
-                index.append(len(codes) - 1)
+                rows.append(before)
                 continue
-            k, keys, m = window
-            fresh = tuple(map(code.__getitem__, keys))
-            row = _splice(before, k, fresh, m)
+            k, entries, m = window
+            row = entries if before is None else before[:k] + entries + before[len(before) - m :]
             if width is None:
                 width = len(row)
-            end = k + len(fresh)
-            message = _window_fault(before, row, k, end, s, width, one, normalized, listed_form)
+            end = k + len(entries)
+            message = _window_fault(before, row, k, end, s, width, normalized, listed_form)
             if message is not None:
                 raise ScenarioError(message if lines is None else f"line {lines[s]}: {message}")
-            index.append(len(codes))
-            codes.append(row)
-            fresh = tuple(map(values.__getitem__, fresh))
-            entries.append(_splice(entries[-1] if entries else None, k, fresh, m))
+            rows.append(row)
             before = row
-        if not index:
+        if not rows:
             raise ScenarioError("cost table needs at least one stage row")
-        self.rows = tuple(map(entries.__getitem__, index))
-        self.horizon = len(index)
+        self.rows = tuple(rows)
+        self.horizon = len(rows)
         self.width = width
         self.normalized = normalized
         self.listed_form = listed_form
-        self._values, self._codes, self._index = values, codes, index
 
     def value(self, stage: int, position: int) -> Fraction:
         """Table entry; positions beyond the width read as 0."""
@@ -158,47 +102,24 @@ class CostTable:
         return self.rows[stage][position]
 
 
-def _exact(rows) -> dict:
-    """Each distinct entry of `rows`, mapped to its exact value."""
-    return {v: Fraction(v) for v in set().union(*rows)}
-
-
-def _whole_rows(rows, index) -> Iterator[Optional[tuple[int, Sequence, int]]]:
-    """Windows (see `CostTable._build`) for stages reading rows[index[s]]:
-    the whole row, or None where a stage's row number repeats its
-    predecessor's.  Columns never decrease, so a valid table never returns
-    to an earlier distinct row."""
-    previous = None
-    for i in index:
-        yield None if i == previous else (0, rows[i], 0)
-        previous = i
-
-
-def _splice(row, k: int, window: tuple, m: int) -> tuple:
-    """`row` with every position but its first k and last m replaced by
-    `window`; all of it when `row` is None."""
-    return window if row is None else row[:k] + window + row[len(row) - m :]
-
-
-def _window_fault(before, row, k, end, s, width, one, normalized, listed_form) -> Optional[str]:
+def _window_fault(before, row, k, end, s, width, normalized, listed_form) -> Optional[str]:
     """Message of the first check stage s fails, or None.
 
     `row` is `before` (stage s-1's row, already accepted; None at stage 0)
-    with positions [k, end) replaced, and holds codes (0 is the value 0,
-    `one` the value 1).  The checks run in a fixed order: width, then entry
-    by entry negative cost, row increase and value above 1, then the
-    listed-form tail, then the column check against stage s-1.  Outside the
-    window `row` equals `before`, which passed all of them, so each check
-    looks only where the window can break it: the entry checks at the window
-    and one neighbour on each side, the tail at window positions >= s, the
-    column check at the window.  A failure's message comes from a scan of
-    the whole row, which finds the same first fault.
+    with positions [k, end) replaced.  The checks run in a fixed order:
+    width, then entry by entry negative cost, row increase and value above
+    1, then the listed-form tail, then the column check against stage s-1.
+    Outside the window `row` equals `before`, which passed all of them, so
+    each check looks only where the window can break it: the entry checks at
+    the window and one neighbour on each side, the tail at window positions
+    >= s, the column check at the window.  A failure's message comes from a
+    scan of the whole row, which finds the same first fault.
     """
     if len(row) != width:
         return f"row {s} has width {len(row)}, expected {width}"
     near = row[max(k - 1, 0) : end + 1]
-    if near and (min(near) < 0 or any(map(lt, near, near[1:])) or normalized and max(near) > one):
-        return _row_fault(row, s, one, normalized)
+    if near and (min(near) < 0 or any(map(lt, near, near[1:])) or normalized and max(near) > 1):
+        return _row_fault(row, s, normalized)
     if listed_form and any(row[max(s, k) : end]):
         return f"nonzero tail value in listed-form row {s}"
     if before is not None and any(map(gt, before[k:end], row[k:end])):
@@ -207,13 +128,13 @@ def _window_fault(before, row, k, end, s, width, one, normalized, listed_form) -
     return None
 
 
-def _row_fault(row, s, one, normalized) -> str:
-    for x, c in enumerate(row):
-        if c < 0:
+def _row_fault(row, s, normalized) -> str:
+    for x, v in enumerate(row):
+        if v < 0:
             return f"negative cost at ({s},{x})"
-        if x > 0 and row[x - 1] < c:
+        if x > 0 and row[x - 1] < v:
             return f"row {s} increases at position {x}"
-        if normalized and c > one:
+        if normalized and v > 1:
             return f"value above 1 at ({s},{x}) in normalized table"
     raise AssertionError("row passed every entry check")
 
@@ -463,19 +384,24 @@ def totalize(
 
     prefix = ready_prefix(map(shell, range(min(partial.stages, partial.width))))
     frontiers = [ready_depth(prefix, s, s) for s in range(S)]
-    row_of = {f: k for k, f in enumerate(dict.fromkeys(frontiers))}
-    rows = [tuple(cells[f][x][0] if x <= f else ZERO for x in range(X)) for f in row_of]
-    return CostTable.from_rows(rows, [row_of[f] for f in frontiers], normalized=True)
+    rows = {f: tuple(cells[f][x][0] if x <= f else ZERO for x in range(X)) for f in set(frontiers)}
+    return CostTable([rows[f] for f in frontiers], normalized=True)
 
 
 # --- plain-text matrix format: first line "S X", then S rows of X rationals ---
 
 
 def format_cost_table(table: CostTable) -> str:
-    texts = [f"{v.numerator}/{v.denominator}" for v in table._values]
-    lines = [" ".join(map(texts.__getitem__, row)) for row in table._codes]
-    header = f"{table.horizon} {table.width}"
-    return "\n".join([header, *map(lines.__getitem__, table._index)]) + "\n"
+    """The text format, each run of equal stages (one row object) formatted
+    once."""
+    lines = [f"{table.horizon} {table.width}"]
+    before = None
+    for row in table.rows:
+        if row is not before:
+            line = " ".join([f"{v.numerator}/{v.denominator}" for v in row])
+            before = row
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
@@ -595,7 +521,12 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     if wrong_width is not None:
         raise ScenarioError(f"line {wrong_width[0]}: expected {X} values, found {wrong_width[1]}")
     table = CostTable.__new__(CostTable)
-    table._build(exact, windows, normalized, listed_form, numbers[1:])
+    table._build(
+        [None if w is None else (w[0], tuple(map(exact.__getitem__, w[1])), w[2]) for w in windows],
+        normalized,
+        listed_form,
+        numbers[1:],
+    )
     return table
 
 
@@ -634,7 +565,7 @@ def to_listed_form(table: CostTable) -> CostTable:
 
 
 def static_table(base_row: Sequence, horizon: int, normalized: bool = False) -> CostTable:
-    return CostTable.from_rows([base_row], [0] * horizon, normalized=normalized)
+    return CostTable([base_row] * horizon, normalized=normalized)
 
 
 def dyadic_decay_row(width: int, shift: int = 0, scale=ONE) -> tuple[Fraction, ...]:

@@ -1,16 +1,19 @@
 """Randomized scenario generators and batch drivers.
 
 Every generated scenario is a plain payload dict, so a failing case can be
-dumped and replayed through the CLI unchanged.  A batch fails loudly: any
-engine invariant alarm propagates out of the batch runner.
+dumped and replayed through the CLI unchanged.  A batch fails loudly: a
+case's error propagates out of the batch runner with its type unchanged and
+its message prefixed with the kind, the case index and the batch seed;
+`fuzz(kind, index + 1, seed)` generates that case's payload last.
 """
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import costs
-from .errors import ScenarioError
+from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .scenarios import run_boxpromo, run_synth
 
 
@@ -22,23 +25,18 @@ def fuzz_cost_table(rng: random.Random, horizon: int) -> costs.CostTable:
     """Small family of genuinely decaying monotone tables."""
     width = horizon
     flavor = rng.randrange(4)
-    if flavor == 0:
-        rows = [costs.dyadic_decay_row(width)]
-        index = [0] * horizon
-    elif flavor == 1:
-        scale = rng.choice([Fraction(1, 2), Fraction(3, 4)])
-        rows = [costs.dyadic_decay_row(width, scale=scale)]
-        index = [0] * horizon
+    if flavor < 2:
+        scale = 1 if flavor == 0 else rng.choice([Fraction(1, 2), Fraction(3, 4)])
+        row = costs.dyadic_decay_row(width, scale=scale)
+        return costs.static_table(row, horizon, normalized=True)
+    # A lower row for the first `start` stages, then the dyadic decay.
+    start = min(rng.randrange(2, 7), horizon)
+    if flavor == 2:
+        low = (Fraction(0),) * width
     else:
-        # A lower row for the first `start` stages, then the dyadic decay.
-        start = rng.randrange(2, 7)
-        if flavor == 2:
-            low = (Fraction(0),) * width
-        else:
-            low = costs.dyadic_decay_row(width, scale=Fraction(1, 2))
-        rows = [low, costs.dyadic_decay_row(width)]
-        index = [0] * min(start, horizon) + [1] * max(0, horizon - start)
-    return costs.CostTable.from_rows(rows, index, normalized=True)
+        low = costs.dyadic_decay_row(width, scale=Fraction(1, 2))
+    rows = [low] * start + [costs.dyadic_decay_row(width)] * (horizon - start)
+    return costs.CostTable(rows, normalized=True)
 
 
 CANNED_SCRIPT = [
@@ -134,16 +132,12 @@ def listed_cost_block(rng: random.Random, horizon: int, flavor: str | None = Non
         base = tuple(Fraction(1, 2 ** (x // 4)) for x in range(horizon))
     else:
         base = costs.dyadic_decay_row(horizon, shift=rng.randint(1, 3))
-    # Stage s keeps the first s entries of `base` and zeroes the rest.  The
-    # rows are built as codes into `values`, so no cell costs `Fraction` work.
-    values = list(dict.fromkeys((costs.ZERO, *base)))
-    code = {v: k for k, v in enumerate(values)}
-    kept = tuple(map(code.__getitem__, base))
-    rows = [kept[:s] + (0,) * (horizon - s) for s in range(horizon)]
-    table = costs.CostTable.from_codes(
-        values, rows, range(horizon), normalized=True, listed_form=True
-    )
-    return costs.format_cost_table(table)
+    # Stage s keeps the first s entries of `base` and zeroes the rest; the
+    # text is written directly, in `costs.format_cost_table`'s format.
+    texts = [f"{v.numerator}/{v.denominator}" for v in base]
+    zeros = ["0/1"] * horizon
+    lines = [f"{horizon} {horizon}", *(" ".join(texts[:s] + zeros[s:]) for s in range(horizon))]
+    return "\n".join(lines) + "\n"
 
 
 def synth_payload(
@@ -198,15 +192,25 @@ def synth_payload(
 def fuzz(kind: str, count: int, seed: int, **params) -> dict:
     if count < 1:
         raise ScenarioError("fuzz batch needs a positive count")
-    rng = random.Random(seed)
     if kind == "boxpromo":
-        return _fuzz_boxpromo(rng, count, **params)
+        return _fuzz_boxpromo(seed, count, **params)
     if kind == "synth":
-        return _fuzz_synth(rng, count, **params)
+        return _fuzz_synth(seed, count, **params)
     raise ScenarioError(f"unknown fuzz kind {kind!r}")
 
 
-def _fuzz_boxpromo(rng: random.Random, count: int, horizon: int | None = None) -> dict:
+@contextmanager
+def _case(kind: str, index: int, seed: int):
+    """Re-raise a case's error with its type unchanged, prefixed with what
+    regenerates the case's payload."""
+    try:
+        yield
+    except (ScenarioError, InvariantViolation, HorizonExhausted) as exc:
+        raise type(exc)(f"{kind} fuzz case {index} (batch seed {seed}): {exc}") from exc
+
+
+def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
+    rng = random.Random(seed)
     conflicts = 0
     witness_stages = 0
     max_trace = 0
@@ -214,7 +218,8 @@ def _fuzz_boxpromo(rng: random.Random, count: int, horizon: int | None = None) -
     oracles: dict[str, int] = {}
     for index in range(count):
         payload = boxpromo_payload(rng, index, horizon=horizon)
-        report = run_boxpromo(payload)
+        with _case("boxpromo", index, seed):
+            report = run_boxpromo(payload)
         policy = payload["oracle"]["policy"]
         oracles[policy] = oracles.get(policy, 0) + 1
         conflicts += report["tallies"]["conflicts"]
@@ -236,7 +241,8 @@ def _fuzz_boxpromo(rng: random.Random, count: int, horizon: int | None = None) -
     }
 
 
-def _fuzz_synth(rng: random.Random, count: int, horizon: int = 120, slow_share: float = 0.3) -> dict:
+def _fuzz_synth(seed: int, count: int, horizon: int = 120, slow_share: float = 0.3) -> dict:
+    rng = random.Random(seed)
     halted = 0
     doubled = 0
     benign_checked = 0
@@ -249,14 +255,15 @@ def _fuzz_synth(rng: random.Random, count: int, horizon: int = 120, slow_share: 
             min_flip_position=2 if rng.random() < 0.5 else 4,
             max_flips=3,
         )
-        report = run_synth(payload)
+        with _case("synth", index, seed):
+            report = run_synth(payload)
+            for entry in report["benign"].values():
+                if not entry["ok"]:
+                    raise ScenarioError("benignity bound failed in a fuzz run")
         if report["halted_at"] is not None:
             halted += 1
         doubled += len(report["doubling_stages"])
-        for entry in report["benign"].values():
-            benign_checked += 1
-            if not entry["ok"]:
-                raise ScenarioError("benignity bound failed in a fuzz run")
+        benign_checked += len(report["benign"])
     return {
         "kind": "synth-fuzz",
         "runs": count,

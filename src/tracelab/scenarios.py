@@ -31,6 +31,23 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_rational(value, what: str) -> Fraction:
+    """`Fraction(value)`; a value that is not a rational is a
+    `ScenarioError` naming it."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ScenarioError(f"{what}: bad rational {value!r}") from None
+
+
+def _integer(value, what: str) -> int:
+    """`int(value)`; a value `int` rejects is a `ScenarioError` naming it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what}: expected an integer, got {value!r}") from None
+
+
 def text_block(value) -> str:
     if isinstance(value, list):
         return "\n".join(str(line) for line in value)
@@ -84,12 +101,12 @@ def _build_policy(spec: dict, layout, ground_truth: Optional[str]):
     if name == "honest":
         if ground_truth is None:
             raise ScenarioError("honest oracle needs a ground truth word")
-        return HonestPolicy(delay=int(spec.get("delay", 1)))
+        return HonestPolicy(delay=_integer(spec.get("delay", 1), "oracle 'delay'"))
     if name == "scripted":
         return ScriptedPolicy(parse_script(text_block(spec.get("script", ""))), layout)
     if name == "random":
         return RandomPolicy(
-            seed=int(spec.get("seed", 0)),
+            seed=_integer(spec.get("seed", 0), "oracle 'seed'"),
             activate_rate=float(spec.get("activate_rate", 0.5)),
             feed_rate=float(spec.get("feed_rate", 0.8)),
             junk_rate=float(spec.get("junk_rate", 0.2)),
@@ -98,11 +115,11 @@ def _build_policy(spec: dict, layout, ground_truth: Optional[str]):
 
 
 def build_promotion_engine(payload: dict) -> PromotionEngine:
-    horizon = int(payload.get("horizon", 0))
+    horizon = _integer(payload.get("horizon", 0), "boxpromo scenario 'horizon'")
     if horizon < 2:
         raise ScenarioError("boxpromo scenario needs a horizon of at least 2")
-    overhead = int(payload.get("overhead", 1))
-    top_level = int(payload.get("top_level", 3))
+    overhead = _integer(payload.get("overhead", 1), "boxpromo scenario 'overhead'")
+    top_level = _integer(payload.get("top_level", 3), "boxpromo scenario 'top_level'")
     cost = costs.parse_cost_table(
         text_block(_required(payload, "cost_table", "boxpromo scenario")),
         normalized=bool(payload.get("normalized", True)),
@@ -129,7 +146,7 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         horizon=horizon,
         policy=policy,
         ground_truth=ground_truth,
-        family_cap=int(payload.get("family_cap", 20000)),
+        family_cap=_integer(payload.get("family_cap", 20000), "boxpromo scenario 'family_cap'"),
     )
 
 
@@ -218,7 +235,7 @@ def run_boxpromo(payload: dict) -> dict:
 
 
 def build_synthesis_run(payload: dict) -> SynthesisRun:
-    horizon = int(payload.get("horizon", 0))
+    horizon = _integer(payload.get("horizon", 0), "synth scenario 'horizon'")
     approximation = appr_mod.parse_word_approx(
         text_block(_required(payload, "approximation", "synth scenario"))
     )
@@ -228,12 +245,16 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
         table = costs.parse_cost_table(
             text_block(_required(block, "cost_table", where)), normalized=True, listed_form=True
         )
-        entries = _required(block, "stage_map", where)
-        stage_map = PartialStageMap([tuple(entry) for entry in entries])
-        requirements.append(Requirement(table, stage_map))
+        entries = []
+        for j, entry in enumerate(_required(block, "stage_map", where)):
+            what = f"{where} stage_map entry {j}"
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ScenarioError(f"{what}: expected [arg, value, visible_at], got {entry!r}")
+            entries.append(tuple(_integer(v, what) for v in entry))
+        requirements.append(Requirement(table, PartialStageMap(entries)))
     return SynthesisRun(
         approximation,
-        int(payload.get("budget_exp", 0)),
+        _integer(payload.get("budget_exp", 0), "synth scenario 'budget_exp'"),
         requirements,
         horizon,
         width=payload.get("width"),
@@ -268,7 +289,9 @@ def write_synth_artifacts(outputs, directory) -> list[str]:
 def run_synth(payload: dict, artifacts_dir=None) -> dict:
     run = build_synthesis_run(payload)
     outputs = run.run()
-    eps_list = [Fraction(e) for e in payload.get("eps", ["1/2", "1/4", "1/8"])]
+    eps_list = [
+        parse_rational(e, "synth scenario 'eps'") for e in payload.get("eps", ["1/2", "1/4", "1/8"])
+    ]
     benign = {}
     for eps in eps_list:
         seq = costs.marker_sequence(outputs.cost_table, eps)
@@ -334,12 +357,16 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
 
 
 def run_costfn_check(payload: dict) -> dict:
+    where = "costfn-check scenario"
     table = costs.parse_cost_table(
-        text_block(_required(payload, "cost_table", "costfn-check scenario")),
+        text_block(_required(payload, "cost_table", where)),
         normalized=bool(payload.get("normalized", False)),
     )
-    eps_list = [Fraction(e) for e in payload.get("eps", ["1/2"])]
-    bound = {Fraction(k): int(v) for k, v in payload.get("bound", {}).items()}
+    eps_list = [parse_rational(e, f"{where} 'eps'") for e in payload.get("eps", ["1/2"])]
+    bound = {
+        parse_rational(k, f"{where} 'bound' key"): _integer(v, f"{where} 'bound' entry {k!r}")
+        for k, v in payload.get("bound", {}).items()
+    }
     entries = {}
     all_ok = True
     for eps in eps_list:
@@ -357,7 +384,9 @@ def run_costfn_check(payload: dict) -> dict:
     # The vanishing-tail condition is observed and reported, never enforced:
     # tables with a fat tail are legitimate inputs elsewhere.
     tail = table.value(table.horizon - 1, table.width - 1)
-    tail_threshold = Fraction(payload.get("limit_threshold", "1/8"))
+    tail_threshold = parse_rational(
+        payload.get("limit_threshold", "1/8"), f"{where} 'limit_threshold'"
+    )
     return {
         "kind": "costfn-check",
         "shape": [table.horizon, table.width],

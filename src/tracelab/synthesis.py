@@ -220,7 +220,7 @@ class SynthesisRun:
                 break
             self._stage(stage)
         self.row_of += self.row_of[-1:] * (self.horizon + 1 - len(self.row_of))
-        table = CostTable.from_rows(self.cost_rows, self.row_of, normalized=True)
+        table = CostTable([self.cost_rows[i] for i in self.row_of], normalized=True)
         cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
         return SynthOutputs(
             approximation=self.appr,

@@ -403,8 +403,15 @@ class ScriptedPolicy:
         self.by_stage: dict[int, list[tuple[str, str]]] = {}
         per_box: dict[str, int] = {}
         for stage, spec, value in entries:
-            check_word(value)
+            try:
+                check_word(value)
+            except ValueError as exc:
+                raise ScenarioError(f"script value for {spec!r}: {exc}") from None
             level = parse_box_level(spec)
+            if not 1 <= level <= layout.top_level:
+                raise ScenarioError(
+                    f"script box {spec!r} is at level {level}, outside 1..{layout.top_level}"
+                )
             per_box[spec] = per_box.get(spec, 0) + 1
             if per_box[spec] > layout.trace_capacity(level):
                 raise ScenarioError(

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tracelab.cli import main
-from tracelab.costs import dyadic_decay_row, format_cost_table, static_table
+from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import canned_scripted_payload, fuzz
 from tracelab.scenarios import (
@@ -153,10 +153,84 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         ("synth", no_approximation, "synth scenario is missing the 'approximation' field"),
         ("synth", no_requirement_table, "synth requirement 0 is missing the 'cost_table' field"),
     ]
+    # Numbers and rationals that do not parse, and malformed stage-map
+    # entries, name the field or the entry and its value.
+    bad_horizon = dict(canned_scripted_payload(), horizon="abc")
+    bad_budget = dict(synth_payload_small(), budget_exp="two")
+    listed = format_cost_table(
+        to_listed_form(static_table(dyadic_decay_row(20), 20, normalized=True))
+    )
+    short_entry = dict(
+        synth_payload_small(),
+        requirements=[{"cost_table": listed, "stage_map": [[0, 0, 0], [0, 1]]}],
+    )
+    bad_entry = dict(
+        synth_payload_small(),
+        requirements=[{"cost_table": listed, "stage_map": [[0, "x", 0]]}],
+    )
+    bad_synth_eps = dict(synth_payload_small(), eps=["1/2", "half"])
+    # `boxpromo run` dispatches on the scenario's kind.
+    check = {"kind": "costfn-check", "cost_table": decay_text(8)}
+    cases += [
+        ("boxpromo", bad_horizon, "boxpromo scenario 'horizon': expected an integer, got 'abc'"),
+        ("synth", bad_budget, "synth scenario 'budget_exp': expected an integer, got 'two'"),
+        (
+            "synth",
+            short_entry,
+            "synth requirement 0 stage_map entry 1: expected [arg, value, visible_at], got [0, 1]",
+        ),
+        ("synth", bad_entry, "synth requirement 0 stage_map entry 0: expected an integer, got 'x'"),
+        ("synth", bad_synth_eps, "synth scenario 'eps': bad rational 'half'"),
+        ("boxpromo", dict(check, eps=["x"]), "costfn-check scenario 'eps': bad rational 'x'"),
+        ("boxpromo", dict(check, bound={"1/0": 2}), "costfn-check scenario 'bound' key: bad rational '1/0'"),
+        (
+            "boxpromo",
+            dict(check, bound={"1/2": "many"}),
+            "costfn-check scenario 'bound' entry '1/2': expected an integer, got 'many'",
+        ),
+        (
+            "boxpromo",
+            dict(check, limit_threshold="tiny"),
+            "costfn-check scenario 'limit_threshold': bad rational 'tiny'",
+        ),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+    # Thresholds and bounds given on the command line.
+    table = tmp_path / "c.table"
+    table.write_text(decay_text(8))
+    argvs = [
+        (["costfn", "markers", str(table), "--eps", "abc"], "--eps: bad rational 'abc'"),
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "x=3"],
+            "costfn-check scenario 'bound' key: bad rational 'x'",
+        ),
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/4", "a/b", "--bound", "1/4=3"],
+            "costfn-check scenario 'eps': bad rational 'a/b'",
+        ),
+        (["costfn", "sum", str(table), "--eps", "1/0"], "--eps: bad rational '1/0'"),
+    ]
+    for argv, message in argvs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_script_box_outside_the_layout_is_exit_one(tmp_path, capsys):
+    payload = canned_scripted_payload()  # top level 2
+    for spec, level in (("I9.1", 9), ("M3.1:1", 3), ("I0.1", 0)):
+        payload["oracle"]["script"] = [f"1 {spec} 0"]
+        path = write_json(tmp_path, "bad.json", payload)
+        assert main(["boxpromo", "run", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: script box {spec!r} is at level {level}, outside 1..2\n"
+        )
+    payload["oracle"]["script"] = ["1 I2.1 0x"]
+    path = write_json(tmp_path, "bad.json", payload)
+    assert main(["boxpromo", "run", path]) == 1
+    assert capsys.readouterr().err == "error: script value for 'I2.1': not a 0/1 word: '0x'\n"
 
 
 def test_cli_table_check_error_names_the_line(tmp_path, capsys):

@@ -391,7 +391,7 @@ def test_sum_benign_single_part_reproduces_it_from_stage_one():
         assert combined.rows[s] == part.rows[s]
 
 
-# ---- the coded checks against the dense reference ------------------------------
+# ---- the window checks against the dense reference -----------------------------
 
 
 def reference_fault(rows, normalized=False, listed_form=False):
@@ -508,11 +508,9 @@ def grid_text(rows):
 )
 def test_coded_checks_match_the_dense_reference(rows, normalized, listed_form, eps, data):
     fault = reference_fault(rows, normalized, listed_form)
-    distinct = list(dict.fromkeys(rows))
     spelled = data.draw(spelled_texts(rows))
     builds = [
         (lambda: CostTable(rows, normalized, listed_form), "{}"),
-        (lambda: CostTable.from_rows(distinct, [distinct.index(r) for r in rows], normalized, listed_form), "{}"),
         (lambda: parse_cost_table(grid_text(rows), normalized, listed_form), "line {line}: {}"),
         (lambda: parse_cost_table(spelled, normalized, listed_form), "line {line}: {}"),
     ]

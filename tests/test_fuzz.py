@@ -1,15 +1,26 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from tracelab.errors import ScenarioError
+from tracelab import fuzz as fuzz_mod
+from tracelab.cli import main
+from tracelab.costs import (
+    dyadic_decay_row,
+    format_cost_table,
+    parse_cost_table,
+    static_table,
+    to_listed_form,
+)
+from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import (
     boxpromo_payload,
     canned_scripted_payload,
     fuzz,
     fuzz_cost_table,
+    listed_cost_block,
     synth_payload,
 )
 from tracelab.scenarios import machine_format, run_scenario
@@ -108,3 +119,49 @@ def test_payloads_are_pinned_byte_for_byte():
     rng = random.Random(3)
     boxpromo_h100 = [boxpromo_payload(rng, 2, horizon=100) for _ in range(4)]
     assert _sha256(boxpromo_h100) == "a2825028a796c30bcc880a28c2e8a082c5d4b349e3f3e71e187a932deb9a798f"
+
+
+def listed_base(rng, horizon, flavor):
+    """The base row `listed_cost_block` draws for `flavor`."""
+    if flavor == "flat":
+        return (rng.choice([Fraction(1), Fraction(1, 2)]),) * horizon
+    if flavor == "slow":
+        return tuple(Fraction(1, 2 ** (x // 4)) for x in range(horizon))
+    return dyadic_decay_row(horizon, shift=rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("flavor", ["flat", "slow", "dyadic"])
+@pytest.mark.parametrize("horizon", [1, 2, 9, 40])
+def test_listed_cost_block_is_a_valid_listed_table(flavor, horizon):
+    """The block is written as text, unchecked: parsed with every table
+    check armed, it must be the listed form of its base row."""
+    for seed in range(3):
+        text = listed_cost_block(random.Random(seed), horizon, flavor=flavor)
+        table = parse_cost_table(text, normalized=True, listed_form=True)
+        base = listed_base(random.Random(seed), horizon, flavor)
+        expected = to_listed_form(static_table(base, horizon, normalized=True))
+        assert table.rows == expected.rows
+        assert (table.horizon, table.width) == (expected.horizon, expected.width)
+        assert format_cost_table(table) == text
+
+
+def test_fuzz_failure_names_its_case_and_seed(monkeypatch, capsys):
+    seen = []
+    real = fuzz_mod.run_boxpromo
+
+    def failing(payload):
+        seen.append(payload)
+        if len(seen) == 4:
+            raise InvariantViolation("conflict bound exceeded")
+        return real(payload)
+
+    monkeypatch.setattr(fuzz_mod, "run_boxpromo", failing)
+    assert main(["boxpromo", "fuzz", "--count", "6", "--seed", "17"]) == 2
+    err = capsys.readouterr().err
+    assert err == "invariant violation: boxpromo fuzz case 3 (batch seed 17): conflict bound exceeded\n"
+    # fuzz(kind, index + 1, seed) regenerates the failing payload last.
+    failed = seen[3]
+    seen.clear()
+    monkeypatch.setattr(fuzz_mod, "run_boxpromo", lambda payload: seen.append(payload) or real(payload))
+    fuzz("boxpromo", 3 + 1, 17)
+    assert seen[-1] == failed
