@@ -258,7 +258,11 @@ def main(argv=None) -> int:
         elif args.command == "synth" and args.action == "run":
             from .scenarios import load_scenario, run_synth
 
-            report = run_synth(load_scenario(args.scenario), artifacts_dir=args.emit_tables)
+            payload = load_scenario(args.scenario)
+            kind = payload["kind"]
+            if kind != "synth":
+                raise ScenarioError(f"synth run needs a synth scenario, got kind {kind!r}")
+            report = run_synth(payload, artifacts_dir=args.emit_tables)
         elif args.command == "synth":
             report = fuzz.fuzz("synth", args.count, args.seed, horizon=args.horizon)
         elif args.command == "costfn":

@@ -348,9 +348,6 @@ class PromotionEngine:
 
     # ---- audits ------------------------------------------------------------
 
-    def build_witness(self, level: int, stage: int) -> WitnessAudit:
-        return self._build_witness(self.levels[level], stage)
-
     def _build_witness(self, state, stage: int) -> WitnessAudit:
         level = state.level
         slots = len(state.lengths)
@@ -437,10 +434,6 @@ class PromotionEngine:
                 raise InvariantViolation(f"length chain out of order at stage {stage}")
 
     # ---- believability and extraction ---------------------------------------
-
-    def conflict_is_active(self, level: int, slot: int, stage: int) -> bool:
-        entry = self.levels[level].conflicts.get(slot)
-        return entry is not None and entry[0] <= stage
 
     def believable(self, level: int, stage: int, anchor: str) -> Optional[str]:
         state = self.levels[level]

@@ -48,6 +48,14 @@ def _integer(value, what: str) -> int:
         raise ScenarioError(f"{what}: expected an integer, got {value!r}") from None
 
 
+def _rate(value, what: str) -> float:
+    """`float(value)`; a value `float` rejects is a `ScenarioError` naming it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what}: expected a number, got {value!r}") from None
+
+
 def text_block(value) -> str:
     if isinstance(value, list):
         return "\n".join(str(line) for line in value)
@@ -96,7 +104,9 @@ def load_scenario(source) -> dict:
 # ---- box-promotion scenarios ------------------------------------------------
 
 
-def _build_policy(spec: dict, layout, ground_truth: Optional[str]):
+def _build_policy(spec, layout, ground_truth: Optional[str]):
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"boxpromo scenario 'oracle': expected an object, got {spec!r}")
     name = spec.get("policy")
     if name == "honest":
         if ground_truth is None:
@@ -107,9 +117,9 @@ def _build_policy(spec: dict, layout, ground_truth: Optional[str]):
     if name == "random":
         return RandomPolicy(
             seed=_integer(spec.get("seed", 0), "oracle 'seed'"),
-            activate_rate=float(spec.get("activate_rate", 0.5)),
-            feed_rate=float(spec.get("feed_rate", 0.8)),
-            junk_rate=float(spec.get("junk_rate", 0.2)),
+            activate_rate=_rate(spec.get("activate_rate", 0.5), "oracle 'activate_rate'"),
+            feed_rate=_rate(spec.get("feed_rate", 0.8), "oracle 'feed_rate'"),
+            junk_rate=_rate(spec.get("junk_rate", 0.2), "oracle 'junk_rate'"),
         )
     raise ScenarioError(f"unknown oracle policy {name!r}")
 
@@ -135,7 +145,16 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         ground_truth = block.rows[-1]
     slack = None
     if "slack" in payload:
-        slack = {int(k): int(v) for k, v in payload["slack"].items()}
+        if not isinstance(payload["slack"], dict):
+            raise ScenarioError(
+                f"boxpromo scenario 'slack': expected an object, got {payload['slack']!r}"
+            )
+        slack = {
+            _integer(k, "boxpromo scenario 'slack' key"): _integer(
+                v, f"boxpromo scenario 'slack' entry {k!r}"
+            )
+            for k, v in payload["slack"].items()
+        }
     markers = marker_table(cost, top_level)
     layout = BoxLayout(overhead, slack or slack_from_markers(markers, top_level), top_level)
     policy = _build_policy(payload.get("oracle", {"policy": "honest"}), layout, ground_truth)
@@ -159,7 +178,7 @@ def run_boxpromo(payload: dict) -> dict:
             "overhead": engine.overhead,
             "top_level": engine.top_level,
             "horizon": engine.horizon,
-            "oracle": payload.get("oracle", {}).get("policy", "honest"),
+            "oracle": engine.policy.kind,
         },
         "stages": engine.stage_log,
         "levels": {
@@ -201,8 +220,7 @@ def run_boxpromo(payload: dict) -> dict:
             },
         },
     }
-    is_honest = getattr(engine.policy, "kind", "") == "honest"
-    if is_honest and engine.env.ground_truth is not None:
+    if engine.policy.kind == "honest" and engine.env.ground_truth is not None:
         extraction = engine.extract_approximation()
         if extraction.anchor and extraction.anchor_stage < engine.horizon:
             engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
@@ -239,6 +257,9 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
     approximation = appr_mod.parse_word_approx(
         text_block(_required(payload, "approximation", "synth scenario"))
     )
+    width = payload.get("width")
+    if width is not None:
+        width = _integer(width, "synth scenario 'width'")
     requirements = []
     for r, block in enumerate(payload.get("requirements", [])):
         where = f"synth requirement {r}"
@@ -257,7 +278,7 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
         _integer(payload.get("budget_exp", 0), "synth scenario 'budget_exp'"),
         requirements,
         horizon,
-        width=payload.get("width"),
+        width=width,
     )
 
 

@@ -64,9 +64,6 @@ class PartialStageMap:
             return self.entries[arg].value
         return None
 
-    def observed_values(self, stage: int) -> list[int]:
-        return self._values[: bisect_right(self._visible_at, stage)]
-
     def least_observed_above(self, bound: int, stage: int) -> Optional[int]:
         """Least value above `bound` observed by `stage`, or None.  The
         observed entries are a prefix, and values increase along it."""
@@ -150,6 +147,8 @@ class SynthesisRun:
             raise ScenarioError("budget exponent must be nonnegative")
         if horizon < 2:
             raise ScenarioError("horizon must be at least 2")
+        if width is not None and width < 1:
+            raise ScenarioError(f"width must be at least 1, got {width}")
         self.appr = approximation
         self.budget_exp = budget_exp
         self.requirements = requirements

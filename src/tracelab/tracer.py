@@ -8,16 +8,23 @@ original stage, classes spawned by a new pair inherit the content of their
 parent class, and tested sets are never materialized beyond the event lists;
 this keeps the per-box combinatorics exact while the nominal cube size
 explodes.
+
+The first-hit rule answers every question about a tested set.  The first
+event on a box whose base prefixes `w` and whose depth is at most `len(w)`
+tests `w[:depth]` (every earlier event missed every prefix of `w`, so nothing
+blocked it), and that tested prefix blocks every longer prefix of `w`.  So
+`w` is tested exactly when that event's depth is `len(w)`, and some prefix of
+`w` is tested exactly when such an event exists.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
-from .words import check_word, comparable, extensions_avoiding, is_prefix
+from .words import check_word, comparable
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -56,7 +63,7 @@ class BoxId:
 class BoxLayout:
     """Partition of an initial segment of the naturals into hypercube and
     initial-testing intervals, one pair per level, with the order function
-    constant on each level's stretch."""
+    (`level_of`) constant on each level's stretch."""
 
     def __init__(self, overhead: int, slack: dict[int, int], top_level: int):
         if overhead < 1:
@@ -82,9 +89,6 @@ class BoxLayout:
 
     def trace_capacity(self, level: int) -> int:
         return max(level, self.overhead)
-
-    def cube_size(self, level: int) -> int:
-        return pair_subset_count(level) ** (level + self.slack[level])
 
     def initial_interval_size(self, level: int) -> int:
         return level + self.slack[level]
@@ -139,10 +143,6 @@ class BoxLayout:
                 return n
         raise ScenarioError(f"address {address} outside the layout")
 
-    def order_value(self, address: int) -> int:
-        """The order function: the level owning the address."""
-        return self.level_of(address)
-
 
 @dataclass(frozen=True)
 class TestEvent:
@@ -156,15 +156,13 @@ class Functional:
 
     An event (base, depth, stage) tests every length-`depth` extension of
     `base` that does not extend a string tested by an earlier event on the
-    same box; the tested set of a box is therefore always an antichain.
+    same box.  When depths never decrease along a box's events, as
+    `Environment` adds them, the tested set is an antichain; a later,
+    shallower event can test a prefix of an earlier member.
     """
 
     def __init__(self):
         self.events: dict[BoxId, list[TestEvent]] = {}
-        self._member_cache: dict[tuple, bool] = {}
-
-    def boxes(self) -> Iterable[BoxId]:
-        return self.events.keys()
 
     def add_event(self, box: BoxId, base: str, depth: int, stage: int) -> TestEvent:
         if depth < len(base):
@@ -176,41 +174,20 @@ class Functional:
     def copy_events(self, source: BoxId, target: BoxId) -> None:
         self.events[target] = list(self.events.get(source, []))
 
-    def _added_before(self, box: BoxId, word: str, upto: int) -> bool:
-        """Is `word` in the tested set after the first `upto` events?"""
-        key = (box, word, upto)
-        cached = self._member_cache.get(key)
-        if cached is not None:
-            return cached
-        events = self.events.get(box, [])
-        result = False
-        for j in range(upto):
-            ev = events[j]
-            if len(word) != ev.depth or not word.startswith(ev.base):
-                continue
-            blocked = any(
-                self._added_before(box, word[:cut], j) for cut in range(len(word) + 1)
-            )
-            if not blocked:
-                result = True
-                break
-        self._member_cache[key] = result
-        return result
+    def first_hit(self, box: BoxId, word: str) -> Optional[TestEvent]:
+        """The first event that reaches `word`; it tests `word[:depth]`."""
+        for ev in self.events.get(box, ()):
+            if ev.depth <= len(word) and word.startswith(ev.base):
+                return ev
+        return None
 
     def member(self, box: BoxId, word: str) -> bool:
-        return self._added_before(box, word, len(self.events.get(box, [])))
+        hit = self.first_hit(box, word)
+        return hit is not None and hit.depth == len(word)
 
     def covers(self, box: BoxId, word: str) -> bool:
         """Is every deep extension of `word` tested (some tested prefix)?"""
-        return any(self.member(box, word[:cut]) for cut in range(len(word) + 1))
-
-    def materialize(self, box: BoxId, ordered: bool = False) -> list[str]:
-        """Explicit tested set; exponential in event depths, for small-depth
-        reference checks only."""
-        tested: list[str] = []
-        for ev in self.events.get(box, []):
-            tested.extend(extensions_avoiding(ev.base, ev.depth, tested))
-        return tested if ordered else sorted(tested)
+        return self.first_hit(box, word) is not None
 
 
 @dataclass
@@ -246,7 +223,6 @@ class Environment:
         self.classes: dict[int, dict[Pattern, ClassBox]] = {}
         self.initial_boxes: dict[tuple[int, int], tuple[int, int]] = {}  # (n, slot) -> (length, stage)
         self.pair_sigma: dict[tuple[int, int, int], str] = {}  # (n, k, i) -> candidate string
-        self._honest_due: dict[BoxId, tuple[int, str]] = {}
 
     # ---- structure -------------------------------------------------------
 
@@ -347,19 +323,13 @@ class Environment:
 
     def honest_value(self, box: BoxId) -> Optional[tuple[int, str]]:
         """(due event stage, traced value) when the ground truth lands in the
-        box's tested cylinder; None otherwise.  Cached per box: event lists of
-        existing boxes never change."""
+        box's tested cylinder; None otherwise."""
         if self.ground_truth is None:
             return None
-        cached = self._honest_due.get(box)
-        if cached is not None:
-            return cached
-        for ev in self.functional.events.get(box, ()):
-            if is_prefix(ev.base, self.ground_truth) and ev.depth <= len(self.ground_truth):
-                value = self.ground_truth[: ev.depth]
-                self._honest_due[box] = (ev.stage, value)
-                return self._honest_due[box]
-        return None
+        hit = self.functional.first_hit(box, self.ground_truth)
+        if hit is None:
+            return None
+        return hit.stage, self.ground_truth[: hit.depth]
 
 
 class HonestPolicy:

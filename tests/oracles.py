@@ -1,5 +1,6 @@
 """Brute-force reference definitions that the fast paths are tested against."""
 from tracelab.approximations import WordApproximation
+from tracelab.words import extensions_avoiding
 
 
 def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
@@ -11,3 +12,39 @@ def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
         if all(appr.readable(u, x, stage) for u in range(b + 1) for x in range(b + 1)):
             return b
     return 0
+
+
+def observed_values(stage_map, stage: int) -> list[int]:
+    """Values of the stage map's entries visible by `stage`, in argument
+    order, by a scan of every entry."""
+    return [e.value for e in stage_map.entries if e.visible_at <= stage]
+
+
+def recursive_member(functional, box, word: str, upto=None) -> bool:
+    """Is `word` tested after the first `upto` events on `box` (all of them
+    by default)?  By definition: some event of depth `len(word)` whose base
+    prefixes `word` comes when no prefix of `word`, `word` itself included,
+    is tested yet."""
+    events = functional.events.get(box, [])
+    memo: dict[tuple[str, int], bool] = {}
+
+    def added_before(w: str, k: int) -> bool:
+        if (w, k) not in memo:
+            memo[(w, k)] = any(
+                ev.depth == len(w)
+                and w.startswith(ev.base)
+                and not any(added_before(w[:cut], j) for cut in range(len(w) + 1))
+                for j, ev in enumerate(events[:k])
+            )
+        return memo[(w, k)]
+
+    return added_before(word, len(events) if upto is None else upto)
+
+
+def materialize(functional, box) -> list[str]:
+    """Explicit tested set of `box`, sorted; exponential in event depths, for
+    small-depth reference checks only."""
+    tested: list[str] = []
+    for ev in functional.events.get(box, []):
+        tested.extend(extensions_avoiding(ev.base, ev.depth, tested))
+    return sorted(tested)

@@ -194,6 +194,40 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "costfn-check scenario 'limit_threshold': bad rational 'tiny'",
         ),
     ]
+    # Oracle, slack and width fields of the wrong type or range.
+    random_oracle = {"policy": "random", "seed": 3}
+    for rate in ("activate_rate", "feed_rate", "junk_rate"):
+        bad_rate = dict(canned_scripted_payload(), oracle=dict(random_oracle, **{rate: "x"}))
+        cases.append(("boxpromo", bad_rate, f"oracle {rate!r}: expected a number, got 'x'"))
+    cases += [
+        (
+            "boxpromo",
+            dict(canned_scripted_payload(), oracle="honest"),
+            "boxpromo scenario 'oracle': expected an object, got 'honest'",
+        ),
+        (
+            "boxpromo",
+            dict(canned_scripted_payload(), slack=[1, 2]),
+            "boxpromo scenario 'slack': expected an object, got [1, 2]",
+        ),
+        (
+            "boxpromo",
+            dict(canned_scripted_payload(), slack={"a": 2}),
+            "boxpromo scenario 'slack' key: expected an integer, got 'a'",
+        ),
+        (
+            "boxpromo",
+            dict(canned_scripted_payload(), slack={"1": "wide"}),
+            "boxpromo scenario 'slack' entry '1': expected an integer, got 'wide'",
+        ),
+        ("synth", dict(synth_payload_small(), width="x"), "synth scenario 'width': expected an integer, got 'x'"),
+        ("synth", dict(synth_payload_small(), width=[1]), "synth scenario 'width': expected an integer, got [1]"),
+        ("synth", dict(synth_payload_small(), width=-3), "width must be at least 1, got -3"),
+        ("synth", dict(synth_payload_small(), width=0), "width must be at least 1, got 0"),
+        # `synth run` runs synth scenarios only.
+        ("synth", check, "synth run needs a synth scenario, got kind 'costfn-check'"),
+        ("synth", canned_scripted_payload(), "synth run needs a synth scenario, got kind 'boxpromo'"),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1

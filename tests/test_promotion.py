@@ -268,13 +268,18 @@ def test_scenario_accepts_an_approximation_block_for_the_truth():
     assert report["extraction"]["anchor"] == truth[: len(report["extraction"]["anchor"])]
 
 
+def conflict_is_active(engine, level, slot, stage):
+    entry = engine.levels[level].conflicts.get(slot)
+    return entry is not None and entry[0] <= stage
+
+
 def test_conflict_query_latches_per_stage():
     engine = build_promotion_engine(canned_scripted_payload())
     engine.run()
-    assert not engine.conflict_is_active(2, 2, 4)
-    assert engine.conflict_is_active(2, 2, 5)
-    assert engine.conflict_is_active(2, 2, 9)  # once true, true forever
-    assert not engine.conflict_is_active(2, 1, 9)
+    assert not conflict_is_active(engine, 2, 2, 4)
+    assert conflict_is_active(engine, 2, 2, 5)
+    assert conflict_is_active(engine, 2, 2, 9)  # once true, true forever
+    assert not conflict_is_active(engine, 2, 1, 9)
     state = engine.levels[2]
     assert not state.successful_at(2, 1, 4)
     assert state.successful_at(2, 1, 5)
@@ -303,7 +308,7 @@ def test_early_trace_values_become_candidates_when_the_test_exists():
 def test_witness_with_no_conflicts_is_the_empty_chain():
     engine = build_promotion_engine(honest_payload(1))
     engine.run()
-    audit = engine.build_witness(2, engine.horizon - 1)
+    audit = engine._build_witness(engine.levels[2], engine.horizon - 1)
     assert audit.conflicted == ()
     assert audit.chain_sizes[0] == 0
     assert audit.pattern.endswith("root")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import scan_readable_depth
+from oracles import observed_values, scan_readable_depth
 from tracelab.approximations import WordApproximation, readable_depth
 from tracelab.costs import CostTable, marker_sequence
 from tracelab.errors import ScenarioError
@@ -63,7 +63,7 @@ def test_stage_map_observation_delays():
     sm = PartialStageMap([(0, 0, 0), (1, 4, 9)])
     assert sm.observed(1, 8) is None
     assert sm.observed(1, 9) == 4
-    assert sm.observed_values(8) == [0]
+    assert observed_values(sm, 8) == [0]
 
 
 @given(
@@ -77,9 +77,9 @@ def test_least_observed_above_matches_a_scan(shape, stage, bound):
         value, visible = value + 1 + step, visible + delay
         entries.append((arg, value, visible))
     sm = PartialStageMap(entries)
-    above = [v for v in sm.observed_values(stage) if v > bound]
+    above = [v for v in observed_values(sm, stage) if v > bound]
     assert sm.least_observed_above(bound, stage) == (min(above) if above else None)
-    assert sm.observed_values(stage) == [v for _, v, d in entries if d <= stage]
+    assert observed_values(sm, stage) == [v for _, v, d in entries if d <= stage]
 
 
 def test_requirement_validates_listed_form():
@@ -282,7 +282,7 @@ def test_checkpoints_stay_inside_observed_range_and_dom_speedup():
         out = run.run()
         for e, req in enumerate(out.requirements):
             values = out.checkpoints[e]
-            observed = set(req.stage_map.observed_values(run.horizon))
+            observed = set(observed_values(req.stage_map, run.horizon))
             for a, b in zip(values, values[1:]):
                 assert a < b
             for v in values:

@@ -1,7 +1,10 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import materialize, recursive_member
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.tracer import (
     BoxLayout,
@@ -21,6 +24,12 @@ from tracelab.words import Antichain, comparable
 
 def small_layout(overhead=1, top=3):
     return BoxLayout(overhead, {n: 3 for n in range(1, top + 1)}, top)
+
+
+def cube_size(layout, level):
+    """Length of the level's hypercube interval in the layout."""
+    m_start, i_start = layout._starts[level]
+    return i_start - m_start
 
 
 # ---- layout ---------------------------------------------------------------------
@@ -57,7 +66,7 @@ def test_cube_box_rejects_oversized_coordinate_values():
 def test_interval_sizes_match_the_layout():
     layout = small_layout()
     for n in (1, 2, 3):
-        assert layout.cube_size(n) == pair_subset_count(n) ** (n + 3)
+        assert cube_size(layout, n) == pair_subset_count(n) ** (n + 3)
         assert layout.initial_interval_size(n) == n + 3
 
 
@@ -65,9 +74,9 @@ def test_order_function_is_positive_and_nondecreasing():
     layout = small_layout()
     previous = 0
     probes = list(range(0, 40)) + [layout.total - 1]
-    assert layout.order_value(0) == 1
+    assert layout.level_of(0) == 1
     for address in probes:
-        level = layout.order_value(address)
+        level = layout.level_of(address)
         assert level >= previous or address == layout.total - 1
         previous = max(previous, level)
 
@@ -84,7 +93,7 @@ def test_addresses_land_in_their_level():
 
 
 def materialized_antichain_holds(functional, box):
-    tested = functional.materialize(box)
+    tested = materialize(functional, box)
     Antichain(tested)  # raises when two tested strings are comparable
     return tested
 
@@ -130,6 +139,70 @@ def test_single_valuedness_via_antichain_on_random_event_histories():
             base = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
             functional.add_event(box, base, depth, depth)
         materialized_antichain_holds(functional, box)
+
+
+def words_up_to(length):
+    return ["".join(bits) for n in range(length + 1) for bits in product("01", repeat=n)]
+
+
+def honest_reference(functional, box, truth):
+    """(stage, value) of the event after which a prefix of `truth` is first
+    tested, by the recursive definition; None when none ever is."""
+    for k, ev in enumerate(functional.events.get(box, []), start=1):
+        hits = [
+            cut for cut in range(len(truth) + 1)
+            if recursive_member(functional, box, truth[:cut], k)
+        ]
+        if hits:
+            return ev.stage, truth[: hits[0]]
+    return None
+
+
+# Events in any depth order: a later, shallower event can test a prefix of an
+# earlier member, so tested sets here need not be antichains.
+event_histories = st.lists(
+    st.integers(0, 5).flatmap(
+        lambda depth: st.tuples(st.text("01", max_size=depth), st.just(depth))
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_histories, st.text("01", max_size=6))
+def test_first_hit_rule_matches_the_recursive_definition(history, truth):
+    layout = small_layout()
+    env = Environment(layout, ground_truth=truth)
+    functional = env.functional
+    box = layout.cube_box(2, {1: (1,)})
+    for stage, (base, depth) in enumerate(history, start=1):
+        functional.add_event(box, base, depth, stage)
+    tested = set(materialize(functional, box))
+    for word in words_up_to(6):
+        member = word in tested
+        assert functional.member(box, word) == member
+        assert recursive_member(functional, box, word) == member
+        prefixes = [word[:cut] for cut in range(len(word) + 1)]
+        assert functional.covers(box, word) == any(p in tested for p in prefixes)
+    assert env.honest_value(box) == honest_reference(functional, box, truth)
+
+
+def test_a_shallow_event_after_a_deep_one_tests_a_prefix_of_a_member():
+    layout = small_layout()
+    env = Environment(layout, ground_truth="0010")
+    functional = env.functional
+    box = layout.cube_box(2, {1: (1,)})
+    functional.add_event(box, "00", 2, 3)
+    functional.add_event(box, "", 1, 5)
+    assert materialize(functional, box) == ["0", "00", "1"]
+    for word in words_up_to(3):
+        assert functional.member(box, word) == (word in ("0", "00", "1"))
+        assert functional.member(box, word) == recursive_member(functional, box, word)
+    assert not functional.covers(box, "")
+    assert functional.covers(box, "01") and functional.covers(box, "000")
+    assert env.honest_value(box) == (3, "00")  # the first event reaches the truth
+    env.ground_truth = "0110"
+    assert env.honest_value(box) == (5, "0")
 
 
 # ---- environment and capacity -------------------------------------------------------
@@ -284,7 +357,7 @@ def test_first_test_on_a_fresh_box_is_the_string_itself():
     layout = small_layout()
     box = layout.cube_box(2, {1: (1,)})
     functional.add_event(box, "01", 2, 2)
-    assert functional.materialize(box) == ["01"]
+    assert materialize(functional, box) == ["01"]
 
 
 def test_testing_around_a_blocked_branch_adds_the_free_extensions():
@@ -293,7 +366,7 @@ def test_testing_around_a_blocked_branch_adds_the_free_extensions():
     box = layout.cube_box(2, {1: (1, 2)})
     functional.add_event(box, "00", 2, 2)
     functional.add_event(box, "0", 2, 2)
-    assert functional.materialize(box) == ["00", "01"]
+    assert materialize(functional, box) == ["00", "01"]
 
 
 def test_retesting_a_covered_string_changes_nothing():
@@ -302,5 +375,5 @@ def test_retesting_a_covered_string_changes_nothing():
     box = layout.cube_box(2, {1: (1,)})
     functional.add_event(box, "00", 2, 2)
     functional.add_event(box, "00", 3, 3)
-    assert functional.materialize(box) == ["00"]
+    assert materialize(functional, box) == ["00"]
     assert functional.covers(box, "00")
