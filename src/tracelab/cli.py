@@ -7,6 +7,7 @@ was required.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -283,7 +284,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args, time.monotonic() - started)
+    try:
+        _emit(report, args, time.monotonic() - started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; silence the interpreter's exit-time
+        # flush and keep the run's own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if report.get("ok", True) is False:
         return 2
     return 0

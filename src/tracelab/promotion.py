@@ -17,7 +17,7 @@ from .costs import (
     marker_sequence,
 )
 from .errors import InvariantViolation, ScenarioError
-from .tracer import BoxId, BoxLayout, Environment, oracle_step
+from .tracer import Box, BoxLayout, Environment, oracle_step
 from .words import comparable, is_prefix, restrict
 
 
@@ -77,7 +77,7 @@ class LevelState:
     listed: dict[int, list[Candidate]] = field(default_factory=dict)  # slot -> candidates
     success_since: dict[tuple[int, int], int] = field(default_factory=dict)
     pending: dict[tuple[int, int], int] = field(default_factory=dict)
-    lacking: dict[BoxId, set[tuple[int, int]]] = field(default_factory=dict)
+    lacking: dict[Box, set[tuple[int, int]]] = field(default_factory=dict)
     conflicts: dict[int, tuple[int, tuple[int, int]]] = field(default_factory=dict)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
 
@@ -163,7 +163,6 @@ class PromotionEngine:
         }
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
-        self.max_trace_seen = 0
 
     # ---- per-stage actions -------------------------------------------------
 
@@ -177,7 +176,7 @@ class PromotionEngine:
         events: dict = {
             "stage": stage,
             "enumerations": [
-                {"box": str(r.box), "value": r.value, "member": r.member} for r in records
+                {"box": r.box.name, "value": r.value, "member": r.member} for r in records
             ],
             "new_lengths": [],
             "new_candidates": [],
@@ -193,10 +192,6 @@ class PromotionEngine:
             self._absorb_enumerations(state, records, stage, events)
             self._settle_conflicts(state, stage, events, promoted_down)
         self._check_chain(stage)
-        for _, size, cap in self.env.capacity_report():
-            self.max_trace_seen = max(self.max_trace_seen, size)
-            if size > cap:
-                raise InvariantViolation("trace capacity sweep failed")
         self.stage_log.append(events)
 
     def _extend_lengths(self, state, promoted: list[int], stage: int, events) -> None:
@@ -223,7 +218,7 @@ class PromotionEngine:
             events["new_lengths"].append({"level": level, "slot": slot, "length": length})
             # Trace values that arrived before the box was tested become
             # certified candidates the moment the test exists.
-            for value, _ in list(self.env.trace(box)):
+            for value, _ in list(box.content):
                 if len(value) == length:
                     self._list_candidate(state, slot, value, stage, events)
 
@@ -273,13 +268,12 @@ class PromotionEngine:
         state.pending[pair] = 0
         for child in spawned:
             lack: set[tuple[int, int]] = set()
-            values = self.env.trace(child.box)
             for k, indices in child.pattern:
                 for i in indices:
                     word = self.env.pair_sigma[(level, k, i)]
                     satisfied = any(
-                        self.env.functional.member(child.box, v) and comparable(v, word)
-                        for v, _ in values
+                        child.functional.member(v) and comparable(v, word)
+                        for v, _ in child.content
                     )
                     if satisfied:
                         continue
@@ -288,7 +282,7 @@ class PromotionEngine:
                             f"successful pair {(level, k, i)} lost its witness on spawn"
                         )
                     lack.add((k, i))
-            state.lacking[child.box] = lack
+            state.lacking[child] = lack
             for entry in lack:
                 state.pending[entry] = state.pending.get(entry, 0) + 1
         if state.pending[pair] == 0:
@@ -383,13 +377,14 @@ class PromotionEngine:
         pattern = {}
         for word, slot, index in antichain_members:
             pattern.setdefault(slot, []).append(index)
-        box = self.layout.cube_box(level, {k: tuple(v) for k, v in pattern.items()})
-        if box.pattern not in self.env.classes.get(level, {}):
-            raise InvariantViolation(f"witness class {box} was never spawned")
-        values = self.env.trace(box)
-        member_values = [
-            v for v, _ in values if self.env.functional.member(box, v)
-        ]
+        canon = self.layout.canonical_pattern(level, {k: tuple(v) for k, v in pattern.items()})
+        box = self.env.classes.get(level, {}).get(canon)
+        if box is None:
+            raise InvariantViolation(
+                f"witness class {self.layout.cube_box(level, canon)} was never spawned"
+            )
+        values = box.content
+        member_values = [v for v, _ in values if box.functional.member(v)]
         for value in member_values:
             owners = [w for w, _, _ in antichain_members if is_prefix(w, value)]
             if len(owners) != 1:
@@ -413,7 +408,7 @@ class PromotionEngine:
             level,
             stage,
             conflicted,
-            str(box),
+            box.name,
             tuple(sizes),
             tuple(deficits),
             len(member_values),

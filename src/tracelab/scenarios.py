@@ -36,12 +36,15 @@ def parse_rational(value, what: str) -> Fraction:
     `ScenarioError` naming it."""
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ScenarioError(f"{what}: bad rational {value!r}") from None
 
 
 def _integer(value, what: str) -> int:
-    """`int(value)`; a value `int` rejects is a `ScenarioError` naming it."""
+    """`int(value)`; a boolean, a non-integral number or a value `int`
+    rejects is a `ScenarioError` naming it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ScenarioError(f"{what}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -49,11 +52,15 @@ def _integer(value, what: str) -> int:
 
 
 def _rate(value, what: str) -> float:
-    """`float(value)`; a value `float` rejects is a `ScenarioError` naming it."""
+    """`float(value)`; a value `float` rejects, or one outside [0, 1] (NaN
+    included), is a `ScenarioError` naming it."""
     try:
-        return float(value)
+        rate = float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{what}: expected a number, got {value!r}") from None
+    if not 0 <= rate <= 1:
+        raise ScenarioError(f"{what}: expected a number in [0, 1], got {value!r}")
+    return rate
 
 
 def text_block(value) -> str:
@@ -214,7 +221,7 @@ def run_boxpromo(payload: dict) -> dict:
         ],
         "tallies": {
             "conflicts": sum(len(s.conflicts) for s in engine.levels.values()),
-            "max_trace": engine.max_trace_seen,
+            "max_trace": engine.env.max_trace,
             "class_family": {
                 str(n): len(engine.env.classes.get(n, {})) for n in sorted(engine.levels)
             },

@@ -15,6 +15,11 @@ tests `w[:depth]` (every earlier event missed every prefix of `w`, so nothing
 blocked it), and that tested prefix blocks every longer prefix of `w`.  So
 `w` is tested exactly when that event's depth is `len(w)`, and some prefix of
 `w` is tested exactly when such an event exists.
+
+A `Box` holds its name, its tested-string functional and its trace content.
+The environment makes each box once, so a box is its own dict key (by
+identity).  Trace capacity is checked where content is written: when a value
+is enumerated into a box, and when a spawned class copies its parent's.
 """
 from __future__ import annotations
 
@@ -44,20 +49,29 @@ def subsets_up_to_pairs(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class BoxId:
-    kind: str  # "I" (initial testing) or "M" (hypercube class)
-    level: int
-    slot: int = 0  # length index, for I-boxes
-    pattern: Pattern = ()  # pairs (k, (i, ...)), for M-boxes
+class Box:
+    """One box: an initial-testing box `I<level>.<slot>` or a hypercube class
+    `M<level>.<pattern>`, with its tested set and its trace component."""
+
+    __slots__ = ("kind", "level", "slot", "pattern", "name", "functional", "content")
+
+    def __init__(self, kind: str, level: int, slot: int = 0, pattern: Pattern = ()):
+        self.kind = kind  # "I" (initial testing) or "M" (hypercube class)
+        self.level = level
+        self.slot = slot  # length index, for I-boxes
+        self.pattern = pattern  # pairs (k, (i, ...)), for M-boxes
+        if kind == "I":
+            self.name = f"I{level}.{slot}"
+        elif not pattern:
+            self.name = f"M{level}.root"
+        else:
+            coords = ".".join(f"{k}:{'+'.join(map(str, idx))}" for k, idx in pattern)
+            self.name = f"M{level}.{coords}"
+        self.functional = Functional()
+        self.content: list[tuple[str, int]] = []  # (value, stage), in order
 
     def __str__(self) -> str:
-        if self.kind == "I":
-            return f"I{self.level}.{self.slot}"
-        if not self.pattern:
-            return f"M{self.level}.root"
-        coords = ".".join(f"{k}:{'+'.join(map(str, idx))}" for k, idx in self.pattern)
-        return f"M{self.level}.{coords}"
+        return self.name
 
 
 class BoxLayout:
@@ -93,14 +107,14 @@ class BoxLayout:
     def initial_interval_size(self, level: int) -> int:
         return level + self.slack[level]
 
-    def initial_box(self, level: int, slot: int) -> BoxId:
+    def initial_box(self, level: int, slot: int) -> Box:
+        """A new box for the slot; `Environment.initial_box` makes it once."""
         if not (1 <= slot <= self.lengths_capacity(level)):
             raise ScenarioError(f"slot {slot} outside the initial interval of level {level}")
-        return BoxId("I", level, slot=slot)
+        return Box("I", level, slot=slot)
 
-    def cube_box(self, level: int, pattern) -> BoxId:
-        canon = self.canonical_pattern(level, pattern)
-        return BoxId("M", level, pattern=canon)
+    def cube_box(self, level: int, pattern) -> Box:
+        return Box("M", level, pattern=self.canonical_pattern(level, pattern))
 
     def canonical_pattern(self, level: int, pattern) -> Pattern:
         if isinstance(pattern, dict):
@@ -120,7 +134,7 @@ class BoxLayout:
         cleaned.sort()
         return tuple(cleaned)
 
-    def address(self, box: BoxId) -> int:
+    def address(self, box: Box) -> int:
         """Numeric position of the box (for M-classes: of the representative
         whose unlisted coordinates are empty)."""
         m_start, i_start = self._starts[box.level]
@@ -152,62 +166,52 @@ class TestEvent:
 
 
 class Functional:
-    """Per-box tested sets, kept as event lists.
+    """One box's tested set, kept as an event list.
 
     An event (base, depth, stage) tests every length-`depth` extension of
     `base` that does not extend a string tested by an earlier event on the
-    same box.  When depths never decrease along a box's events, as
-    `Environment` adds them, the tested set is an antichain; a later,
-    shallower event can test a prefix of an earlier member.
+    box.  When depths never decrease along the events, as `Environment` adds
+    them, the tested set is an antichain; a later, shallower event can test a
+    prefix of an earlier member.
     """
 
     def __init__(self):
-        self.events: dict[BoxId, list[TestEvent]] = {}
+        self.events: list[TestEvent] = []
 
-    def add_event(self, box: BoxId, base: str, depth: int, stage: int) -> TestEvent:
+    def add_event(self, base: str, depth: int, stage: int) -> TestEvent:
         if depth < len(base):
             raise ScenarioError(f"test depth {depth} below base length {len(base)}")
         event = TestEvent(base, depth, stage)
-        self.events.setdefault(box, []).append(event)
+        self.events.append(event)
         return event
 
-    def copy_events(self, source: BoxId, target: BoxId) -> None:
-        self.events[target] = list(self.events.get(source, []))
-
-    def first_hit(self, box: BoxId, word: str) -> Optional[TestEvent]:
+    def first_hit(self, word: str) -> Optional[TestEvent]:
         """The first event that reaches `word`; it tests `word[:depth]`."""
-        for ev in self.events.get(box, ()):
+        for ev in self.events:
             if ev.depth <= len(word) and word.startswith(ev.base):
                 return ev
         return None
 
-    def member(self, box: BoxId, word: str) -> bool:
-        hit = self.first_hit(box, word)
+    def member(self, word: str) -> bool:
+        hit = self.first_hit(word)
         return hit is not None and hit.depth == len(word)
 
-    def covers(self, box: BoxId, word: str) -> bool:
+    def covers(self, word: str) -> bool:
         """Is every deep extension of `word` tested (some tested prefix)?"""
-        return self.first_hit(box, word) is not None
+        return self.first_hit(word) is not None
 
 
 @dataclass
 class EnumRecord:
-    box: BoxId
+    box: Box
     value: str
     stage: int
     member: bool
 
 
-@dataclass
-class ClassBox:
-    box: BoxId
-    pattern: Pattern
-    parent: Optional[BoxId]
-    created: int
-
-
 class Environment:
-    """One level-indexed world of boxes, tested sets, and trace content."""
+    """One level-indexed world of boxes, each with its tested set and trace
+    content."""
 
     def __init__(
         self,
@@ -216,34 +220,33 @@ class Environment:
         family_cap: int = 20000,
     ):
         self.layout = layout
-        self.functional = Functional()
         self.ground_truth = check_word(ground_truth) if ground_truth is not None else None
         self.family_cap = family_cap
-        self.content: dict[BoxId, list[tuple[str, int]]] = {}
-        self.classes: dict[int, dict[Pattern, ClassBox]] = {}
-        self.initial_boxes: dict[tuple[int, int], tuple[int, int]] = {}  # (n, slot) -> (length, stage)
+        self.classes: dict[int, dict[Pattern, Box]] = {}
+        self.initial_boxes: dict[tuple[int, int], Box] = {}  # (n, slot) -> box, tested or not
         self.pair_sigma: dict[tuple[int, int, int], str] = {}  # (n, k, i) -> candidate string
+        self.max_trace = 0  # largest trace component written so far
 
     # ---- structure -------------------------------------------------------
 
-    def ensure_level(self, level: int) -> None:
-        if level in self.classes:
-            return
-        root = self.layout.cube_box(level, ())
-        self.classes[level] = {(): ClassBox(root, (), None, 0)}
-        self.content.setdefault(root, [])
-        self.functional.events.setdefault(root, [])
-
-    def add_initial_test(self, level: int, slot: int, length: int, stage: int) -> BoxId:
-        box = self.layout.initial_box(level, slot)
-        if self.functional.events.get(box):
-            raise InvariantViolation(f"initial box {box} tested twice")
-        self.functional.add_event(box, "", length, stage)
-        self.content.setdefault(box, [])
-        self.initial_boxes[(level, slot)] = (length, stage)
+    def initial_box(self, level: int, slot: int) -> Box:
+        box = self.initial_boxes.get((level, slot))
+        if box is None:
+            box = self.initial_boxes[(level, slot)] = self.layout.initial_box(level, slot)
         return box
 
-    def activate_pair(self, level: int, slot: int, index: int, sigma: str, stage: int) -> list[ClassBox]:
+    def ensure_level(self, level: int) -> None:
+        if level not in self.classes:
+            self.classes[level] = {(): self.layout.cube_box(level, ())}
+
+    def add_initial_test(self, level: int, slot: int, length: int, stage: int) -> Box:
+        box = self.initial_box(level, slot)
+        if box.functional.events:
+            raise InvariantViolation(f"initial box {box} tested twice")
+        box.functional.add_event("", length, stage)
+        return box
+
+    def activate_pair(self, level: int, slot: int, index: int, sigma: str, stage: int) -> list[Box]:
         """Record candidate `sigma` for (slot, index) and spawn every class
         containing the new pair, inheriting parent content."""
         self.ensure_level(level)
@@ -252,55 +255,56 @@ class Environment:
             raise InvariantViolation(f"pair {key} activated twice")
         self.pair_sigma[key] = sigma
         family = self.classes[level]
-        spawned: list[ClassBox] = []
+        capacity = self.layout.trace_capacity(level)
+        spawned: list[Box] = []
         for parent in list(family.values()):
-            existing = dict(parent.pattern).get(slot, ())
+            coords = dict(parent.pattern)
+            existing = coords.get(slot, ())
             if len(existing) >= 2 or index in existing:
                 continue
-            child_pattern = self.layout.canonical_pattern(
-                level, dict(parent.pattern) | {slot: existing + (index,)}
-            )
+            child_pattern = self.layout.canonical_pattern(level, coords | {slot: existing + (index,)})
             if child_pattern in family:
                 raise InvariantViolation(f"class {child_pattern} spawned twice")
             if len(family) + len(spawned) >= self.family_cap:
                 raise HorizonExhausted(
                     f"class family at level {level} exceeded the cap {self.family_cap}"
                 )
-            child_box = self.layout.cube_box(level, child_pattern)
-            self.functional.copy_events(parent.box, child_box)
-            self.functional.add_event(child_box, sigma, stage, stage)
-            self.content[child_box] = list(self.content.get(parent.box, ()))
-            child = ClassBox(child_box, child_pattern, parent.box, stage)
+            child = Box("M", level, pattern=child_pattern)
+            if len(parent.content) > capacity:
+                raise InvariantViolation(
+                    f"trace capacity {capacity} exceeded on box {child} at stage {stage}: "
+                    f"{len(parent.content)} values inherited from {parent}"
+                )
+            # The copied bucket was counted in `max_trace` when it was written.
+            child.content = list(parent.content)
+            child.functional.events = list(parent.functional.events)
+            child.functional.add_event(sigma, stage, stage)
             spawned.append(child)
         for child in spawned:
             family[child.pattern] = child
         return spawned
 
-    def classes_at(self, level: int) -> list[ClassBox]:
+    def classes_at(self, level: int) -> list[Box]:
         self.ensure_level(level)
         return list(self.classes[level].values())
 
-    def classes_containing(self, level: int, slot: int, index: int) -> list[ClassBox]:
+    def classes_containing(self, level: int, slot: int, index: int) -> list[Box]:
         out = []
-        for cls in self.classes_at(level):
-            coords = dict(cls.pattern)
-            if index in coords.get(slot, ()):
-                out.append(cls)
+        for box in self.classes_at(level):
+            for k, idx in box.pattern:  # at most one entry per slot
+                if k == slot:
+                    if index in idx:
+                        out.append(box)
+                    break
         return out
 
     # ---- trace content ---------------------------------------------------
 
-    def trace(self, box: BoxId) -> list[tuple[str, int]]:
-        return self.content.get(box, [])
-
-    def trace_values(self, box: BoxId) -> list[str]:
-        return [v for v, _ in self.content.get(box, ())]
-
     def enumerate_value(
-        self, box: BoxId, value: str, stage: int, clamp: bool = False
+        self, box: Box, value: str, stage: int, clamp: bool = False
     ) -> Optional[EnumRecord]:
         check_word(value)
-        bucket = self.content.setdefault(box, [])
+        bucket = box.content
         if any(v == value for v, _ in bucket):
             return None  # trace components are sets; re-enumeration is a no-op
         capacity = self.layout.trace_capacity(box.level)
@@ -311,22 +315,17 @@ class Environment:
                 f"trace capacity {capacity} exceeded on box {box} at stage {stage}"
             )
         bucket.append((value, stage))
-        return EnumRecord(box, value, stage, self.functional.member(box, value))
-
-    def capacity_report(self) -> list[tuple[str, int, int]]:
-        out = []
-        for box, bucket in self.content.items():
-            out.append((str(box), len(bucket), self.layout.trace_capacity(box.level)))
-        return out
+        self.max_trace = max(self.max_trace, len(bucket))
+        return EnumRecord(box, value, stage, box.functional.member(value))
 
     # ---- honest bookkeeping ----------------------------------------------
 
-    def honest_value(self, box: BoxId) -> Optional[tuple[int, str]]:
+    def honest_value(self, box: Box) -> Optional[tuple[int, str]]:
         """(due event stage, traced value) when the ground truth lands in the
         box's tested cylinder; None otherwise."""
         if self.ground_truth is None:
             return None
-        hit = self.functional.first_hit(box, self.ground_truth)
+        hit = box.functional.first_hit(self.ground_truth)
         if hit is None:
             return None
         return hit.stage, self.ground_truth[: hit.depth]
@@ -343,24 +342,20 @@ class HonestPolicy:
             raise ScenarioError("delay must be nonnegative")
         self.delay = delay
 
-    def step(self, env: Environment, stage: int) -> list[tuple[BoxId, str]]:
+    def step(self, env: Environment, stage: int) -> list[tuple[Box, str]]:
         if env.ground_truth is None:
             raise ScenarioError("honest policy needs a ground truth")
         moves = []
-        for (level, slot), (length, added) in sorted(env.initial_boxes.items()):
-            if added + self.delay <= stage and length <= len(env.ground_truth):
-                box = env.layout.initial_box(level, slot)
-                value = env.ground_truth[:length]
-                if value not in env.trace_values(box):
-                    moves.append((box, value))
-        for level in sorted(env.classes):
-            for cls in env.classes_at(level):
-                due = env.honest_value(cls.box)
-                if due is None:
-                    continue
-                due_stage, value = due
-                if due_stage + self.delay <= stage and value not in env.trace_values(cls.box):
-                    moves.append((cls.box, value))
+        boxes = list(env.initial_boxes.values())  # `oracle_step` sorts the moves
+        for family in env.classes.values():
+            boxes.extend(family.values())
+        for box in boxes:
+            due = env.honest_value(box)
+            if due is None:
+                continue
+            due_stage, value = due
+            if due_stage + self.delay <= stage and all(v != value for v, _ in box.content):
+                moves.append((box, value))
         return moves
 
 
@@ -390,7 +385,7 @@ class ScriptedPolicy:
                 )
             self.by_stage.setdefault(stage, []).append((spec, value))
 
-    def step(self, env: Environment, stage: int) -> list[tuple[BoxId, str]]:
+    def step(self, env: Environment, stage: int) -> list[tuple[Box, str]]:
         moves = []
         for spec, value in self.by_stage.get(stage, ()):
             moves.append((resolve_box_spec(env, spec), value))
@@ -416,15 +411,10 @@ class RandomPolicy:
         self.feed_rate = feed_rate
         self.junk_rate = junk_rate
 
-    def _candidate_value(self, env: Environment, level: int, slot: int, stage: int) -> Optional[str]:
-        length, _ = env.initial_boxes[(level, slot)]
-        box = env.layout.initial_box(level, slot)
-        members = [v for v in env.trace_values(box) if len(v) == length]
-        previous = [
-            env.initial_boxes[(level, s)][0]
-            for s in range(1, slot)
-            if (level, s) in env.initial_boxes
-        ]
+    def _candidate_value(self, env: Environment, tested, level: int, slot: int) -> Optional[str]:
+        length = tested[(level, slot)]
+        members = [v for v, _ in env.initial_boxes[(level, slot)].content if len(v) == length]
+        previous = [tested[(level, s)] for s in range(1, slot) if (level, s) in tested]
         floor = max(previous, default=0)
         if members and floor < length:
             # Agree with an existing candidate below the previous tested
@@ -443,20 +433,11 @@ class RandomPolicy:
         sigma = env.pair_sigma.get((level, slot, index))
         if sigma is None:
             return
-        for cls in env.classes_containing(level, slot, index):
-            values = env.trace_values(cls.box)
-            if any(
-                env.functional.member(cls.box, v) and comparable(v, sigma) for v in values
-            ):
+        for box in env.classes_containing(level, slot, index):
+            values = [v for v, _ in box.content]
+            if any(box.functional.member(v) and comparable(v, sigma) for v in values):
                 continue
-            event = next(
-                (
-                    ev
-                    for ev in env.functional.events.get(cls.box, ())
-                    if ev.base == sigma
-                ),
-                None,
-            )
+            event = next((ev for ev in box.functional.events if ev.base == sigma), None)
             if event is None:
                 continue
             for _ in range(8):
@@ -464,18 +445,23 @@ class RandomPolicy:
                     self.rng.choice("01") for _ in range(event.depth - len(sigma))
                 )
                 candidate = sigma + tail
-                if env.functional.member(cls.box, candidate) and candidate not in values:
-                    moves.append((cls.box, candidate))
+                if box.functional.member(candidate) and candidate not in values:
+                    moves.append((box, candidate))
                     break
 
-    def step(self, env: Environment, stage: int) -> list[tuple[BoxId, str]]:
-        moves: list[tuple[BoxId, str]] = []
-        slots = sorted(env.initial_boxes)
+    def step(self, env: Environment, stage: int) -> list[tuple[Box, str]]:
+        moves: list[tuple[Box, str]] = []
+        tested = {  # (n, slot) -> tested length
+            key: box.functional.events[0].depth
+            for key, box in env.initial_boxes.items()
+            if box.functional.events
+        }
+        slots = sorted(tested)
         if slots and self.rng.random() < self.activate_rate:
             level, slot = self.rng.choice(slots)
-            value = self._candidate_value(env, level, slot, stage)
+            value = self._candidate_value(env, tested, level, slot)
             if value is not None:
-                moves.append((env.layout.initial_box(level, slot), value))
+                moves.append((env.initial_box(level, slot), value))
         listed = sorted(env.pair_sigma)
         if listed and self.rng.random() < self.feed_rate:
             level, slot, index = self.rng.choice(listed)
@@ -487,7 +473,7 @@ class RandomPolicy:
             level, slot = self.rng.choice(slots)
             length = self.rng.randrange(1, max(2, stage + 1))
             junk = "".join(self.rng.choice("01") for _ in range(length))
-            moves.append((env.layout.initial_box(level, slot), junk))
+            moves.append((env.initial_box(level, slot), junk))
         return moves
 
 
@@ -497,7 +483,7 @@ def oracle_step(env: Environment, policy, stage: int) -> list[EnumRecord]:
     moves = policy.step(env, stage)
     clamp = getattr(policy, "kind", "") == "random"
     records = []
-    for box, value in sorted(moves, key=lambda m: (str(m[0]), m[1])):
+    for box, value in sorted(moves, key=lambda m: (m[0].name, m[1])):
         record = env.enumerate_value(box, value, stage, clamp=clamp)
         if record is not None:
             records.append(record)
@@ -516,16 +502,16 @@ def parse_box_level(spec: str) -> int:
     return int(head)
 
 
-def resolve_box_spec(env: Environment, spec: str) -> BoxId:
+def resolve_box_spec(env: Environment, spec: str) -> Box:
     level = parse_box_level(spec)
     rest = spec[1 + len(str(level)) :]
     if spec[0] == "I":
         if not (rest.startswith(".") and rest[1:].isdigit()):
             raise ScenarioError(f"bad initial-box spec {spec!r}")
-        return env.layout.initial_box(level, int(rest[1:]))
+        return env.initial_box(level, int(rest[1:]))
     if rest in ("", ".root"):
         env.ensure_level(level)
-        return env.layout.cube_box(level, ())
+        return env.classes[level][()]
     coords = {}
     for part in rest.lstrip(".").split("."):
         slot_text, _, idx_text = part.partition(":")
@@ -536,4 +522,4 @@ def resolve_box_spec(env: Environment, spec: str) -> BoxId:
     env.ensure_level(level)
     if pattern not in env.classes[level]:
         raise ScenarioError(f"box {spec!r} names a class that is not active yet")
-    return env.layout.cube_box(level, pattern)
+    return env.classes[level][pattern]

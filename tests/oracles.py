@@ -20,12 +20,12 @@ def observed_values(stage_map, stage: int) -> list[int]:
     return [e.value for e in stage_map.entries if e.visible_at <= stage]
 
 
-def recursive_member(functional, box, word: str, upto=None) -> bool:
-    """Is `word` tested after the first `upto` events on `box` (all of them
-    by default)?  By definition: some event of depth `len(word)` whose base
-    prefixes `word` comes when no prefix of `word`, `word` itself included,
-    is tested yet."""
-    events = functional.events.get(box, [])
+def recursive_member(functional, word: str, upto=None) -> bool:
+    """Is `word` tested after the first `upto` events of `functional` (all of
+    them by default)?  By definition: some event of depth `len(word)` whose
+    base prefixes `word` comes when no prefix of `word`, `word` itself
+    included, is tested yet."""
+    events = functional.events
     memo: dict[tuple[str, int], bool] = {}
 
     def added_before(w: str, k: int) -> bool:
@@ -41,10 +41,19 @@ def recursive_member(functional, box, word: str, upto=None) -> bool:
     return added_before(word, len(events) if upto is None else upto)
 
 
-def materialize(functional, box) -> list[str]:
-    """Explicit tested set of `box`, sorted; exponential in event depths, for
-    small-depth reference checks only."""
+def materialize(functional) -> list[str]:
+    """Explicit tested set of `functional`, sorted; exponential in event
+    depths, for small-depth reference checks only."""
     tested: list[str] = []
-    for ev in functional.events.get(box, []):
+    for ev in functional.events:
         tested.extend(extensions_avoiding(ev.base, ev.depth, tested))
     return sorted(tested)
+
+
+def capacity_sweep(env) -> list[tuple[str, int, int]]:
+    """(name, trace size, trace capacity) of every box the environment has
+    made: its initial boxes, then its classes level by level."""
+    boxes = list(env.initial_boxes.values())
+    for family in env.classes.values():
+        boxes.extend(family.values())
+    return [(box.name, len(box.content), env.layout.trace_capacity(box.level)) for box in boxes]

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from oracles import capacity_sweep
 from tracelab.approximations import (
     WordApproximation,
     change_set,
@@ -107,7 +108,7 @@ def test_criterion_3_capacity(promotion_batch):
     for _, engine, _ in promotion_batch:
         for level, state in engine.levels.items():
             assert len(state.lengths) <= engine.layout.lengths_capacity(level)
-        for _, size, cap in engine.env.capacity_report():
+        for _, size, cap in capacity_sweep(engine.env):
             assert size <= cap
     print("PASS criterion 3: length lists and trace components within capacity")
 

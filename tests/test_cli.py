@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracelab
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
@@ -228,6 +233,57 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         ("synth", check, "synth run needs a synth scenario, got kind 'costfn-check'"),
         ("synth", canned_scripted_payload(), "synth run needs a synth scenario, got kind 'boxpromo'"),
     ]
+    # Non-integral numbers and booleans in integer fields, a non-finite
+    # rational, and rates that are not numbers in [0, 1].
+    canned = canned_scripted_payload()
+    half_entry = [{"cost_table": listed, "stage_map": [[0, 0.5, 0]]}]
+    integer = "expected an integer, got"
+    cases += [
+        ("boxpromo", dict(canned, horizon=14.9), f"boxpromo scenario 'horizon': {integer} 14.9"),
+        ("boxpromo", dict(canned, horizon=True), f"boxpromo scenario 'horizon': {integer} True"),
+        ("boxpromo", dict(canned, top_level=2.5), f"boxpromo scenario 'top_level': {integer} 2.5"),
+        (
+            "boxpromo",
+            dict(canned, slack={"1": 2.5}),
+            f"boxpromo scenario 'slack' entry '1': {integer} 2.5",
+        ),
+        (
+            "boxpromo",
+            dict(canned, oracle={"policy": "random", "seed": 1.5}),
+            f"oracle 'seed': {integer} 1.5",
+        ),
+        (
+            "boxpromo",
+            dict(canned, ground_truth="0" * 14, oracle={"policy": "honest", "delay": False}),
+            f"oracle 'delay': {integer} False",
+        ),
+        (
+            "boxpromo",
+            dict(check, bound={"1/2": 2.5}),
+            f"costfn-check scenario 'bound' entry '1/2': {integer} 2.5",
+        ),
+        ("synth", dict(synth_payload_small(), width=True), f"synth scenario 'width': {integer} True"),
+        (
+            "boxpromo",
+            dict(check, limit_threshold=float("inf")),
+            "costfn-check scenario 'limit_threshold': bad rational inf",
+        ),
+        (
+            "synth",
+            dict(synth_payload_small(), requirements=half_entry),
+            f"synth requirement 0 stage_map entry 0: {integer} 0.5",
+        ),
+    ]
+    for rate, value in (
+        ("activate_rate", "nan"),
+        ("activate_rate", float("nan")),
+        ("feed_rate", 1.5),
+        ("junk_rate", -0.1),
+        ("junk_rate", "inf"),
+    ):
+        bad_rate = dict(canned, oracle=dict(random_oracle, **{rate: value}))
+        message = f"oracle {rate!r}: expected a number in [0, 1], got {value!r}"
+        cases.append(("boxpromo", bad_rate, message))
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -250,6 +306,31 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     for argv, message in argvs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integer_fields_accept_integral_numbers_and_digit_strings():
+    reports = [
+        machine_format(run_scenario(dict(canned_scripted_payload(), horizon=horizon)))
+        for horizon in (14, "14", 14.0)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_cli_report_to_a_closed_pipe_ends_quietly(tmp_path):
+    path = write_json(tmp_path, "canned.json", canned_scripted_payload())
+    src = str(Path(tracelab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-m", "tracelab.cli", "boxpromo", "run", path, "--format", "machine"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the report is written
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_cli_script_box_outside_the_layout_is_exit_one(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import capacity_sweep
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
@@ -219,8 +220,22 @@ def test_monotone_length_chain_and_capacity_hold():
         assert tops == sorted(tops)
         for n, state in engine.levels.items():
             assert len(state.lengths) <= engine.layout.lengths_capacity(n)
-        for _, size, cap in engine.env.capacity_report():
+        for _, size, cap in capacity_sweep(engine.env):
             assert size <= cap
+
+
+def test_capacity_and_max_trace_agree_with_the_full_sweep_at_every_stage():
+    for seed in (0, 1, 2):
+        oracle = {"policy": "random", "seed": seed, "feed_rate": 1.0, "junk_rate": 0.5}
+        engine = build_promotion_engine(dict(canned_scripted_payload(30), top_level=3, oracle=oracle))
+        for stage in range(engine.overhead, engine.horizon):
+            engine._stage(stage)
+            sizes = []
+            for name, size, cap in capacity_sweep(engine.env):
+                assert size <= cap, name
+                sizes.append(size)
+            assert max(sizes, default=0) == engine.env.max_trace
+        assert engine.env.max_trace == engine.layout.trace_capacity(engine.top_level)
 
 
 def test_scenario_requires_cost_table_covering_horizon():
@@ -247,15 +262,14 @@ def test_honest_trace_completeness_at_the_final_stage():
     engine.run()
     truth = payload["ground_truth"]
     final = engine.horizon - 1
-    for (level, slot), (length, added) in engine.env.initial_boxes.items():
-        if added + 1 <= final:
-            values = engine.env.trace_values(engine.layout.initial_box(level, slot))
-            assert any(is_prefix(v, truth) for v in values)
+    for box in engine.env.initial_boxes.values():
+        if box.functional.events[0].stage + 1 <= final:
+            assert any(is_prefix(v, truth) for v, _ in box.content)
     for level in engine.levels:
-        for cls in engine.env.classes_at(level):
-            due = engine.env.honest_value(cls.box)
+        for box in engine.env.classes_at(level):
+            due = engine.env.honest_value(box)
             if due is not None and due[0] + 1 <= final:
-                values = engine.env.trace_values(cls.box)
+                values = [v for v, _ in box.content]
                 assert any(is_prefix(v, truth) or is_prefix(truth[: len(v)], v) for v in values)
 
 

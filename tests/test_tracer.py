@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import materialize, recursive_member
+from oracles import capacity_sweep, materialize, recursive_member
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.tracer import (
     BoxLayout,
@@ -49,9 +49,9 @@ def test_cube_box_is_deterministic_and_injective():
     layout = small_layout()
     a = layout.cube_box(2, {1: (1,)})
     b = layout.cube_box(2, [(1, (1,))])
-    assert a == b
+    assert (a.pattern, a.name) == (b.pattern, b.name)
     c = layout.cube_box(2, {1: (2,)})
-    assert a != c
+    assert a.pattern != c.pattern and a.name != c.name
     assert layout.address(a) != layout.address(c)
 
 
@@ -92,66 +92,60 @@ def test_addresses_land_in_their_level():
 # ---- the functional ---------------------------------------------------------------
 
 
-def materialized_antichain_holds(functional, box):
-    tested = materialize(functional, box)
+def materialized_antichain_holds(functional):
+    tested = materialize(functional)
     Antichain(tested)  # raises when two tested strings are comparable
     return tested
 
 
 def test_event_membership_matches_materialization():
     rng = random.Random(0)
-    layout = small_layout()
     for trial in range(30):
         functional = Functional()
-        box = layout.cube_box(2, {1: (1,)})
         base = ""
         for depth in sorted(rng.sample(range(1, 8), rng.randint(1, 3))):
             base = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
-            functional.add_event(box, base, depth, depth)
-        tested = materialized_antichain_holds(functional, box)
+            functional.add_event(base, depth, depth)
+        tested = materialized_antichain_holds(functional)
         for length in range(8):
             for tail in range(2**length):
                 word = bin(tail)[2:].zfill(length) if length else ""
-                assert functional.member(box, word) == (word in tested)
+                assert functional.member(word) == (word in tested)
 
 
 def test_tested_set_covers_the_tested_string():
     functional = Functional()
-    layout = small_layout()
-    box = layout.cube_box(2, {1: (1,)})
-    functional.add_event(box, "01", 4, 4)
+    functional.add_event("01", 4, 4)
     for tail in range(4):
-        assert functional.covers(box, "01" + bin(tail)[2:].zfill(2))
-    functional.add_event(box, "0", 5, 5)
-    tested = materialized_antichain_holds(functional, box)
+        assert functional.covers("01" + bin(tail)[2:].zfill(2))
+    functional.add_event("0", 5, 5)
+    tested = materialized_antichain_holds(functional)
     # Everything below "01" at depth 5 is reachable through one tested string.
     for tail in range(16):
-        assert functional.covers(box, "0" + bin(tail)[2:].zfill(4))
+        assert functional.covers("0" + bin(tail)[2:].zfill(4))
 
 
 def test_single_valuedness_via_antichain_on_random_event_histories():
     rng = random.Random(4)
-    layout = small_layout()
     for trial in range(40):
         functional = Functional()
-        box = layout.cube_box(2, {1: (1, 2)})
         for depth in sorted(rng.sample(range(1, 9), rng.randint(1, 4))):
             base = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
-            functional.add_event(box, base, depth, depth)
-        materialized_antichain_holds(functional, box)
+            functional.add_event(base, depth, depth)
+        materialized_antichain_holds(functional)
 
 
 def words_up_to(length):
     return ["".join(bits) for n in range(length + 1) for bits in product("01", repeat=n)]
 
 
-def honest_reference(functional, box, truth):
+def honest_reference(functional, truth):
     """(stage, value) of the event after which a prefix of `truth` is first
     tested, by the recursive definition; None when none ever is."""
-    for k, ev in enumerate(functional.events.get(box, []), start=1):
+    for k, ev in enumerate(functional.events, start=1):
         hits = [
             cut for cut in range(len(truth) + 1)
-            if recursive_member(functional, box, truth[:cut], k)
+            if recursive_member(functional, truth[:cut], k)
         ]
         if hits:
             return ev.stage, truth[: hits[0]]
@@ -173,33 +167,33 @@ event_histories = st.lists(
 def test_first_hit_rule_matches_the_recursive_definition(history, truth):
     layout = small_layout()
     env = Environment(layout, ground_truth=truth)
-    functional = env.functional
     box = layout.cube_box(2, {1: (1,)})
+    functional = box.functional
     for stage, (base, depth) in enumerate(history, start=1):
-        functional.add_event(box, base, depth, stage)
-    tested = set(materialize(functional, box))
+        functional.add_event(base, depth, stage)
+    tested = set(materialize(functional))
     for word in words_up_to(6):
         member = word in tested
-        assert functional.member(box, word) == member
-        assert recursive_member(functional, box, word) == member
+        assert functional.member(word) == member
+        assert recursive_member(functional, word) == member
         prefixes = [word[:cut] for cut in range(len(word) + 1)]
-        assert functional.covers(box, word) == any(p in tested for p in prefixes)
-    assert env.honest_value(box) == honest_reference(functional, box, truth)
+        assert functional.covers(word) == any(p in tested for p in prefixes)
+    assert env.honest_value(box) == honest_reference(functional, truth)
 
 
 def test_a_shallow_event_after_a_deep_one_tests_a_prefix_of_a_member():
     layout = small_layout()
     env = Environment(layout, ground_truth="0010")
-    functional = env.functional
     box = layout.cube_box(2, {1: (1,)})
-    functional.add_event(box, "00", 2, 3)
-    functional.add_event(box, "", 1, 5)
-    assert materialize(functional, box) == ["0", "00", "1"]
+    functional = box.functional
+    functional.add_event("00", 2, 3)
+    functional.add_event("", 1, 5)
+    assert materialize(functional) == ["0", "00", "1"]
     for word in words_up_to(3):
-        assert functional.member(box, word) == (word in ("0", "00", "1"))
-        assert functional.member(box, word) == recursive_member(functional, box, word)
-    assert not functional.covers(box, "")
-    assert functional.covers(box, "01") and functional.covers(box, "000")
+        assert functional.member(word) == (word in ("0", "00", "1"))
+        assert functional.member(word) == recursive_member(functional, word)
+    assert not functional.covers("")
+    assert functional.covers("01") and functional.covers("000")
     assert env.honest_value(box) == (3, "00")  # the first event reaches the truth
     env.ground_truth = "0110"
     assert env.honest_value(box) == (5, "0")
@@ -211,24 +205,22 @@ def test_a_shallow_event_after_a_deep_one_tests_a_prefix_of_a_member():
 def test_enumerate_value_respects_capacity():
     layout = small_layout()
     env = Environment(layout)
-    box = layout.initial_box(2, 1)
-    env.add_initial_test(2, 1, 2, 1)
+    box = env.add_initial_test(2, 1, 2, 1)
     assert env.enumerate_value(box, "00", 1) is not None
     assert env.enumerate_value(box, "01", 1) is not None
     with pytest.raises(InvariantViolation):
         env.enumerate_value(box, "10", 1)
     assert env.enumerate_value(box, "10", 1, clamp=True) is None
-    assert env.trace_values(box) == ["00", "01"]
+    assert box.content == [("00", 1), ("01", 1)]
 
 
 def test_enumerate_value_deduplicates():
     layout = small_layout()
     env = Environment(layout)
-    box = layout.initial_box(2, 1)
-    env.add_initial_test(2, 1, 2, 1)
+    box = env.add_initial_test(2, 1, 2, 1)
     assert env.enumerate_value(box, "00", 1) is not None
     assert env.enumerate_value(box, "00", 2) is None
-    assert len(env.trace_values(box)) == 1
+    assert box.content == [("00", 1)]
 
 
 def test_activation_spawns_every_containing_class_and_inherits_content():
@@ -237,13 +229,42 @@ def test_activation_spawns_every_containing_class_and_inherits_content():
     env.ensure_level(2)
     spawned = env.activate_pair(2, 1, 1, "00", 3)
     assert [cls.pattern for cls in spawned] == [((1, (1,)),)]
-    root = layout.cube_box(2, ())
-    env.enumerate_value(spawned[0].box, "000", 4)
+    env.enumerate_value(spawned[0], "000", 4)
     second = env.activate_pair(2, 1, 2, "01", 5)
     patterns = sorted(cls.pattern for cls in second)
     assert patterns == [((1, (1, 2)),), ((1, (2,)),)]
     merged = next(cls for cls in second if cls.pattern == ((1, (1, 2)),))
-    assert env.trace_values(merged.box) == ["000"]  # inherited from the parent
+    assert merged.content == [("000", 4)]  # inherited from the parent
+
+
+def test_a_spawned_class_never_inherits_more_than_the_capacity():
+    layout = small_layout()  # trace capacity 2 at level 2
+    env = Environment(layout)
+    env.ensure_level(2)
+    root = env.classes[2][()]
+    root.content.extend([("0", 1), ("1", 1)])
+    (child,) = env.activate_pair(2, 1, 1, "00", 3)
+    assert child.content == root.content and child.content is not root.content
+    root.content.append(("00", 2))  # forced past capacity behind the writers' back
+    with pytest.raises(InvariantViolation, match="trace capacity 2 exceeded on box M2.1:2"):
+        env.activate_pair(2, 1, 2, "01", 4)
+
+
+def test_one_object_per_box():
+    layout = small_layout()
+    env = Environment(layout)
+    tested = env.add_initial_test(2, 1, 2, 1)
+    assert resolve_box_spec(env, "I2.1") is env.initial_box(2, 1) is tested
+    assert env.initial_boxes[(2, 1)] is tested
+    untested = resolve_box_spec(env, "I3.2")
+    assert env.initial_box(3, 2) is untested and not untested.functional.events
+    env.activate_pair(3, 1, 1, "0", 2)
+    env.activate_pair(3, 1, 2, "1", 2)
+    assert resolve_box_spec(env, "M3.root") is env.classes[3][()]
+    pair = resolve_box_spec(env, "M3.1:1+2")
+    assert pair is env.classes[3][((1, (1, 2)),)]
+    assert pair in env.classes_containing(3, 1, 2)
+    assert {box.name for box in env.classes_at(3)} == {"M3.root", "M3.1:1", "M3.1:2", "M3.1:1+2"}
 
 
 def test_activation_rejects_duplicate_pairs():
@@ -333,7 +354,7 @@ def test_random_policy_respects_capacity_by_clamping():
     policy = RandomPolicy(seed=9, activate_rate=1.0, feed_rate=1.0, junk_rate=1.0)
     for stage in range(2, 30):
         oracle_step(env, policy, stage)
-    for box, size, cap in env.capacity_report():
+    for box, size, cap in capacity_sweep(env):
         assert size <= cap
 
 
@@ -354,26 +375,20 @@ def test_random_policy_is_deterministic_per_seed():
 
 def test_first_test_on_a_fresh_box_is_the_string_itself():
     functional = Functional()
-    layout = small_layout()
-    box = layout.cube_box(2, {1: (1,)})
-    functional.add_event(box, "01", 2, 2)
-    assert materialize(functional, box) == ["01"]
+    functional.add_event("01", 2, 2)
+    assert materialize(functional) == ["01"]
 
 
 def test_testing_around_a_blocked_branch_adds_the_free_extensions():
     functional = Functional()
-    layout = small_layout()
-    box = layout.cube_box(2, {1: (1, 2)})
-    functional.add_event(box, "00", 2, 2)
-    functional.add_event(box, "0", 2, 2)
-    assert materialize(functional, box) == ["00", "01"]
+    functional.add_event("00", 2, 2)
+    functional.add_event("0", 2, 2)
+    assert materialize(functional) == ["00", "01"]
 
 
 def test_retesting_a_covered_string_changes_nothing():
     functional = Functional()
-    layout = small_layout()
-    box = layout.cube_box(2, {1: (1,)})
-    functional.add_event(box, "00", 2, 2)
-    functional.add_event(box, "00", 3, 3)
-    assert materialize(functional, box) == ["00"]
-    assert functional.covers(box, "00")
+    functional.add_event("00", 2, 2)
+    functional.add_event("00", 3, 3)
+    assert materialize(functional) == ["00"]
+    assert functional.covers("00")
