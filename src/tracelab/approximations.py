@@ -161,6 +161,8 @@ def compose_rows(appr: WordApproximation, speedup: Optional[Sequence[int]]) -> l
         if previous is not None and value <= previous:
             raise ScenarioError("speed-up map must be strictly increasing")
         previous = value
+        if value < 0:
+            raise ScenarioError(f"speed-up map has a negative stage {value}")
         if value >= appr.horizon:
             break  # beyond-horizon stages are clipped
         rows.append(appr.rows[value])

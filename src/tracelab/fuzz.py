@@ -15,10 +15,7 @@ from fractions import Fraction
 from . import costs
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .scenarios import run_boxpromo, run_synth
-
-
-def random_word(rng: random.Random, length: int) -> str:
-    return "".join(rng.choice("01") for _ in range(length))
+from .words import random_word
 
 
 def fuzz_cost_table(rng: random.Random, horizon: int) -> costs.CostTable:
@@ -69,7 +66,7 @@ def boxpromo_payload(rng: random.Random, index: int, horizon: int | None = None)
         return canned_scripted_payload(horizon=max(14, horizon or 14))
     overhead = rng.choice([1, 2])
     top_level = rng.randint(max(2, overhead), 4)
-    horizon = horizon or rng.randint(18, 34)
+    horizon = horizon if horizon is not None else rng.randint(18, 34)
     table = fuzz_cost_table(rng, horizon)
     payload = {
         "kind": "boxpromo",
@@ -174,6 +171,7 @@ def synth_payload(
         else:
             stage = rng.randint(2, max(3, settle - 1))
         position = rng.randint(min_flip_position, max(min_flip_position + 1, min(horizon // 2, 10)))
+        position = min(position, horizon - 1)  # inside the word on narrow horizons
         flips.append((stage, position))
         if slow_maps and rng.random() < 0.5 and stage + 4 < horizon - 4:
             # Undo the change shortly afterwards: a transient the cover
@@ -210,6 +208,9 @@ def _case(kind: str, index: int, seed: int):
 
 
 def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
+    if horizon is not None and horizon < 2:
+        # Checked here: below 2 the cost-table generator fails before the engine.
+        raise ScenarioError(f"boxpromo fuzz needs a horizon of at least 2, got {horizon}")
     rng = random.Random(seed)
     conflicts = 0
     witness_stages = 0

@@ -1,11 +1,20 @@
 """Level-indexed promotion engine: candidate lengths, initial and hypercube
 testing, conflicts, promotions, the certified conflict-bound audit, and the
 extracted approximation with its exact cost ledger.
+
+Each level keeps a list of `Slot`s, one per candidate length, in the order
+the lengths were added.  A slot holds its length, the stage it was added and
+its `Candidate`s, the certified strings of that length in listing order.  A
+candidate carries its own success ledger: `pending` counts the spawned
+classes that still lack a witness for it, and `since` is the first stage it
+counts as successful, set when `pending` reaches 0.  `lacking[box]` lists the
+candidates a class still lacks, in the class's pattern order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .costs import (
@@ -63,39 +72,41 @@ def length_for_level(
     return best
 
 
-@dataclass
+@dataclass(eq=False)
 class Candidate:
+    """The `index`-th certified string listed at `slot` (both from 1)."""
+
     word: str
     appeared: int
+    slot: int
+    index: int
+    since: Optional[int] = None  # first successful stage
+    pending: int = 0  # spawned classes still lacking a witness for it
+
+    def successful_at(self, stage: int) -> bool:
+        return self.since is not None and self.since <= stage
+
+
+@dataclass(eq=False)
+class Slot:
+    length: int
+    added: int  # stage the length was added
+    candidates: list[Candidate] = field(default_factory=list)
 
 
 @dataclass
 class LevelState:
     level: int
-    lengths: list[int] = field(default_factory=list)
-    added: list[int] = field(default_factory=list)  # stage each length was added
-    listed: dict[int, list[Candidate]] = field(default_factory=dict)  # slot -> candidates
-    success_since: dict[tuple[int, int], int] = field(default_factory=dict)
-    pending: dict[tuple[int, int], int] = field(default_factory=dict)
-    lacking: dict[Box, set[tuple[int, int]]] = field(default_factory=dict)
+    slots: list[Slot] = field(default_factory=list)
+    lacking: dict[Box, list[Candidate]] = field(default_factory=dict)
     conflicts: dict[int, tuple[int, tuple[int, int]]] = field(default_factory=dict)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
 
-    def top_length(self, stage: Optional[int] = None) -> Optional[int]:
-        if stage is None:
-            return self.lengths[-1] if self.lengths else None
-        best = None
-        for length, added in zip(self.lengths, self.added):
-            if added <= stage:
-                best = length
-        return best
+    def top_length(self) -> Optional[int]:
+        return self.slots[-1].length if self.slots else None
 
     def slots_by(self, stage: int) -> int:
-        return sum(1 for a in self.added if a <= stage)
-
-    def successful_at(self, slot: int, index: int, stage: int) -> bool:
-        since = self.success_since.get((slot, index))
-        return since is not None and since <= stage
+        return sum(1 for slot in self.slots if slot.added <= stage)
 
 
 @dataclass
@@ -199,21 +210,18 @@ class PromotionEngine:
         incoming = sorted(set(promoted))
         coherent = length_for_level(level, stage, self.markers, self.cost)
         for source, length in [("promoted", ln) for ln in incoming] + [("coherent", coherent)]:
-            current_top = state.lengths[-1] if state.lengths else 0
-            if length <= current_top:
+            if length <= (state.top_length() or 0):
                 if source == "promoted":
                     state.dropped_promotions.append((length, stage))
                     events["dropped"].append({"level": level, "length": length})
                 continue
-            if len(state.lengths) >= self.layout.lengths_capacity(level):
+            if len(state.slots) >= self.layout.lengths_capacity(level):
                 raise InvariantViolation(
                     f"level {level} exceeded its length capacity "
                     f"{self.layout.lengths_capacity(level)} at stage {stage}"
                 )
-            state.lengths.append(length)
-            state.added.append(stage)
-            slot = len(state.lengths)
-            state.listed[slot] = []
+            state.slots.append(Slot(length, stage))
+            slot = len(state.slots)
             box = self.env.add_initial_test(level, slot, length, stage)
             events["new_lengths"].append({"level": level, "slot": slot, "length": length})
             # Trace values that arrived before the box was tested become
@@ -231,95 +239,87 @@ class PromotionEngine:
                 lack = state.lacking.get(record.box)
                 if not lack or not record.member:
                     continue
-                for pair in sorted(lack):
-                    sigma = self.env.pair_sigma[(level, pair[0], pair[1])]
-                    if comparable(record.value, sigma):
-                        lack.discard(pair)
-                        state.pending[pair] -= 1
-                        if state.pending[pair] == 0:
-                            appeared = state.listed[pair[0]][pair[1] - 1].appeared
-                            state.success_since[pair] = max(stage, appeared + 1)
-                            events["new_successes"].append(
-                                {"level": level, "slot": pair[0], "index": pair[1]}
-                            )
+                for candidate in [c for c in lack if comparable(record.value, c.word)]:
+                    lack.remove(candidate)
+                    candidate.pending -= 1
+                    if candidate.pending == 0:
+                        candidate.since = max(stage, candidate.appeared + 1)
+                        events["new_successes"].append(
+                            {"level": level, "slot": candidate.slot, "index": candidate.index}
+                        )
             else:
                 slot = record.box.slot
-                if slot > len(state.lengths):
+                if slot > len(state.slots):
                     continue  # enumeration into a still-unused initial box
-                length = state.lengths[slot - 1]
-                if len(record.value) != length:
+                if len(record.value) != state.slots[slot - 1].length:
                     continue  # stray trace value; counts toward capacity only
                 self._list_candidate(state, slot, record.value, stage, events)
 
     def _list_candidate(self, state, slot: int, value: str, stage: int, events) -> None:
-        if any(c.word == value for c in state.listed[slot]):
+        candidates = state.slots[slot - 1].candidates
+        if any(c.word == value for c in candidates):
             return
-        state.listed[slot].append(Candidate(value, stage))
-        index = len(state.listed[slot])
+        candidate = Candidate(value, stage, slot, len(candidates) + 1)
+        candidates.append(candidate)
         events["new_candidates"].append(
-            {"level": state.level, "slot": slot, "index": index, "word": value}
+            {"level": state.level, "slot": slot, "index": candidate.index, "word": value}
         )
-        self._activate(state, slot, index, value, stage, events)
+        self._activate(state, candidate, stage, events)
 
-    def _activate(self, state, slot: int, index: int, sigma: str, stage: int, events) -> None:
+    def _activate(self, state, candidate: Candidate, stage: int, events) -> None:
         level = state.level
-        spawned = self.env.activate_pair(level, slot, index, sigma, stage)
-        pair = (slot, index)
-        state.pending[pair] = 0
+        spawned = self.env.activate_pair(
+            level, candidate.slot, candidate.index, candidate.word, stage
+        )
         for child in spawned:
-            lack: set[tuple[int, int]] = set()
+            lack = []
             for k, indices in child.pattern:
                 for i in indices:
-                    word = self.env.pair_sigma[(level, k, i)]
+                    other = state.slots[k - 1].candidates[i - 1]
                     satisfied = any(
-                        child.functional.member(v) and comparable(v, word)
+                        child.functional.member(v) and comparable(v, other.word)
                         for v, _ in child.content
                     )
                     if satisfied:
                         continue
-                    if (k, i) != pair and (k, i) in state.success_since:
+                    if other is not candidate and other.since is not None:
                         raise InvariantViolation(
                             f"successful pair {(level, k, i)} lost its witness on spawn"
                         )
-                    lack.add((k, i))
+                    lack.append(other)
+                    other.pending += 1
             state.lacking[child] = lack
-            for entry in lack:
-                state.pending[entry] = state.pending.get(entry, 0) + 1
-        if state.pending[pair] == 0:
-            state.success_since[pair] = stage + 1
-            events["new_successes"].append({"level": level, "slot": slot, "index": index})
+        if candidate.pending == 0:
+            candidate.since = stage + 1
+            events["new_successes"].append(
+                {"level": level, "slot": candidate.slot, "index": candidate.index}
+            )
 
     def _settle_conflicts(self, state, stage: int, events, promoted_down) -> None:
         level = state.level
         fresh = []
-        for slot in range(1, len(state.lengths) + 1):
+        for slot, entry in enumerate(state.slots, start=1):
             if slot in state.conflicts:
                 continue
-            floor = state.lengths[slot - 2] if slot >= 2 else 0
-            candidates = state.listed.get(slot, [])
-            hit = None
-            for i in range(1, len(candidates) + 1):
-                for j in range(i + 1, len(candidates) + 1):
-                    if not (
-                        state.successful_at(slot, i, stage)
-                        and state.successful_at(slot, j, stage)
-                    ):
-                        continue
-                    if restrict(candidates[i - 1].word, floor) == restrict(
-                        candidates[j - 1].word, floor
-                    ):
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
+            floor = state.slots[slot - 2].length if slot >= 2 else 0
+            hit = next(
+                (
+                    (a.index, b.index)
+                    for a, b in combinations(entry.candidates, 2)
+                    if a.successful_at(stage)
+                    and b.successful_at(stage)
+                    and restrict(a.word, floor) == restrict(b.word, floor)
+                ),
+                None,
+            )
             if hit:
                 state.conflicts[slot] = (stage, hit)
                 fresh.append(slot)
                 events["new_conflicts"].append({"level": level, "slot": slot})
-        for slot, (first, pair) in state.conflicts.items():
-            i, j = pair
+        for slot, (first, (i, j)) in state.conflicts.items():
+            candidates = state.slots[slot - 1].candidates
             if not (
-                state.successful_at(slot, i, stage) and state.successful_at(slot, j, stage)
+                candidates[i - 1].successful_at(stage) and candidates[j - 1].successful_at(stage)
             ):
                 raise InvariantViolation(
                     f"latched conflict at level {level} slot {slot} lost its pair"
@@ -335,7 +335,7 @@ class PromotionEngine:
         # A conflicted length is offered downward once; the level below only
         # ever grows, so a length it cannot absorb now stays unabsorbable.
         if level > self.overhead and fresh:
-            outgoing = [state.lengths[slot - 1] for slot in sorted(fresh)]
+            outgoing = [state.slots[slot - 1].length for slot in fresh]
             below = promoted_down.setdefault(level - 1, [])
             below.extend(outgoing)
             events["promotions"].append({"from": level, "lengths": sorted(outgoing)})
@@ -344,24 +344,24 @@ class PromotionEngine:
 
     def _build_witness(self, state, stage: int) -> WitnessAudit:
         level = state.level
-        slots = len(state.lengths)
+        slots = len(state.slots)
         conflicted = tuple(sorted(k for k, (first, _) in state.conflicts.items() if first <= stage))
-        chain: dict[int, list[tuple[str, int, int]]] = {slots + 1: []}
+        chain: dict[int, list[Candidate]] = {slots + 1: []}
         for slot in range(slots, 0, -1):
             current = list(chain[slot + 1])
             if slot in conflicted:
-                first, (i, j) = state.conflicts[slot]
-                for index in (i, j):
-                    word = state.listed[slot][index - 1].word
-                    if all(not comparable(word, other) for other, _, _ in current):
-                        current.append((word, slot, index))
+                first, pair = state.conflicts[slot]
+                for index in pair:
+                    candidate = state.slots[slot - 1].candidates[index - 1]
+                    if all(not comparable(candidate.word, other.word) for other in current):
+                        current.append(candidate)
             chain[slot] = current
         sizes = []
         deficits = []
         for slot in range(1, slots + 2):
             members = chain[slot]
-            floor = state.lengths[slot - 2] if slot >= 2 else 0
-            stumps = {restrict(word, floor) for word, _, _ in members}
+            floor = state.slots[slot - 2].length if slot >= 2 else 0
+            stumps = {restrict(c.word, floor) for c in members}
             sizes.append(len(members))
             deficits.append(len(members) - len(stumps))
         for slot in range(1, slots + 1):
@@ -375,8 +375,8 @@ class PromotionEngine:
                 )
         antichain_members = chain[1]
         pattern = {}
-        for word, slot, index in antichain_members:
-            pattern.setdefault(slot, []).append(index)
+        for c in antichain_members:
+            pattern.setdefault(c.slot, []).append(c.index)
         canon = self.layout.canonical_pattern(level, {k: tuple(v) for k, v in pattern.items()})
         box = self.env.classes.get(level, {}).get(canon)
         if box is None:
@@ -386,7 +386,7 @@ class PromotionEngine:
         values = box.content
         member_values = [v for v, _ in values if box.functional.member(v)]
         for value in member_values:
-            owners = [w for w, _, _ in antichain_members if is_prefix(w, value)]
+            owners = [c for c in antichain_members if is_prefix(c.word, value)]
             if len(owners) != 1:
                 raise InvariantViolation(
                     f"trace value {value} on witness {box} extends {len(owners)} chain members"
@@ -436,8 +436,7 @@ class PromotionEngine:
         if slots == 0:
             return None
         matches = []
-        for index in range(1, len(state.listed[slots]) + 1):
-            candidate = state.listed[slots][index - 1]
+        for candidate in state.slots[slots - 1].candidates:
             if candidate.appeared > stage or not is_prefix(anchor, candidate.word):
                 continue
             if self._believable_chain_ok(candidate.word, level, stage):
@@ -451,17 +450,13 @@ class PromotionEngine:
     def _believable_chain_ok(self, word: str, level: int, stage: int) -> bool:
         for m in range(self.overhead, level + 1):
             mstate = self.levels[m]
-            for slot in range(1, mstate.slots_by(stage) + 1):
-                stump = restrict(word, mstate.lengths[slot - 1])
-                index = next(
-                    (
-                        i
-                        for i, cand in enumerate(mstate.listed[slot], start=1)
-                        if cand.word == stump and cand.appeared <= stage
-                    ),
+            for slot in mstate.slots[: mstate.slots_by(stage)]:
+                stump = restrict(word, slot.length)
+                match = next(
+                    (c for c in slot.candidates if c.word == stump and c.appeared <= stage),
                     None,
                 )
-                if index is None or not mstate.successful_at(slot, index, stage):
+                if match is None or not match.successful_at(stage):
                     return False
         return True
 
@@ -470,18 +465,17 @@ class PromotionEngine:
             raise ScenarioError("extraction needs a ground-truth word")
         truth = self.env.ground_truth
         base = self.levels[self.overhead]
-        if not base.lengths:
+        if not base.slots:
             return Extraction("", self.horizon, [], {}, self.overhead, ZERO, ZERO)
-        anchor = truth[: base.lengths[-1]]
+        anchor = truth[: base.top_length()]
         anchor_stage = None
-        for stage in range(max(self.overhead + 1, base.added[-1]), self.horizon):
+        for stage in range(max(self.overhead + 1, base.slots[-1].added), self.horizon):
             if all(
                 any(
-                    cand.word == truth[: base.lengths[slot - 1]]
-                    and base.successful_at(slot, i, stage)
-                    for i, cand in enumerate(base.listed[slot], start=1)
+                    c.word == truth[: slot.length] and c.successful_at(stage)
+                    for c in slot.candidates
                 )
-                for slot in range(1, len(base.lengths) + 1)
+                for slot in base.slots
             ):
                 anchor_stage = stage
                 break

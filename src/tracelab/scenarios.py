@@ -190,8 +190,8 @@ def run_boxpromo(payload: dict) -> dict:
         "stages": engine.stage_log,
         "levels": {
             str(n): {
-                "lengths": list(state.lengths),
-                "added": list(state.added),
+                "lengths": [slot.length for slot in state.slots],
+                "added": [slot.added for slot in state.slots],
                 "lengths_capacity": engine.layout.lengths_capacity(n),
                 "trace_capacity": engine.layout.trace_capacity(n),
                 "conflicts": {
@@ -199,8 +199,8 @@ def run_boxpromo(payload: dict) -> dict:
                     for slot, (first, pair) in sorted(state.conflicts.items())
                 },
                 "candidates": {
-                    str(slot): [c.word for c in cands]
-                    for slot, cands in sorted(state.listed.items())
+                    str(k): [c.word for c in slot.candidates]
+                    for k, slot in enumerate(state.slots, start=1)
                 },
                 "dropped_promotions": state.dropped_promotions,
             }

@@ -90,7 +90,6 @@ class RequirementState:
     extended_at: list[int] = field(default_factory=list)
     first_seen: Optional[int] = None
     activity: Fraction = ZERO
-    activity_terms: list[tuple[int, Optional[int], Fraction]] = field(default_factory=list)
     next_term: int = 1
 
 
@@ -154,12 +153,11 @@ class SynthesisRun:
         self.requirements = requirements
         self.horizon = horizon
         self.width = width if width is not None else horizon
-        # The distinct cost rows, and per stage the number of the row it
-        # reads.  No stage defines the index-1 row; it is identified with the
-        # initial one.
+        # Per stage, the cost row it reads; a stage that changes nothing
+        # shares its predecessor's row object.  No stage defines the index-1
+        # row; it is identified with the initial one.
         base = tuple(Fraction(1, 2**z) for z in range(self.width))
-        self.cost_rows: list[tuple[Fraction, ...]] = [base]
-        self.row_of: list[int] = [0, 0]
+        self.rows: list[tuple[Fraction, ...]] = [base, base]
         self.speedup: list[int] = [0]
         self.last_change = 0  # index of the last row that differs from its predecessor
         self.halted_at: Optional[int] = None
@@ -183,11 +181,11 @@ class SynthesisRun:
 
     def _measure(self, bar: int) -> Fraction:
         """Total charge readable at `bar`; stage u pays the cost in force at
-        u (row_of[u] is fixed once u < the current stage)."""
+        u (rows[u] is fixed once u < the current stage)."""
         while self._booked < bar:
             self._booked += 1
             for u, p in self._due.get(self._booked, ()):
-                self.measured += self.cost_rows[self.row_of[u]][p]
+                self.measured += self.rows[u][p]
         return self.measured
 
     def _activity(self, e: int, stage: int) -> Fraction:
@@ -207,7 +205,6 @@ class SynthesisRun:
             y = first_difference(row_now, row_before)
             term = req.cost.value(t, y) if y is not None else ZERO
             state.activity += term
-            state.activity_terms.append((t, y, term))
             state.next_term += 1
         return state.activity
 
@@ -218,8 +215,8 @@ class SynthesisRun:
             if self.halted_at is not None:
                 break
             self._stage(stage)
-        self.row_of += self.row_of[-1:] * (self.horizon + 1 - len(self.row_of))
-        table = CostTable([self.cost_rows[i] for i in self.row_of], normalized=True)
+        self.rows += self.rows[-1:] * (self.horizon + 1 - len(self.rows))
+        table = CostTable(self.rows, normalized=True)
         cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
         return SynthOutputs(
             approximation=self.appr,
@@ -259,14 +256,14 @@ class SynthesisRun:
                     state.first_seen = stage
             self._activity(e, stage)
         if bar <= self.last_change:
-            self.row_of.append(self.row_of[-1])
+            self.rows.append(self.rows[-1])
             return
         worried = self._worried_pairs(stage, bar)
         if worried:
             target = min(z for _, z in worried)
             for e, z in worried:
                 self.worried_log.append((stage, e, z))
-            current = self.cost_rows[self.row_of[-1]]
+            current = self.rows[-1]
             raised = 2 * current[target]
             if raised > 1:
                 raise InvariantViolation(
@@ -275,25 +272,24 @@ class SynthesisRun:
             new_row = tuple(
                 max(v, raised) if y < frontier else v for y, v in enumerate(current)
             )
-            self.cost_rows.append(new_row)
-            self.row_of.append(len(self.cost_rows) - 1)
+            self.rows.append(new_row)
             self.last_change = stage + 1
             self.doubling_stages.append((stage, target))
             return
         if bar > self.speedup[-1]:
             self.speedup.append(bar)
-            self.row_of.append(self.row_of[-1])
+            self.rows.append(self.rows[-1])
             self.extension_stages.append(stage)
             self._extend_checkpoints(stage)
             if self.speedup[-1] <= self.speedup[-2]:
                 raise InvariantViolation("speed-up map stopped increasing")
             return
-        self.row_of.append(self.row_of[-1])
+        self.rows.append(self.rows[-1])
 
     def _worried_pairs(self, stage: int, bar: int) -> list[tuple[int, int]]:
         frontier = len(self.speedup) - 1
         out = []
-        row = self.cost_rows[self.row_of[-1]]
+        row = self.rows[-1]
         for e in range(min(len(self.requirements), frontier)):
             state = self.states[e]
             if not state.checkpoints or state.activity > 1:

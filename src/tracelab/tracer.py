@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
-from .words import check_word, comparable
+from .words import check_word, comparable, random_word
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -422,8 +422,7 @@ class RandomPolicy:
             stem = members[0][:floor]
         else:
             stem = ""
-        suffix = "".join(self.rng.choice("01") for _ in range(length - len(stem)))
-        value = stem + suffix
+        value = stem + random_word(self.rng, length - len(stem))
         if value in members:
             flipped = value[:-1] + ("1" if value[-1] == "0" else "0") if value else value
             value = flipped
@@ -441,10 +440,7 @@ class RandomPolicy:
             if event is None:
                 continue
             for _ in range(8):
-                tail = "".join(
-                    self.rng.choice("01") for _ in range(event.depth - len(sigma))
-                )
-                candidate = sigma + tail
+                candidate = sigma + random_word(self.rng, event.depth - len(sigma))
                 if box.functional.member(candidate) and candidate not in values:
                     moves.append((box, candidate))
                     break
@@ -472,8 +468,7 @@ class RandomPolicy:
         if slots and self.rng.random() < self.junk_rate:
             level, slot = self.rng.choice(slots)
             length = self.rng.randrange(1, max(2, stage + 1))
-            junk = "".join(self.rng.choice("01") for _ in range(length))
-            moves.append((env.initial_box(level, slot), junk))
+            moves.append((env.initial_box(level, slot), random_word(self.rng, length)))
         return moves
 
 

@@ -1,11 +1,12 @@
 """Finite 0/1 words, antichains, and the clopen sets they generate.
 
 Words are plain Python strings over the alphabet {'0', '1'}; the empty word is
-allowed.  All operations are pure and value-based, so sharing between threads
-is safe.
+allowed.  All operations but `random_word`, which draws from the generator it
+is given, are pure and value-based, so sharing between threads is safe.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
@@ -31,6 +32,11 @@ def is_prefix(shorter: str, longer: str) -> bool:
 def comparable(a: str, b: str) -> bool:
     """True iff one word is a prefix of the other (equality included)."""
     return a.startswith(b) or b.startswith(a)
+
+
+def random_word(rng: random.Random, length: int) -> str:
+    """A word of `length` bits, one `rng.choice("01")` draw per bit."""
+    return "".join(rng.choice("01") for _ in range(length))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def test_criterion_2_witness_certification(promotion_batch):
 def test_criterion_3_capacity(promotion_batch):
     for _, engine, _ in promotion_batch:
         for level, state in engine.levels.items():
-            assert len(state.lengths) <= engine.layout.lengths_capacity(level)
+            assert len(state.slots) <= engine.layout.lengths_capacity(level)
         for _, size, cap in capacity_sweep(engine.env):
             assert size <= cap
     print("PASS criterion 3: length lists and trace components within capacity")

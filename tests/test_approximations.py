@@ -113,6 +113,13 @@ def test_speedup_must_increase():
         change_set(block, speedup=[1, 1])
 
 
+def test_speedup_rejects_a_negative_stage():
+    # Python would read a negative stage from the end of the rows.
+    block = WordApproximation(("000", "100", "000", "100"))
+    with pytest.raises(ScenarioError, match="negative stage -1"):
+        change_set(block, speedup=[-1, 0])
+
+
 def test_decode_cases():
     assert decode(ChangeSet({}), "010") == "010"
     assert decode(ChangeSet({(0, 1): 1, (0, 2): 2, (0, 3): 3}), "000") == "100"

@@ -435,6 +435,20 @@ def test_cli_approx_change_set(tmp_path, capsys):
 def test_cli_fuzz_batches(tmp_path, capsys):
     assert main(["boxpromo", "fuzz", "--count", "6", "--seed", "3"]) == 0
     assert main(["synth", "fuzz", "--count", "2", "--seed", "3", "--horizon", "40"]) == 0
+    # Flip positions stay inside words narrower than the drawn position.
+    for horizon in ("3", "5"):
+        for seed in ("0", "1", "2", "3"):
+            argv = ["synth", "fuzz", "--count", "4", "--seed", seed, "--horizon", horizon]
+            assert main(argv) == 0
+
+
+def test_cli_bad_fuzz_horizon_and_speedup_are_exit_one(tmp_path, capsys):
+    assert main(["boxpromo", "fuzz", "--count", "1", "--horizon", "0"]) == 1
+    assert capsys.readouterr().err == "error: boxpromo fuzz needs a horizon of at least 2, got 0\n"
+    block = tmp_path / "b.approx"
+    block.write_text("4 3\n000\n100\n000\n100\n")
+    assert main(["approx", "change-set", str(block), "--speedup", "-1", "0"]) == 1
+    assert capsys.readouterr().err == "error: speed-up map has a negative stage -1\n"
 
 
 def test_cli_verify_all(capsys):

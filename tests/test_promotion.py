@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from tracelab.costs import (
     static_table,
 )
 from tracelab.errors import ScenarioError
-from tracelab.fuzz import canned_scripted_payload
+from tracelab.fuzz import boxpromo_payload, canned_scripted_payload
 from tracelab.promotion import length_for_level, marker_table, slack_from_markers
 from tracelab.scenarios import build_promotion_engine, run_boxpromo
 from tracelab.words import is_prefix
@@ -219,7 +220,7 @@ def test_monotone_length_chain_and_capacity_hold():
         ]
         assert tops == sorted(tops)
         for n, state in engine.levels.items():
-            assert len(state.lengths) <= engine.layout.lengths_capacity(n)
+            assert len(state.slots) <= engine.layout.lengths_capacity(n)
         for _, size, cap in capacity_sweep(engine.env):
             assert size <= cap
 
@@ -251,9 +252,44 @@ def test_success_needs_the_stage_after_testing():
     engine = build_promotion_engine(canned_scripted_payload())
     engine.run()
     state = engine.levels[2]
-    for pair, since in state.success_since.items():
-        appeared = state.listed[pair[0]][pair[1] - 1].appeared
-        assert since > appeared
+    for slot in state.slots:
+        for candidate in slot.candidates:
+            if candidate.since is not None:
+                assert candidate.since > candidate.appeared
+
+
+def check_ledger(engine):
+    """Every candidate's success ledger agrees with the lacking lists and the
+    environment's record of the pair."""
+    listed = []
+    for level, state in engine.levels.items():
+        holders = Counter()
+        for box, lack in state.lacking.items():
+            pairs = [(c.slot, c.index) for c in lack]
+            assert pairs == sorted(pairs), box.name  # pattern order
+            assert all(i in dict(box.pattern).get(k, ()) for k, i in pairs), box.name
+            holders.update(lack)
+        for k, slot in enumerate(state.slots, start=1):
+            for i, candidate in enumerate(slot.candidates, start=1):
+                assert (candidate.slot, candidate.index) == (k, i)
+                assert len(candidate.word) == slot.length
+                assert candidate.pending == holders[candidate]
+                assert (candidate.since is not None) == (candidate.pending == 0)
+                if candidate.since is not None:
+                    assert candidate.since > candidate.appeared
+                assert engine.env.pair_sigma[(level, k, i)] == candidate.word
+                listed.append((level, k, i))
+    assert sorted(listed) == sorted(engine.env.pair_sigma)
+
+
+def test_success_ledger_agrees_with_the_lacking_lists_at_every_stage():
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for index in range(5):  # honest, honest, random, random, scripted
+            engine = build_promotion_engine(boxpromo_payload(rng, index))
+            for stage in range(engine.overhead, engine.horizon):
+                engine._stage(stage)
+                check_ledger(engine)
 
 
 def test_honest_trace_completeness_at_the_final_stage():
@@ -295,9 +331,10 @@ def test_conflict_query_latches_per_stage():
     assert conflict_is_active(engine, 2, 2, 9)  # once true, true forever
     assert not conflict_is_active(engine, 2, 1, 9)
     state = engine.levels[2]
-    assert not state.successful_at(2, 1, 4)
-    assert state.successful_at(2, 1, 5)
-    assert state.successful_at(2, 2, 5)
+    first, second = state.slots[1].candidates[:2]
+    assert not first.successful_at(4)
+    assert first.successful_at(5)
+    assert second.successful_at(5)
 
 
 def test_early_trace_values_become_candidates_when_the_test_exists():

@@ -164,7 +164,7 @@ class PendingScanRun(SynthesisRun):
                 if self.appr.rows[u][x] != self.appr.rows[u - 1][x]:
                     self.found[u] = x
                     if x < self.width:
-                        self.measured += self.cost_rows[self.row_of[u]][x]
+                        self.measured += self.rows[u][x]
                     break
         return self.measured
 
@@ -216,7 +216,7 @@ def test_measure_matches_the_pending_scan_at_every_stage(args):
         fast._stage(stage)
         slow._stage(stage)
         assert fast.measured == slow.measured
-        assert fast.row_of == slow.row_of
+        assert fast.rows == slow.rows
     assert fast.halted_at == slow.halted_at
 
 
