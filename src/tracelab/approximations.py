@@ -314,7 +314,7 @@ def parse_word_approx(text: str, limit: Optional[str] = None) -> WordApproximati
         raise ScenarioError("line 1: empty approximation")
     head, header_line = numbered[0]
     header = header_line.split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
         raise ScenarioError(f"line {head}: expected header 'S X', got {header_line!r}")
     S, X = int(header[0]), int(header[1])
     if len(numbered) < 1 + S:

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from . import approximations as appr_mod
-from . import costs, fuzz
+from . import acceptance, costs, fuzz
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .scenarios import fraction_str, machine_format, parse_rational, run_scenario, table_format
 
@@ -99,7 +97,7 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="built-in verification batteries")
     verify_sub = verify.add_subparsers(dest="action", required=True)
-    verify_all = verify_sub.add_parser("all", help="quick cross-module battery")
+    verify_all = verify_sub.add_parser("all", help="every acceptance criterion at its quick sizes")
     verify_all.add_argument("--seed", type=int, default=0)
     _add_common(verify_all)
     return parser
@@ -132,7 +130,7 @@ def _cmd_costfn(args) -> dict:
         bound = {}
         for token in args.bound:
             eps_text, _, count = token.partition("=")
-            if not count.isdigit():
+            if not count.isdecimal():
                 raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
             bound[eps_text] = int(count)
         return run_scenario(
@@ -205,48 +203,6 @@ def _cmd_approx(args) -> dict:
     }
 
 
-def _cmd_verify(args) -> dict:
-    rng = random.Random(args.seed)
-    checks = {}
-    # Exhaustive change-set dominance and decoding on tiny shapes.
-    from itertools import product
-
-    table = costs.static_table(costs.dyadic_decay_row(6), 6, normalized=True)
-    ok = True
-    for S in (2, 3):
-        for X in (1, 2):
-            for bits in product("01", repeat=S * X):
-                rows = tuple(
-                    "".join(bits[i * X : (i + 1) * X]) for i in range(S)
-                )
-                block = appr_mod.WordApproximation(rows)
-                cs = appr_mod.change_set(block)
-                lhs = appr_mod.changeset_obedience(table, cs)
-                rhs = costs.obedience_sum(table, rows)
-                ok = ok and lhs <= rhs and appr_mod.decode(cs, rows[0]) == rows[-1]
-    checks["change_set_dominance_small"] = ok
-    checks["boxpromo_fuzz"] = fuzz.fuzz("boxpromo", 10, rng.randrange(2**30))["ok"]
-    checks["synth_fuzz"] = fuzz.fuzz("synth", 5, rng.randrange(2**30), horizon=60)["ok"]
-    totalize_ok = True
-    for _ in range(20):
-        cells = []
-        for u in range(5):
-            row = []
-            for x in range(5):
-                roll = rng.random()
-                if roll < 0.1:
-                    row.append(None)
-                elif roll < 0.2:
-                    row.append((Fraction(2), 0))
-                else:
-                    row.append((Fraction(1, 2 ** (x + 1)), rng.randrange(3)))
-            cells.append(tuple(row))
-        table_out = costs.totalize(costs.PartialCostTable(tuple(cells)), horizon=8, width=6)
-        totalize_ok = totalize_ok and table_out.horizon == 8
-    checks["totalize_total"] = totalize_ok
-    return {"kind": "verify", "checks": checks, "ok": all(checks.values()), "runs": len(checks)}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     started = time.monotonic()
@@ -271,7 +227,7 @@ def main(argv=None) -> int:
         elif args.command == "approx":
             report = _cmd_approx(args)
         else:
-            report = _cmd_verify(args)
+            report = acceptance.verify(args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

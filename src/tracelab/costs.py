@@ -482,7 +482,7 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         raise ScenarioError("line 1: empty cost table")
     head = numbers[0]
     header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
         raise ScenarioError(f"line {head}: expected header 'S X', got {lines[0]!r}")
     S, X = int(header[0]), int(header[1])
     if len(lines) - 1 != S:
@@ -543,7 +543,7 @@ def parse_partial_table(text: str) -> PartialCostTable:
                 row.append(None)
             elif "@" in token:
                 value, _, delay = token.partition("@")
-                if not delay.isdigit():
+                if not delay.isdecimal():
                     raise ScenarioError(f"line {i}: bad delay in {token!r}")
                 row.append((_parse_fraction(value, i), int(delay)))
             else:

@@ -63,7 +63,7 @@ def canned_scripted_payload(horizon: int = 14) -> dict:
 
 def boxpromo_payload(rng: random.Random, index: int, horizon: int | None = None) -> dict:
     if index % 5 == 4:
-        return canned_scripted_payload(horizon=max(14, horizon or 14))
+        return canned_scripted_payload(horizon=14 if horizon is None else horizon)
     overhead = rng.choice([1, 2])
     top_level = rng.randint(max(2, overhead), 4)
     horizon = horizon if horizon is not None else rng.randint(18, 34)
@@ -243,6 +243,8 @@ def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
 
 
 def _fuzz_synth(seed: int, count: int, horizon: int = 120, slow_share: float = 0.3) -> dict:
+    if horizon < 2:
+        raise ScenarioError(f"synth fuzz needs a horizon of at least 2, got {horizon}")
     rng = random.Random(seed)
     halted = 0
     doubled = 0

@@ -63,6 +63,15 @@ def _rate(value, what: str) -> float:
     return rate
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if it is a list or dict as `kind` asks; anything else is a
+    `ScenarioError` naming it."""
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ScenarioError(f"{what}: expected {expected}, got {value!r}")
+    return value
+
+
 def text_block(value) -> str:
     if isinstance(value, list):
         return "\n".join(str(line) for line in value)
@@ -86,7 +95,7 @@ def parse_script(text: str) -> list[tuple[int, str, str]]:
         if not body:
             continue
         parts = body.split()
-        if len(parts) != 3 or not parts[0].isdigit():
+        if len(parts) != 3 or not parts[0].isdecimal():
             raise ScenarioError(f"line {lineno}: expected 'stage box value', got {line!r}")
         entries.append((int(parts[0]), parts[1], parts[2]))
     return entries
@@ -112,9 +121,7 @@ def load_scenario(source) -> dict:
 
 
 def _build_policy(spec, layout, ground_truth: Optional[str]):
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"boxpromo scenario 'oracle': expected an object, got {spec!r}")
-    name = spec.get("policy")
+    name = _typed(spec, dict, "boxpromo scenario 'oracle'").get("policy")
     if name == "honest":
         if ground_truth is None:
             raise ScenarioError("honest oracle needs a ground truth word")
@@ -152,15 +159,11 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         ground_truth = block.rows[-1]
     slack = None
     if "slack" in payload:
-        if not isinstance(payload["slack"], dict):
-            raise ScenarioError(
-                f"boxpromo scenario 'slack': expected an object, got {payload['slack']!r}"
-            )
         slack = {
             _integer(k, "boxpromo scenario 'slack' key"): _integer(
                 v, f"boxpromo scenario 'slack' entry {k!r}"
             )
-            for k, v in payload["slack"].items()
+            for k, v in _typed(payload["slack"], dict, "boxpromo scenario 'slack'").items()
         }
     markers = marker_table(cost, top_level)
     layout = BoxLayout(overhead, slack or slack_from_markers(markers, top_level), top_level)
@@ -268,13 +271,16 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
     if width is not None:
         width = _integer(width, "synth scenario 'width'")
     requirements = []
-    for r, block in enumerate(payload.get("requirements", [])):
+    blocks = _typed(payload.get("requirements", []), list, "synth scenario 'requirements'")
+    for r, block in enumerate(blocks):
         where = f"synth requirement {r}"
+        _typed(block, dict, where)
         table = costs.parse_cost_table(
             text_block(_required(block, "cost_table", where)), normalized=True, listed_form=True
         )
         entries = []
-        for j, entry in enumerate(_required(block, "stage_map", where)):
+        stage_map = _typed(_required(block, "stage_map", where), list, f"{where} 'stage_map'")
+        for j, entry in enumerate(stage_map):
             what = f"{where} stage_map entry {j}"
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ScenarioError(f"{what}: expected [arg, value, visible_at], got {entry!r}")
@@ -317,9 +323,9 @@ def write_synth_artifacts(outputs, directory) -> list[str]:
 def run_synth(payload: dict, artifacts_dir=None) -> dict:
     run = build_synthesis_run(payload)
     outputs = run.run()
-    eps_list = [
-        parse_rational(e, "synth scenario 'eps'") for e in payload.get("eps", ["1/2", "1/4", "1/8"])
-    ]
+    what = "synth scenario 'eps'"
+    eps_texts = _typed(payload.get("eps", ["1/2", "1/4", "1/8"]), list, what)
+    eps_list = [parse_rational(e, what) for e in eps_texts]
     benign = {}
     for eps in eps_list:
         seq = costs.marker_sequence(outputs.cost_table, eps)
@@ -390,10 +396,11 @@ def run_costfn_check(payload: dict) -> dict:
         text_block(_required(payload, "cost_table", where)),
         normalized=bool(payload.get("normalized", False)),
     )
-    eps_list = [parse_rational(e, f"{where} 'eps'") for e in payload.get("eps", ["1/2"])]
+    eps_texts = _typed(payload.get("eps", ["1/2"]), list, f"{where} 'eps'")
+    eps_list = [parse_rational(e, f"{where} 'eps'") for e in eps_texts]
     bound = {
         parse_rational(k, f"{where} 'bound' key"): _integer(v, f"{where} 'bound' entry {k!r}")
-        for k, v in payload.get("bound", {}).items()
+        for k, v in _typed(payload.get("bound", {}), dict, f"{where} 'bound'").items()
     }
     entries = {}
     all_ok = True
@@ -467,6 +474,8 @@ def table_format(report: dict) -> str:
         for eps, entry in sorted(report["thresholds"].items()):
             verdict = entry.get("ok", "n/a")
             lines.append(f"@{eps}: count {entry['count']} truncated={entry['truncated']} ok={verdict}")
+    elif report.get("kind") == "verify":
+        lines.extend(entry["line"] for entry in report["criteria"])
     elif "runs" in report:
         lines.append(f"runs: {report['runs']}  ok: {report.get('ok')}")
         for key, value in sorted(report.get("tallies", {}).items()):

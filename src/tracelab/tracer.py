@@ -99,13 +99,12 @@ class BoxLayout:
         self.total = offset
 
     def lengths_capacity(self, level: int) -> int:
+        """Most lengths the level lists: one initial-testing box per length,
+        so also the size of the level's initial-testing interval."""
         return level + self.slack[level]
 
     def trace_capacity(self, level: int) -> int:
         return max(level, self.overhead)
-
-    def initial_interval_size(self, level: int) -> int:
-        return level + self.slack[level]
 
     def initial_box(self, level: int, slot: int) -> Box:
         """A new box for the slot; `Environment.initial_box` makes it once."""
@@ -153,7 +152,7 @@ class BoxLayout:
             raise ScenarioError(f"address {address} outside the layout")
         for n in range(1, self.top_level + 1):
             m_start, i_start = self._starts[n]
-            if address < i_start + self.initial_interval_size(n):
+            if address < i_start + self.lengths_capacity(n):
                 return n
         raise ScenarioError(f"address {address} outside the layout")
 
@@ -492,7 +491,7 @@ def parse_box_level(spec: str) -> int:
     if not spec or spec[0] not in "IM":
         raise ScenarioError(f"bad box spec {spec!r}")
     head = spec[1:].split(".", 1)[0]
-    if not head.isdigit():
+    if not head.isdecimal():
         raise ScenarioError(f"bad box spec {spec!r}")
     return int(head)
 
@@ -501,7 +500,7 @@ def resolve_box_spec(env: Environment, spec: str) -> Box:
     level = parse_box_level(spec)
     rest = spec[1 + len(str(level)) :]
     if spec[0] == "I":
-        if not (rest.startswith(".") and rest[1:].isdigit()):
+        if not (rest.startswith(".") and rest[1:].isdecimal()):
             raise ScenarioError(f"bad initial-box spec {spec!r}")
         return env.initial_box(level, int(rest[1:]))
     if rest in ("", ".root"):
@@ -510,9 +509,10 @@ def resolve_box_spec(env: Environment, spec: str) -> Box:
     coords = {}
     for part in rest.lstrip(".").split("."):
         slot_text, _, idx_text = part.partition(":")
-        if not slot_text.isdigit() or not idx_text:
+        tokens = idx_text.split("+")
+        if not slot_text.isdecimal() or not all(tok.isdecimal() for tok in tokens):
             raise ScenarioError(f"bad cube-box spec {spec!r}")
-        coords[int(slot_text)] = tuple(int(tok) for tok in idx_text.split("+"))
+        coords[int(slot_text)] = tuple(int(tok) for tok in tokens)
     pattern = env.layout.canonical_pattern(level, coords)
     env.ensure_level(level)
     if pattern not in env.classes[level]:

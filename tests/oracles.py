@@ -49,11 +49,3 @@ def materialize(functional) -> list[str]:
         tested.extend(extensions_avoiding(ev.base, ev.depth, tested))
     return sorted(tested)
 
-
-def capacity_sweep(env) -> list[tuple[str, int, int]]:
-    """(name, trace size, trace capacity) of every box the environment has
-    made: its initial boxes, then its classes level by level."""
-    boxes = list(env.initial_boxes.values())
-    for family in env.classes.values():
-        boxes.extend(family.values())
-    return [(box.name, len(box.content), env.layout.trace_capacity(box.level)) for box in boxes]

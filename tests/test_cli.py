@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tracelab
+from tracelab import acceptance
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
@@ -284,6 +287,28 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         bad_rate = dict(canned, oracle=dict(random_oracle, **{rate: value}))
         message = f"oracle {rate!r}: expected a number in [0, 1], got {value!r}"
         cases.append(("boxpromo", bad_rate, message))
+    # Found by mutating inputs: fields of the wrong container type, a digit
+    # that `str.isdigit` accepts and `int` rejects, a bad cube-box index.
+    small, script = synth_payload_small(), lambda line: {"policy": "scripted", "script": [line]}
+    cases += [
+        ("synth", dict(small, eps=None), "synth scenario 'eps': expected a list, got None"),
+        ("synth", dict(small, requirements=None), "synth scenario 'requirements': expected a list, got None"),
+        ("synth", dict(small, requirements=[None]), "synth requirement 0: expected an object, got None"),
+        (
+            "synth",
+            dict(small, requirements=[{"cost_table": listed, "stage_map": 3}]),
+            "synth requirement 0 'stage_map': expected a list, got 3",
+        ),
+        ("boxpromo", dict(check, eps=0.5), "costfn-check scenario 'eps': expected a list, got 0.5"),
+        ("boxpromo", dict(check, bound=[1]), "costfn-check scenario 'bound': expected an object, got [1]"),
+        ("boxpromo", dict(canned, cost_table="1\u00b2 14\n"), "line 1: expected header 'S X', got '1\u00b2 14'"),
+        (
+            "boxpromo",
+            dict(canned, oracle=script("\u00b2 I2.2 000")),
+            "line 1: expected 'stage box value', got '\u00b2 I2.2 000'",
+        ),
+        ("boxpromo", dict(canned, oracle=script("1 M2.1:x2 0")), "bad cube-box spec 'M2.1:x2'"),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -291,6 +316,8 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     # Thresholds and bounds given on the command line.
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))
+    superscript = tmp_path / "b.approx"
+    superscript.write_text("\u00b24 3\n000\n")
     argvs = [
         (["costfn", "markers", str(table), "--eps", "abc"], "--eps: bad rational 'abc'"),
         (
@@ -302,10 +329,90 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "costfn-check scenario 'eps': bad rational 'a/b'",
         ),
         (["costfn", "sum", str(table), "--eps", "1/0"], "--eps: bad rational '1/0'"),
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "1/4=\u00b2"],
+            "bad bound entry '1/4=\u00b2', expected eps=count",
+        ),
+        (["approx", "change-set", str(superscript)], "line 1: expected header 'S X', got '\u00b24 3'"),
     ]
     for argv, message in argvs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Mutated inputs: a scenario with a field dropped or a value of another type
+# swapped in, and scenario, table, approximation and script texts truncated or
+# with a token inserted.  The CLI exits 0-3, nothing escapes, an error is one line.
+TOKENS = ["x", "-1", "0", "\u00b2", "1/0", "\u221e", "nan", "(0,1,2)", "I9.9", "M2.1:3"]
+TOKENS += ["{", "]", ",", '"', "\n", "#"]
+OTHER_TYPES = [None, True, -1, 2.5, "x", "1/0", [], {}, [1, "x"], {"a": None}]
+
+
+LISTED_20 = format_cost_table(to_listed_form(static_table(dyadic_decay_row(20), 20, normalized=True)))
+REQUIREMENT_20 = {"cost_table": LISTED_20, "stage_map": [[i, i, i + 1] for i in range(20)]}
+MUTATION_BASES = [
+    canned_scripted_payload(),
+    dict(canned_scripted_payload(), ground_truth="01101001100101", oracle={"policy": "honest", "delay": 1}),
+    dict(canned_scripted_payload(), slack={"1": 2}, oracle={"policy": "random", "seed": 3, "feed_rate": 0.9}),
+    dict(synth_payload_small(), requirements=[REQUIREMENT_20]),
+    {"kind": "costfn-check", "cost_table": decay_text(6), "eps": ["1/4"], "bound": {"1/4": 4}},
+]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(file text, argv with FILE and COST standing for paths)."""
+    kind = draw(st.sampled_from(["scenario", "table", "approximation"]))
+    how = draw(st.sampled_from(["drop", "swap", "truncate", "insert"]))
+    if kind == "scenario":
+        payload = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
+        argv = [draw(st.sampled_from(["boxpromo", "synth"])), "run", "FILE"]
+        dicts = [payload, *(v for v in payload.values() if isinstance(v, dict))]
+        container = draw(st.sampled_from([d for d in dicts + payload.get("requirements", []) if d]))
+        key = draw(st.sampled_from(sorted(container)))
+        if how == "drop":
+            del container[key]
+        elif how == "swap":
+            container[key] = draw(st.sampled_from(OTHER_TYPES))
+        text = json.dumps(payload, indent=1)
+        # Tokens go between JSON tokens (inside embedded texts too), so no
+        # number grows into a huge size.
+        cuts, pad = [i for i, ch in enumerate(text) if ch in " \n"], " "
+    else:
+        text, argv = draw(st.sampled_from([
+            (decay_text(4), ["costfn", "markers", "FILE", "--eps", "1/4"]),
+            (decay_text(4), ["costfn", "check-benign", "FILE", "--eps", "1/4", "--bound", "1/4=4"]),
+            (decay_text(4), ["costfn", "sum", "FILE", "FILE", "--eps", "1/2"]),
+            ("4 3\n000\n100\n000\n100\n(1,2,3)\n", ["approx", "change-set", "FILE", "--speedup", "0", "2"]),
+            ("4 3\n000\n100\n000\n100\n", ["approx", "speedup", "COST", "COST", "FILE", "FILE", "--steps", "2"]),
+        ]))
+        cuts, pad = range(len(text) + 1), ""
+    if how == "truncate":
+        text = text[: draw(st.sampled_from(cuts))]
+    elif how == "insert" or kind != "scenario":
+        at = draw(st.sampled_from(cuts))
+        text = f"{text[:at]}{pad}{draw(st.sampled_from(TOKENS))}{pad}{text[at:]}"
+    return text, argv
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(mutated_inputs())
+def test_cli_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, case):
+    text, argv = case
+    (tmp_path / "input").write_text(text)
+    (tmp_path / "cost.table").write_text(decay_text(4))
+    paths = {"FILE": str(tmp_path / "input"), "COST": str(tmp_path / "cost.table")}
+    code = main([paths.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    prefix = {1: "error: ", 2: "invariant violation: ", 3: "horizon exhausted: "}
+    if err:
+        assert code in prefix and err.startswith(prefix[code]) and err.count("\n") == 1, err
+    else:
+        assert code in (0, 2)  # a report whose checked bound fails exits 2 by itself
 
 
 def test_integer_fields_accept_integral_numbers_and_digit_strings():
@@ -445,16 +552,34 @@ def test_cli_fuzz_batches(tmp_path, capsys):
 def test_cli_bad_fuzz_horizon_and_speedup_are_exit_one(tmp_path, capsys):
     assert main(["boxpromo", "fuzz", "--count", "1", "--horizon", "0"]) == 1
     assert capsys.readouterr().err == "error: boxpromo fuzz needs a horizon of at least 2, got 0\n"
+    for horizon in ("0", "-1", "1"):
+        assert main(["synth", "fuzz", "--count", "1", "--horizon", horizon]) == 1
+        message = f"error: synth fuzz needs a horizon of at least 2, got {horizon}\n"
+        assert capsys.readouterr().err == message
     block = tmp_path / "b.approx"
     block.write_text("4 3\n000\n100\n000\n100\n")
     assert main(["approx", "change-set", str(block), "--speedup", "-1", "0"]) == 1
     assert capsys.readouterr().err == "error: speed-up map has a negative stage -1\n"
 
 
-def test_cli_verify_all(capsys):
-    assert main(["verify", "all", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "ok" in out
+def test_cli_verify_all(tmp_path, capsys):
+    out_file = tmp_path / "verify.json"
+    assert main(["verify", "all", "--seed", "1", "--out", str(out_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    passed = [line.partition(":")[0] for line in lines if line.startswith("PASS")]
+    assert passed == [f"PASS criterion {n}" for n in range(1, 11)]
+    report = json.loads(out_file.read_text())
+    assert report["ok"] and report["seed"] == 1
+    assert [entry["criterion"] for entry in report["criteria"]] == list(range(1, 11))
+
+
+def test_cli_verify_all_names_a_failed_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "obedience_sum", lambda table, rows: 0)
+    assert main(["verify", "all"]) == 2
+    assert capsys.readouterr().err == (
+        "invariant violation: criterion 5 (change-set dominance, seed 0): "
+        "change set of ('0', '1') costs more than its rows\n"
+    )
 
 
 def test_cli_out_writes_machine_report(tmp_path, capsys):

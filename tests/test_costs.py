@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelab.acceptance import certified_prefix, random_monotone_table
 from tracelab.costs import (
     CostTable,
     PartialCostTable,
@@ -61,18 +62,6 @@ def test_markers_within_cap_stay_truncated():
 def test_markers_reject_nonpositive_threshold():
     with pytest.raises(ScenarioError):
         marker_sequence(decay_table(), F(0))
-
-
-def random_monotone_table(rng, horizon, width, cap=1):
-    grid = [[F(rng.randint(0, 8), 8) * cap for _ in range(width)] for _ in range(horizon)]
-    for x in range(width):
-        column = sorted(grid[s][x] for s in range(horizon))
-        for s in range(horizon):
-            grid[s][x] = column[s]
-    for s in range(horizon):
-        for x in range(1, width):
-            grid[s][x] = min(grid[s][x], grid[s][x - 1])
-    return CostTable(tuple(tuple(row) for row in grid))
 
 
 def test_marker_scan_matches_independent_rescan():
@@ -215,55 +204,6 @@ def test_totalize_respects_cell_delays():
     assert out.value(3, 0) == F(1, 2)
 
 
-def certified_prefix(partial: PartialCostTable, budget: int) -> int:
-    """Independent reference for the largest usable square."""
-    best = -1
-    for t in range(min(budget + 1, partial.stages, partial.width)):
-        ok = True
-        for u in range(t + 1):
-            for x in range(t + 1):
-                cell = partial.cell(u, x)
-                if cell is None or cell[1] > budget or cell[0] > 1:
-                    ok = False
-                if ok and x > 0 and partial.cell(u, x - 1)[0] < cell[0]:
-                    ok = False
-                if ok and u > 0 and partial.cell(u - 1, x)[0] > cell[0]:
-                    ok = False
-        if ok:
-            best = t
-        else:
-            break
-    return best
-
-
-def test_totalize_agrees_with_reference_on_random_partials():
-    import random
-
-    rng = random.Random(7)
-    for _ in range(60):
-        stages, width = rng.randint(1, 5), rng.randint(1, 5)
-        cells = []
-        for u in range(stages):
-            row = []
-            for x in range(width):
-                roll = rng.random()
-                if roll < 0.15:
-                    row.append(None)
-                elif roll < 0.25:
-                    row.append((F(rng.randint(9, 12), 8), 0))  # above the unit cap
-                else:
-                    row.append((F(rng.randint(0, 8), 8 + x), rng.randint(0, 3)))
-            cells.append(tuple(row))
-        partial = PartialCostTable(tuple(cells))
-        out = totalize(partial, horizon=7, width=6)  # constructor re-validates
-        for s in range(7):
-            frontier = certified_prefix(partial, s)
-            frontier = min(frontier, s)
-            for x in range(6):
-                expected = partial.cell(frontier, x)[0] if 0 <= x <= frontier else F(0)
-                assert out.value(s, x) == expected
-
-
 @st.composite
 def partial_tables(draw):
     """Partial tables: monotone or arbitrary values (some negative, some
@@ -285,7 +225,7 @@ def partial_tables(draw):
 def test_totalize_matches_the_certified_prefix(partial, horizon, width):
     expected = []
     for s in range(horizon):
-        frontier = min(certified_prefix(partial, s), s)
+        frontier = certified_prefix(partial, s)
         row = [partial.cell(frontier, x)[0] if 0 <= x <= frontier else F(0) for x in range(width)]
         expected.append(tuple(row))
     try:

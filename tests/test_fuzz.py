@@ -85,6 +85,10 @@ def test_boxpromo_fuzz_accepts_a_fixed_horizon():
     for index in (0, 2):
         payload = boxpromo_payload(rng, index, horizon=40)
         assert payload["horizon"] == 40
+    # Every case carries a fixed horizon, the canned scripted one included.
+    payloads = [boxpromo_payload(rng, index, horizon=5) for index in range(5)]
+    assert [payload["horizon"] for payload in payloads] == [5] * 5
+    assert payloads[4]["oracle"]["policy"] == "scripted"
     report = fuzz("boxpromo", 5, seed=4, horizon=24)
     assert report["ok"]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import capacity_sweep
+from tracelab.acceptance import capacity_sweep
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,

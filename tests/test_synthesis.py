@@ -15,7 +15,6 @@ from tracelab.synthesis import (
     Requirement,
     SynthesisRun,
     audit_requirement,
-    closed_form_bound,
 )
 
 F = Fraction
@@ -218,10 +217,6 @@ def test_measure_matches_the_pending_scan_at_every_stage(args):
         assert fast.measured == slow.measured
         assert fast.rows == slow.rows
     assert fast.halted_at == slow.halted_at
-
-
-def test_closed_form_bound_evaluates_the_reference_point():
-    assert closed_form_bound(0)(F(1, 2)) == 163
 
 
 def test_worry_doubles_the_cost_until_the_share_is_met():

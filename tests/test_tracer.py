@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import capacity_sweep, materialize, recursive_member
+from oracles import materialize, recursive_member
+from tracelab.acceptance import capacity_sweep
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.tracer import (
     BoxLayout,
@@ -67,7 +68,7 @@ def test_interval_sizes_match_the_layout():
     layout = small_layout()
     for n in (1, 2, 3):
         assert cube_size(layout, n) == pair_subset_count(n) ** (n + 3)
-        assert layout.initial_interval_size(n) == n + 3
+        assert layout.lengths_capacity(n) == n + 3
 
 
 def test_order_function_is_positive_and_nondecreasing():
