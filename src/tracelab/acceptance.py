@@ -307,12 +307,12 @@ def final_accounting(*, seed: int = 31, qualifying: int = 20) -> dict:
         out = build_synthesis_run(payload).run()
         if out.halted_at is not None or out.measured > 2**out.budget_exp:
             continue
-        if any(a > 1 for a in out.activity):
+        if any(state.activity > 1 for state in out.states):
             continue
         found += 1
-        for e in range(len(out.requirements)):
+        for e, state in enumerate(out.states):
             where = f"run {index} requirement {e}"
-            _require(len(out.checkpoints[e]) > 5, 8, seed, f"{where} has fewer than 5 checkpoints")
+            _require(len(state.checkpoints) > 5, 8, seed, f"{where} has fewer than 5 checkpoints")
             audit = audit_requirement(out, e)
             audits += 1
             ok = audit.total <= 1 + F(2 ** (out.budget_exp + e + 1))

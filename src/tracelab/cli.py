@@ -16,7 +16,15 @@ from . import __version__
 from . import approximations as appr_mod
 from . import acceptance, costs, fuzz
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
-from .scenarios import fraction_str, machine_format, parse_rational, run_scenario, table_format
+from .scenarios import (
+    fraction_str,
+    load_scenario,
+    machine_format,
+    parse_rational,
+    run_scenario,
+    run_synth,
+    table_format,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,8 +221,6 @@ def main(argv=None) -> int:
         elif args.command == "boxpromo":
             report = fuzz.fuzz("boxpromo", args.count, args.seed, horizon=args.horizon)
         elif args.command == "synth" and args.action == "run":
-            from .scenarios import load_scenario, run_synth
-
             payload = load_scenario(args.scenario)
             kind = payload["kind"]
             if kind != "synth":

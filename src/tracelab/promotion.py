@@ -35,11 +35,13 @@ def marker_table(cost: CostTable, top_level: int) -> dict[int, MarkerSequence]:
 
 
 def slack_from_markers(markers: dict[int, MarkerSequence], top_level: int) -> dict[int, int]:
-    """Per-level bound on how many distinct coherent lengths can appear."""
-    return {
-        n: 1 + sum(markers[r].count for r in range(n + 1))
-        for n in range(1, top_level + 1)
-    }
+    """Per-level bound on how many distinct coherent lengths can appear:
+    1 plus the marker counts at thresholds 2^-r, r <= n, as a running sum."""
+    slack, running = {}, 1 + markers[0].count
+    for n in range(1, top_level + 1):
+        running += markers[n].count
+        slack[n] = running
+    return slack
 
 
 def length_for_level(

@@ -295,25 +295,25 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
     )
 
 
-def write_synth_artifacts(outputs, directory) -> list[str]:
-    """Emit the synthesized table, the stage maps, and the cover as files."""
+def write_synth_artifacts(run: SynthesisRun, directory) -> list[str]:
+    """Emit a finished run's table, stage maps, and cover as files."""
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    (target / "c.table").write_text(costs.format_cost_table(outputs.cost_table))
+    (target / "c.table").write_text(costs.format_cost_table(run.cost_table))
     (target / "speedup.map").write_text(
-        "".join(f"{i} {v}\n" for i, v in enumerate(outputs.speedup))
+        "".join(f"{i} {v}\n" for i, v in enumerate(run.speedup))
     )
     written = ["c.table", "speedup.map"]
-    for e, checkpoints in enumerate(outputs.checkpoints):
+    for e, state in enumerate(run.states):
         name = f"checkpoints-{e}.map"
         (target / name).write_text(
-            "".join(f"{i} {v}\n" for i, v in enumerate(checkpoints))
+            "".join(f"{i} {v}\n" for i, v in enumerate(state.checkpoints))
         )
         written.append(name)
     (target / "cover.pairs").write_text(
         "".join(
             f"{x} {n} {at}\n"
-            for x, n, at in sorted((x, n, at) for (x, n), at in outputs.cover.pairs.items())
+            for x, n, at in sorted((x, n, at) for (x, n), at in run.cover.pairs.items())
         )
     )
     written.append("cover.pairs")
@@ -321,15 +321,14 @@ def write_synth_artifacts(outputs, directory) -> list[str]:
 
 
 def run_synth(payload: dict, artifacts_dir=None) -> dict:
-    run = build_synthesis_run(payload)
-    outputs = run.run()
+    run = build_synthesis_run(payload).run()
     what = "synth scenario 'eps'"
     eps_texts = _typed(payload.get("eps", ["1/2", "1/4", "1/8"]), list, what)
     eps_list = [parse_rational(e, what) for e in eps_texts]
     benign = {}
     for eps in eps_list:
-        seq = costs.marker_sequence(outputs.cost_table, eps)
-        bound = outputs.bound(eps)
+        seq = costs.marker_sequence(run.cost_table, eps)
+        bound = run.bound(eps)
         benign[fraction_str(eps)] = {
             "count": seq.count,
             "bound": bound,
@@ -337,9 +336,9 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
         }
     audits = []
     if payload.get("audit", True):
-        for e in range(len(outputs.requirements)):
-            if outputs.activity[e] <= 1:
-                audit = audit_requirement(outputs, e)
+        for e, state in enumerate(run.states):
+            if state.activity <= 1:
+                audit = audit_requirement(run, e)
                 audits.append(
                     {
                         "requirement": e,
@@ -362,31 +361,31 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
     report = {
         "kind": "synth",
         "parameters": {
-            "budget_exp": outputs.budget_exp,
+            "budget_exp": run.budget_exp,
             "horizon": run.horizon,
-            "requirements": len(outputs.requirements),
+            "requirements": len(run.states),
         },
-        "halted_at": outputs.halted_at,
-        "measured": fraction_str(outputs.measured),
-        "speedup": list(outputs.speedup),
-        "checkpoints": [list(c) for c in outputs.checkpoints],
-        "first_seen": list(outputs.first_seen),
-        "activity": [fraction_str(a) for a in outputs.activity],
-        "doubling_stages": [list(d) for d in outputs.doubling_stages],
-        "worried": [list(w) for w in outputs.worried_log],
+        "halted_at": run.halted_at,
+        "measured": fraction_str(run.measured),
+        "speedup": list(run.speedup),
+        "checkpoints": [list(s.checkpoints) for s in run.states],
+        "first_seen": [s.first_seen for s in run.states],
+        "activity": [fraction_str(s.activity) for s in run.states],
+        "doubling_stages": [list(d) for d in run.doubling_stages],
+        "worried": [list(w) for w in run.worried_log],
         "benign": benign,
         "cover": sorted(
-            [x, n, at] for (x, n), at in outputs.cover.pairs.items()
+            [x, n, at] for (x, n), at in run.cover.pairs.items()
         ),
         "audits": audits,
         "totality": {
-            "speedup_frontier": outputs.frontier,
-            "checkpoint_frontiers": [len(c) - 1 for c in outputs.checkpoints],
+            "speedup_frontier": run.frontier,
+            "checkpoint_frontiers": [len(s.checkpoints) - 1 for s in run.states],
         },
-        "cost_table_shape": [outputs.cost_table.horizon, outputs.cost_table.width],
+        "cost_table_shape": [run.cost_table.horizon, run.cost_table.width],
     }
     if artifacts_dir is not None:
-        report["artifacts"] = write_synth_artifacts(outputs, artifacts_dir)
+        report["artifacts"] = write_synth_artifacts(run, artifacts_dir)
     return report
 
 
@@ -398,10 +397,14 @@ def run_costfn_check(payload: dict) -> dict:
     )
     eps_texts = _typed(payload.get("eps", ["1/2"]), list, f"{where} 'eps'")
     eps_list = [parse_rational(e, f"{where} 'eps'") for e in eps_texts]
-    bound = {
-        parse_rational(k, f"{where} 'bound' key"): _integer(v, f"{where} 'bound' entry {k!r}")
-        for k, v in _typed(payload.get("bound", {}), dict, f"{where} 'bound'").items()
-    }
+    bound = {}
+    for k, v in _typed(payload.get("bound", {}), dict, f"{where} 'bound'").items():
+        eps = parse_rational(k, f"{where} 'bound' key")
+        bound[eps] = _integer(v, f"{where} 'bound' entry {k!r}")
+        if bound[eps] < 0:
+            raise ScenarioError(
+                f"{where} 'bound' entry {k!r}: expected a count of at least 0, got {v!r}"
+            )
     entries = {}
     all_ok = True
     for eps in eps_list:

@@ -3,6 +3,10 @@ a halting budget, grow a benign cost table, a speed-up map into the readable
 part of the approximation, and per-requirement checkpoint maps; the change
 set of the sped-up approximation is the produced enumerable cover.
 
+`SynthesisRun.run()` returns the run itself, which carries its outputs:
+the cost table, the closed-form bound, the speed-up map, the cover and one
+ledger per requirement (`RequirementState`), holding the requirement with its
+checkpoints, the stages they were added, its activity and its start stage.
 All outputs stay total whatever the input does; a divergent approximation
 just freezes the speed-up and leaves the cost table at its initial shape.
 
@@ -31,45 +35,37 @@ from .costs import CostTable, ZERO, first_difference
 from .errors import InvariantViolation, ScenarioError
 
 
-@dataclass(frozen=True)
-class StageMapEntry:
-    arg: int
-    value: int
-    visible_at: int  # stage from which the entry can be observed
-
-
 class PartialStageMap:
     """Strictly increasing partial map on an initial segment, observed with
-    per-entry delays (entries become visible in argument order)."""
+    per-entry delays (entries become visible in argument order): argument x
+    maps to `values[x]`, observable from stage `visible_at[x]`."""
 
     def __init__(self, entries):
-        parsed = [StageMapEntry(int(a), int(v), int(d)) for a, v, d in entries]
-        parsed.sort(key=lambda e: e.arg)
-        for i, entry in enumerate(parsed):
-            if entry.arg != i:
+        parsed = sorted(((int(a), int(v), int(d)) for a, v, d in entries), key=lambda e: e[0])
+        for i, (arg, value, visible_at) in enumerate(parsed):
+            if arg != i:
                 raise ScenarioError("stage map domain must be 0,1,2,... without gaps")
-            if entry.value < 0 or entry.visible_at < 0:
+            if value < 0 or visible_at < 0:
                 raise ScenarioError("stage map entries must be nonnegative")
             if i > 0:
-                if entry.value <= parsed[i - 1].value:
+                if value <= parsed[i - 1][1]:
                     raise ScenarioError("stage map must be strictly increasing")
-                if entry.visible_at < parsed[i - 1].visible_at:
+                if visible_at < parsed[i - 1][2]:
                     raise ScenarioError("stage map entries must become visible in order")
-        self.entries = parsed
-        self._visible_at = [e.visible_at for e in parsed]
-        self._values = [e.value for e in parsed]
+        self.values = tuple(v for _, v, _ in parsed)
+        self.visible_at = tuple(d for _, _, d in parsed)
 
     def observed(self, arg: int, stage: int) -> Optional[int]:
-        if arg < len(self.entries) and self.entries[arg].visible_at <= stage:
-            return self.entries[arg].value
+        if arg < len(self.values) and self.visible_at[arg] <= stage:
+            return self.values[arg]
         return None
 
     def least_observed_above(self, bound: int, stage: int) -> Optional[int]:
         """Least value above `bound` observed by `stage`, or None.  The
         observed entries are a prefix, and values increase along it."""
-        visible = bisect_right(self._visible_at, stage)
-        k = bisect_right(self._values, bound, 0, visible)
-        return self._values[k] if k < visible else None
+        visible = bisect_right(self.visible_at, stage)
+        k = bisect_right(self.values, bound, 0, visible)
+        return self.values[k] if k < visible else None
 
 
 @dataclass
@@ -86,8 +82,12 @@ class Requirement:
 
 @dataclass
 class RequirementState:
+    """One requirement's ledger in a run.  The run state stays here, off the
+    `Requirement`, so one requirement can serve several runs."""
+
+    requirement: Requirement
     checkpoints: list[int] = field(default_factory=list)
-    extended_at: list[int] = field(default_factory=list)
+    added_at: list[int] = field(default_factory=list)  # stage each checkpoint was added
     first_seen: Optional[int] = None
     activity: Fraction = ZERO
     next_term: int = 1
@@ -109,31 +109,10 @@ def closed_form_bound(budget_exp: int) -> Callable[[Fraction], int]:
     return bound
 
 
-@dataclass
-class SynthOutputs:
-    approximation: WordApproximation
-    budget_exp: int
-    requirements: list[Requirement]
-    cost_table: CostTable
-    bound: Callable[[Fraction], int]
-    speedup: tuple[int, ...]
-    checkpoints: list[tuple[int, ...]]
-    checkpoint_stages: list[tuple[int, ...]]
-    first_seen: list[Optional[int]]
-    activity: list[Fraction]
-    halted_at: Optional[int]
-    measured: Fraction
-    doubling_stages: list[tuple[int, int]]  # (stage, doubled position)
-    extension_stages: list[int]
-    worried_log: list[tuple[int, int, int]]  # (stage, requirement, position)
-    cover: ChangeSet
-
-    @property
-    def frontier(self) -> int:
-        return len(self.speedup) - 1
-
-
 class SynthesisRun:
+    """One synthesis run; `run()` completes it and returns it, outputs and
+    per-requirement ledgers (`states`) included."""
+
     def __init__(
         self,
         approximation: WordApproximation,
@@ -150,7 +129,7 @@ class SynthesisRun:
             raise ScenarioError(f"width must be at least 1, got {width}")
         self.appr = approximation
         self.budget_exp = budget_exp
-        self.requirements = requirements
+        self.bound = closed_form_bound(budget_exp)
         self.horizon = horizon
         self.width = width if width is not None else horizon
         # Per stage, the cost row it reads; a stage that changes nothing
@@ -161,10 +140,13 @@ class SynthesisRun:
         self.speedup: list[int] = [0]
         self.last_change = 0  # index of the last row that differs from its predecessor
         self.halted_at: Optional[int] = None
-        self.states = [RequirementState() for _ in requirements]
-        self.doubling_stages: list[tuple[int, int]] = []
+        self.states = [RequirementState(r) for r in requirements]
+        self.doubling_stages: list[tuple[int, int]] = []  # (stage, doubled position)
         self.extension_stages: list[int] = []
-        self.worried_log: list[tuple[int, int, int]] = []
+        self.worried_log: list[tuple[int, int, int]] = []  # (stage, requirement, position)
+        # Set when run() ends.
+        self.cost_table: Optional[CostTable] = None
+        self.cover: Optional[ChangeSet] = None
         # Stage u's change charge falls due once the bar covers both u and
         # its first changed position p: due[max(u, p)] lists those (u, p).
         # Positions at or past the cost width charge nothing.
@@ -177,6 +159,11 @@ class SynthesisRun:
         self._booked = 0  # every charge due at a bar up to this one is booked
         self.measured = ZERO
 
+    @property
+    def frontier(self) -> int:
+        """Greatest argument of the speed-up map so far."""
+        return len(self.speedup) - 1
+
     # ---- measurement ----------------------------------------------------------
 
     def _measure(self, bar: int) -> Fraction:
@@ -188,10 +175,9 @@ class SynthesisRun:
                 self.measured += self.rows[u][p]
         return self.measured
 
-    def _activity(self, e: int, stage: int) -> Fraction:
-        state = self.states[e]
-        req = self.requirements[e]
-        frontier = len(self.speedup) - 1
+    def _activity(self, state: RequirementState, stage: int) -> Fraction:
+        req = state.requirement
+        frontier = self.frontier
         while True:
             t = state.next_term
             value = req.stage_map.observed(t, stage)
@@ -210,51 +196,31 @@ class SynthesisRun:
 
     # ---- the stage loop -------------------------------------------------------
 
-    def run(self) -> SynthOutputs:
+    def run(self) -> "SynthesisRun":
         for stage in range(1, self.horizon):
             if self.halted_at is not None:
                 break
             self._stage(stage)
         self.rows += self.rows[-1:] * (self.horizon + 1 - len(self.rows))
-        table = CostTable(self.rows, normalized=True)
-        cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
-        return SynthOutputs(
-            approximation=self.appr,
-            budget_exp=self.budget_exp,
-            requirements=self.requirements,
-            cost_table=table,
-            bound=closed_form_bound(self.budget_exp),
-            speedup=tuple(self.speedup),
-            checkpoints=[tuple(s.checkpoints) for s in self.states],
-            checkpoint_stages=[tuple(s.extended_at) for s in self.states],
-            first_seen=[s.first_seen for s in self.states],
-            activity=[s.activity for s in self.states],
-            halted_at=self.halted_at,
-            measured=self.measured,
-            doubling_stages=self.doubling_stages,
-            extension_stages=self.extension_stages,
-            worried_log=self.worried_log,
-            cover=cover,
-        )
-
-    def _readable_depth(self, stage: int) -> int:
-        return readable_depth(self.appr, stage)
+        self.cost_table = CostTable(self.rows, normalized=True)
+        self.cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
+        return self
 
     def _stage(self, stage: int) -> None:
-        bar = self._readable_depth(stage)
+        bar = readable_depth(self.appr, stage)
         measured = self._measure(bar)
         if measured > 2**self.budget_exp:
             self.halted_at = stage
             return
-        frontier = len(self.speedup) - 1
-        for e, state in enumerate(self.states):
+        frontier = self.frontier
+        for state in self.states:
             if state.first_seen is None:
-                start = self.requirements[e].stage_map.observed(0, stage)
+                start = state.requirement.stage_map.observed(0, stage)
                 if start is not None and start <= frontier:
                     state.checkpoints.append(start)
-                    state.extended_at.append(stage)
+                    state.added_at.append(stage)
                     state.first_seen = stage
-            self._activity(e, stage)
+            self._activity(state, stage)
         if bar <= self.last_change:
             self.rows.append(self.rows[-1])
             return
@@ -287,11 +253,10 @@ class SynthesisRun:
         self.rows.append(self.rows[-1])
 
     def _worried_pairs(self, stage: int, bar: int) -> list[tuple[int, int]]:
-        frontier = len(self.speedup) - 1
+        frontier = self.frontier
         out = []
         row = self.rows[-1]
-        for e in range(min(len(self.requirements), frontier)):
-            state = self.states[e]
+        for e, state in enumerate(self.states[:frontier]):
             if not state.checkpoints or state.activity > 1:
                 continue
             if state.first_seen is not None and state.first_seen >= stage:
@@ -303,14 +268,13 @@ class SynthesisRun:
             for z in range(min(frontier, self.width, self.appr.width)):
                 if bar_row[z] == anchor_row[z]:
                     continue
-                if row[z] < share * self.requirements[e].cost.value(t_e, z):
+                if row[z] < share * state.requirement.cost.value(t_e, z):
                     out.append((e, z))
         return out
 
     def _extend_checkpoints(self, stage: int) -> None:
-        frontier = len(self.speedup) - 1
-        for e in range(min(len(self.requirements), stage)):
-            state = self.states[e]
+        frontier = self.frontier
+        for state in self.states[:stage]:
             if not state.checkpoints:
                 continue
             last = state.checkpoints[-1]
@@ -323,16 +287,16 @@ class SynthesisRun:
             top_row = self.appr.rows[self.speedup[frontier]][:prefix]
             while floor - 1 > last and self.appr.rows[self.speedup[floor - 1]][:prefix] == top_row:
                 floor -= 1
-            chosen = self.requirements[e].stage_map.least_observed_above(
+            chosen = state.requirement.stage_map.least_observed_above(
                 max(last, floor - 1), stage
             )
             if chosen is not None and chosen <= frontier:
-                if chosen <= last or chosen > len(self.speedup) - 1:
+                if chosen <= last or chosen > frontier:
                     raise InvariantViolation(
                         "checkpoint left the observed-range/speed-up-domain corridor"
                     )
                 state.checkpoints.append(chosen)
-                state.extended_at.append(stage)
+                state.added_at.append(stage)
 
 
 # ---- final accounting -----------------------------------------------------
@@ -359,32 +323,30 @@ class RequirementAudit:
         return self.persistent_total + self.transient_total
 
 
-def audit_requirement(outputs: SynthOutputs, e: int) -> RequirementAudit:
-    """Replay the cover's charges along the requirement's checkpoints and
-    classify each one: persistent changes are funded by the requirement's own
-    activity (total at most 1), transients by the synthesized cost sum (total
-    at most 2^budget / share)."""
-    req = outputs.requirements[e]
-    state_checkpoints = outputs.checkpoints[e]
-    if outputs.activity[e] > 1:
+def audit_requirement(run: SynthesisRun, e: int) -> RequirementAudit:
+    """Replay the cover's charges along requirement `e`'s checkpoints in the
+    finished `run` and classify each one: persistent changes are funded by
+    the requirement's own activity (total at most 1), transients by the
+    synthesized cost sum (total at most 2^budget / share)."""
+    state = run.states[e]
+    if state.activity > 1:
         raise ScenarioError("audit precondition failed: activity sum above 1")
     share = Fraction(1, 2 ** (e + 1))
-    rows = compose_rows(outputs.approximation, outputs.speedup)
-    enum_by_pair = outputs.cover.pairs
+    rows = compose_rows(run.appr, run.speedup)
     charges: list[ChargeRecord] = []
     persistent = ZERO
     transient = ZERO
-    for t in range(1, len(state_checkpoints)):
-        lo, hi = state_checkpoints[t - 1], state_checkpoints[t]
+    for t in range(1, len(state.checkpoints)):
+        lo, hi = state.checkpoints[t - 1], state.checkpoints[t]
         fresh = [
             pair_code(x, n)
-            for (x, n), at in enum_by_pair.items()
+            for (x, n), at in run.cover.pairs.items()
             if lo < at <= hi
         ]
         if not fresh:
             continue
         code = min(fresh)
-        amount = req.cost.value(t, code)
+        amount = state.requirement.cost.value(t, code)
         if amount == 0:
             continue
         position = unpair(code)[0]
@@ -395,37 +357,43 @@ def audit_requirement(outputs: SynthOutputs, e: int) -> RequirementAudit:
         if flip is None:
             raise InvariantViolation(f"charge {t} for requirement {e} has no recorded change")
         if rows[flip][position] == rows[hi][position]:
-            _verify_persistent(outputs, req, e, t, lo, hi, position)
+            _verify_persistent(run, e, t, position)
             persistent += amount
             charges.append(ChargeRecord(t, code, position, amount, 1))
         else:
-            _verify_transient(outputs, req, e, t, flip, hi, position, share, amount)
+            _verify_transient(run, e, t, flip, position, share * amount)
             transient += amount
             charges.append(ChargeRecord(t, code, position, amount, 2))
     if persistent > 1:
         raise InvariantViolation(
             f"persistent charges for requirement {e} total {persistent}, above 1"
         )
-    if transient > Fraction(2**outputs.budget_exp) / share:
+    if transient > Fraction(2**run.budget_exp) / share:
         raise InvariantViolation(
             f"transient charges for requirement {e} total {transient}, "
-            f"above {Fraction(2 ** outputs.budget_exp) / share}"
+            f"above {Fraction(2 ** run.budget_exp) / share}"
         )
     return RequirementAudit(e, charges, persistent, transient)
 
 
-def _verify_persistent(outputs, req, e, t, lo, hi, position) -> None:
-    horizon = outputs.cost_table.horizon - 1
+def _verify_persistent(run: SynthesisRun, e: int, t: int, position: int) -> None:
+    """Charge `t` of requirement `e` changed `position` for good: activity
+    terms inside the charge's checkpoint window see that position change,
+    and the first of them has index `t` or later."""
+    state = run.states[e]
+    stage_map = state.requirement.stage_map
+    lo, hi = state.checkpoints[t - 1], state.checkpoints[t]
+    frontier = run.frontier
     hits = []
-    for x in range(1, len(req.stage_map.entries)):
-        value = req.stage_map.observed(x, horizon)
-        prev = req.stage_map.observed(x - 1, horizon)
+    for x in range(1, len(stage_map.values)):
+        value = stage_map.observed(x, run.horizon)
+        prev = stage_map.observed(x - 1, run.horizon)
         if value is None or prev is None or not (lo < value <= hi):
             continue
-        if value > len(outputs.speedup) - 1 or prev > len(outputs.speedup) - 1:
+        if value > frontier or prev > frontier:
             continue
-        row_now = outputs.approximation.rows[outputs.speedup[value]]
-        row_before = outputs.approximation.rows[outputs.speedup[prev]]
+        row_now = run.appr.rows[run.speedup[value]]
+        row_before = run.appr.rows[run.speedup[prev]]
         if row_now[position] != row_before[position]:
             hits.append(x)
     if not hits or min(hits) < t:
@@ -434,12 +402,15 @@ def _verify_persistent(outputs, req, e, t, lo, hi, position) -> None:
         )
 
 
-def _verify_transient(outputs, req, e, t, flip, hi, position, share, amount) -> None:
-    start = outputs.speedup[flip]
-    end = outputs.speedup[hi]
+def _verify_transient(run: SynthesisRun, e: int, t: int, flip: int, position: int, due) -> None:
+    """Charge `t` of requirement `e` was undone: some change of `position`
+    between the sped-up stages of `flip` and the window's end costs at least
+    `due`, the requirement's share of the charge."""
+    start = run.speedup[flip]
+    end = run.speedup[run.states[e].checkpoints[t]]
     for u in range(start + 1, end + 1):
-        if outputs.approximation.rows[u][position] != outputs.approximation.rows[u - 1][position]:
-            if outputs.cost_table.value(u, position) >= share * amount:
+        if run.appr.rows[u][position] != run.appr.rows[u - 1][position]:
+            if run.cost_table.value(u, position) >= due:
                 return
     raise InvariantViolation(
         f"transient charge {t} for requirement {e} found no funded reversal"

@@ -77,7 +77,10 @@ class Box:
 class BoxLayout:
     """Partition of an initial segment of the naturals into hypercube and
     initial-testing intervals, one pair per level, with the order function
-    (`level_of`) constant on each level's stretch."""
+    (`level_of`) constant on each level's stretch.  A level's hypercube
+    interval has pair_subset_count(n) ** lengths_capacity(n) addresses, so the
+    offsets of a tall layout are huge integers: they are computed only when
+    `address`, `level_of` or `total` asks for them."""
 
     def __init__(self, overhead: int, slack: dict[int, int], top_level: int):
         if overhead < 1:
@@ -90,13 +93,18 @@ class BoxLayout:
         self.overhead = overhead
         self.slack = dict(slack)
         self.top_level = top_level
-        self._starts: dict[int, tuple[int, int]] = {}
-        offset = 0
-        for n in range(1, top_level + 1):
-            cube = pair_subset_count(n) ** (n + self.slack[n])
-            self._starts[n] = (offset, offset + cube)
-            offset += cube + (n + self.slack[n])
-        self.total = offset
+
+    def _cube_size(self, level: int) -> int:
+        return pair_subset_count(level) ** self.lengths_capacity(level)
+
+    def _start(self, level: int) -> int:
+        """First address of the level: its hypercube interval, then its
+        initial-testing interval."""
+        return sum(self._cube_size(n) + self.lengths_capacity(n) for n in range(1, level))
+
+    @property
+    def total(self) -> int:
+        return self._start(self.top_level + 1)
 
     def lengths_capacity(self, level: int) -> int:
         """Most lengths the level lists: one initial-testing box per length,
@@ -136,9 +144,9 @@ class BoxLayout:
     def address(self, box: Box) -> int:
         """Numeric position of the box (for M-classes: of the representative
         whose unlisted coordinates are empty)."""
-        m_start, i_start = self._starts[box.level]
+        m_start = self._start(box.level)
         if box.kind == "I":
-            return i_start + (box.slot - 1)
+            return m_start + self._cube_size(box.level) + (box.slot - 1)
         digits = {k: idx for k, idx in box.pattern}
         enumeration = {s: d for d, s in enumerate(subsets_up_to_pairs(box.level))}
         base = pair_subset_count(box.level)
@@ -148,11 +156,10 @@ class BoxLayout:
         return m_start + value
 
     def level_of(self, address: int) -> int:
-        if not (0 <= address < self.total):
-            raise ScenarioError(f"address {address} outside the layout")
+        end = 0
         for n in range(1, self.top_level + 1):
-            m_start, i_start = self._starts[n]
-            if address < i_start + self.lengths_capacity(n):
+            end += self._cube_size(n) + self.lengths_capacity(n)
+            if 0 <= address < end:
                 return n
         raise ScenarioError(f"address {address} outside the layout")
 

@@ -17,7 +17,7 @@ def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
 def observed_values(stage_map, stage: int) -> list[int]:
     """Values of the stage map's entries visible by `stage`, in argument
     order, by a scan of every entry."""
-    return [e.value for e in stage_map.entries if e.visible_at <= stage]
+    return [v for v, at in zip(stage_map.values, stage_map.visible_at) if at <= stage]
 
 
 def recursive_member(functional, word: str, upto=None) -> bool:

@@ -301,6 +301,11 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         ),
         ("boxpromo", dict(check, eps=0.5), "costfn-check scenario 'eps': expected a list, got 0.5"),
         ("boxpromo", dict(check, bound=[1]), "costfn-check scenario 'bound': expected an object, got [1]"),
+        (
+            "boxpromo",
+            dict(check, bound={"1/4": -1}),
+            "costfn-check scenario 'bound' entry '1/4': expected a count of at least 0, got -1",
+        ),
         ("boxpromo", dict(canned, cost_table="1\u00b2 14\n"), "line 1: expected header 'S X', got '1\u00b2 14'"),
         (
             "boxpromo",
@@ -438,6 +443,17 @@ def test_cli_report_to_a_closed_pipe_ends_quietly(tmp_path):
         assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err
     assert err == ""
+
+
+def test_cli_runs_a_layout_three_thousand_levels_tall(tmp_path, capsys):
+    # Level n's hypercube interval has pair_subset_count(n) ** (n + slack[n])
+    # addresses; the layout computes such offsets only when asked for them.
+    payload = dict(
+        canned_scripted_payload(), top_level=3000, ground_truth="0" * 14, oracle={"policy": "honest"}
+    )
+    path = write_json(tmp_path, "tall.json", payload)
+    assert main(["boxpromo", "run", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_script_box_outside_the_layout_is_exit_one(tmp_path, capsys):

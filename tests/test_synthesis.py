@@ -9,7 +9,8 @@ from tracelab.approximations import WordApproximation, readable_depth
 from tracelab.costs import CostTable, marker_sequence
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import synth_payload
-from tracelab.scenarios import build_synthesis_run, run_synth
+from tracelab import scenarios
+from tracelab.scenarios import build_synthesis_run, machine_format, run_synth
 from tracelab.synthesis import (
     PartialStageMap,
     Requirement,
@@ -94,7 +95,7 @@ def test_constant_input_extends_the_speedup_every_stage():
     horizon = 12
     run = SynthesisRun(constant_block(horizon), 0, [], horizon)
     out = run.run()
-    assert out.speedup == tuple(range(horizon - 1))
+    assert out.speedup == list(range(horizon - 1))
     assert out.halted_at is None
     assert out.measured == 0
     assert out.cost_table.rows[0] == out.cost_table.rows[-1]  # costs never moved
@@ -111,7 +112,7 @@ def test_flip_at_every_stage_halts_at_stage_three():
     # Stage 2 measures one unit change (within budget 2^0); stage 3 sees two.
     assert out.halted_at == 3
     assert out.measured == 2
-    assert out.speedup == (0, 1)
+    assert out.speedup == [0, 1]
     assert out.cost_table.rows[2] == out.cost_table.rows[-1]  # frozen afterwards
 
 
@@ -121,7 +122,7 @@ def test_divergent_origin_keeps_every_output_total():
         tuple("0" * horizon for _ in range(horizon)), schedule={(0, 0): None}
     )
     out = SynthesisRun(block, 1, [flat_requirement(horizon)], horizon).run()
-    assert out.speedup == (0,)
+    assert out.speedup == [0]
     assert out.halted_at is None
     assert out.cost_table.horizon == horizon + 1
     assert out.cost_table.rows[0] == out.cost_table.rows[-1]
@@ -141,9 +142,8 @@ def test_incremental_readable_depth_matches_reference():
         block = WordApproximation(
             tuple("0" * horizon for _ in range(horizon)), schedule=schedule
         )
-        run = SynthesisRun(block, 0, [], horizon)
         for stage in range(1, horizon):
-            assert run._readable_depth(stage) == scan_readable_depth(block, stage)
+            assert readable_depth(block, stage) == scan_readable_depth(block, stage)
 
 
 class PendingScanRun(SynthesisRun):
@@ -254,8 +254,8 @@ def test_checkpoints_stall_while_a_change_sits_inside_every_window():
     block = flipping_block(horizon, [(flip_stage, flip_pos)])
     requirement = flat_requirement(horizon, delay=10, scale=F(1, 2))
     out = SynthesisRun(block, 0, [requirement], horizon).run()
-    values = out.checkpoints[0]
-    stages = out.checkpoint_stages[0]
+    values = out.states[0].checkpoints
+    stages = out.states[0].added_at
     assert values, "the map starts once its first entry is observed"
     # A window that straddles the change must end on the settled side.
     final = block.rows[-1][flip_pos]
@@ -275,8 +275,8 @@ def test_checkpoints_stay_inside_observed_range_and_dom_speedup():
         payload = synth_payload(rng, i, horizon=70, slow_maps=bool(i % 2))
         run = build_synthesis_run(payload)
         out = run.run()
-        for e, req in enumerate(out.requirements):
-            values = out.checkpoints[e]
+        for state in out.states:
+            req, values = state.requirement, state.checkpoints
             observed = set(observed_values(req.stage_map, run.horizon))
             for a, b in zip(values, values[1:]):
                 assert a < b
@@ -284,7 +284,7 @@ def test_checkpoints_stay_inside_observed_range_and_dom_speedup():
                 assert v in observed
                 assert v <= len(out.speedup) - 1
             for t, v in enumerate(values):
-                assert v >= req.stage_map.entries[t].value  # r(x) >= h(x)
+                assert v >= req.stage_map.values[t]  # r(x) >= h(x)
 
 
 # ---- the audit ------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_audit_requires_bounded_activity():
     horizon = 40
     block = flipping_block(horizon, [(5, 0), (9, 0), (13, 0)])
     out = SynthesisRun(block, 2, [flat_requirement(horizon)], horizon).run()
-    if out.activity[0] > 1:
+    if out.states[0].activity > 1:
         with pytest.raises(ScenarioError):
             audit_requirement(out, 0)
     else:
@@ -343,6 +343,31 @@ def test_run_synth_reports_benignity_against_the_closed_form():
     for entry in report["benign"].values():
         assert entry["ok"]
     assert report["cost_table_shape"] == [51, 50]
+
+
+def test_run_returns_itself_and_runs_can_share_requirements(monkeypatch):
+    """The run carries its outputs, and each run keeps its ledgers off the
+    `Requirement`s, so two runs over the same requirement objects report
+    byte for byte what a run over fresh ones does."""
+    rng = random.Random(4)
+    for index in range(4):  # the fourth payload worries and charges both requirements
+        payload = synth_payload(rng, index, horizon=60, slow_maps=True, min_flip_position=2)
+    first = build_synthesis_run(payload)
+    assert first.run() is first
+    assert len(first.states) == 2 and first.worried_log and first.cover.pairs
+    assert all(state.activity > 0 for state in first.states)
+    fresh = machine_format(run_synth(payload))
+    shared = [state.requirement for state in first.states]
+    runs = []
+
+    def rebuild(_payload):
+        runs.append(SynthesisRun(first.appr, first.budget_exp, shared, first.horizon, first.width))
+        return runs[-1]
+
+    monkeypatch.setattr(scenarios, "build_synthesis_run", rebuild)
+    assert machine_format(run_synth(payload)) == machine_format(run_synth(payload)) == fresh
+    assert runs[0].states == runs[1].states == first.states
+    assert runs[0].speedup == runs[1].speedup == first.speedup
 
 
 def test_emitted_cost_table_is_monotone_and_bounded():
@@ -365,13 +390,10 @@ def test_worried_log_entries_satisfy_both_conditions():
     assert out.worried_log
     for stage, e, z in out.worried_log:
         depth = readable_depth(block, stage)
-        values = [
-            v
-            for v, at in zip(out.checkpoints[e], out.checkpoint_stages[e])
-            if at <= stage
-        ]
+        state = out.states[e]
+        values = [v for v, at in zip(state.checkpoints, state.added_at) if at <= stage]
         anchor_row = block.rows[out.speedup[values[-1]]]
         assert block.rows[depth][z] != anchor_row[z]
         t_e = len(values) - 1
         share = F(1, 2 ** (e + 1))
-        assert out.cost_table.rows[stage][z] < share * out.requirements[e].cost.value(t_e, z)
+        assert out.cost_table.rows[stage][z] < share * state.requirement.cost.value(t_e, z)

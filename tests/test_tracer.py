@@ -28,9 +28,10 @@ def small_layout(overhead=1, top=3):
 
 
 def cube_size(layout, level):
-    """Length of the level's hypercube interval in the layout."""
-    m_start, i_start = layout._starts[level]
-    return i_start - m_start
+    """Length of the level's hypercube interval in the layout: from the
+    address of its empty-pattern class to that of its first initial box."""
+    first_initial = layout.address(layout.initial_box(level, 1))
+    return first_initial - layout.address(layout.cube_box(level, {}))
 
 
 # ---- layout ---------------------------------------------------------------------
