@@ -14,7 +14,6 @@ from .approximations import (
 from .costs import (
     CostTable,
     PartialCostTable,
-    check_benign,
     marker_sequence,
     obedience_sum,
     sum_benign,
@@ -24,13 +23,11 @@ from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .promotion import PromotionEngine
 from .synthesis import Requirement, SynthesisRun, audit_requirement
 from .tracer import BoxLayout, Environment, HonestPolicy, RandomPolicy, ScriptedPolicy
-from .words import Antichain, ClopenSet, comparable, extensions_avoiding, restrict
+from .words import comparable, restrict
 
 __all__ = [
-    "Antichain",
     "BoxLayout",
     "ChangeSet",
-    "ClopenSet",
     "CostTable",
     "Environment",
     "HonestPolicy",
@@ -47,10 +44,8 @@ __all__ = [
     "__version__",
     "audit_requirement",
     "change_set",
-    "check_benign",
     "comparable",
     "decode",
-    "extensions_avoiding",
     "marker_sequence",
     "obedience_speedup",
     "obedience_sum",

@@ -30,35 +30,17 @@ def unpair(code: int) -> tuple[int, int]:
     return diag - n, n
 
 
-def _pairing_self_test() -> None:
-    seen = {}
-    for x in range(12):
-        for n in range(12):
-            code = pair_code(x, n)
-            if code < x:
-                raise AssertionError(f"pairing lost monotonicity at ({x},{n})")
-            if code in seen:
-                raise AssertionError(f"pairing collision at ({x},{n}) and {seen[code]}")
-            seen[code] = (x, n)
-            if unpair(code) != (x, n):
-                raise AssertionError(f"unpair mismatch at ({x},{n})")
-
-
-_pairing_self_test()
-
-
 @dataclass(frozen=True)
 class WordApproximation:
     """Rows A_s over positions 0..width-1 plus a readability schedule.
 
     `schedule` maps (stage, position) to the wall stage at which the cell
     becomes readable (None = never); cells not listed are readable from their
-    own stage on.  `limit` optionally records the intended limit word.
+    own stage on.
     """
 
     rows: tuple[str, ...]
     schedule: dict[tuple[int, int], Optional[int]] = field(default_factory=dict)
-    limit: Optional[str] = None
 
     def __post_init__(self):
         if not self.rows:
@@ -73,12 +55,6 @@ class WordApproximation:
                 raise ScenarioError(f"schedule entry ({s},{x}) outside the table")
             if wall is not None and wall < s:
                 raise ScenarioError(f"schedule entry ({s},{x}) readable before its stage")
-        if self.limit is not None:
-            check_word(self.limit)
-            if len(self.limit) != width:
-                raise ScenarioError("limit width differs from table width")
-            if self.rows[-1] != self.limit:
-                raise ScenarioError("limit never reached within the horizon")
 
     @property
     def horizon(self) -> int:
@@ -143,14 +119,6 @@ class ChangeSet:
             codes.sort()
         return out
 
-    def word_at(self, stage: int, width: int) -> str:
-        bits = ["0"] * width
-        for (x, n), enum_stage in self.pairs.items():
-            code = pair_code(x, n)
-            if enum_stage <= stage and code < width:
-                bits[code] = "1"
-        return "".join(bits)
-
 
 def compose_rows(appr: WordApproximation, speedup: Optional[Sequence[int]]) -> list[str]:
     if speedup is None:
@@ -166,6 +134,8 @@ def compose_rows(appr: WordApproximation, speedup: Optional[Sequence[int]]) -> l
         if value >= appr.horizon:
             break  # beyond-horizon stages are clipped
         rows.append(appr.rows[value])
+    if not rows:
+        raise ScenarioError(f"speed-up map has no stage below horizon {appr.horizon}")
     return rows
 
 
@@ -300,15 +270,7 @@ def obedience_speedup(
 # --- text format: "S X" header, S bit rows, optional "(s,x,wall)" schedule ---
 
 
-def format_word_approx(appr: WordApproximation) -> str:
-    lines = [f"{appr.horizon} {appr.width}"]
-    lines.extend(appr.rows)
-    for (s, x), wall in sorted(appr.schedule.items()):
-        lines.append(f"({s},{x},{'∞' if wall is None else wall})")
-    return "\n".join(lines) + "\n"
-
-
-def parse_word_approx(text: str, limit: Optional[str] = None) -> WordApproximation:
+def parse_word_approx(text: str) -> WordApproximation:
     numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
         raise ScenarioError("line 1: empty approximation")
@@ -343,4 +305,4 @@ def parse_word_approx(text: str, limit: Optional[str] = None) -> WordApproximati
         if (s, x) in schedule:
             raise ScenarioError(f"line {i}: schedule entry ({s},{x}) listed twice")
         schedule[(s, x)] = wall
-    return WordApproximation(tuple(rows), schedule, limit)
+    return WordApproximation(tuple(rows), schedule)

@@ -179,18 +179,15 @@ def _cmd_costfn(args) -> dict:
 def _cmd_approx(args) -> dict:
     if args.action == "change-set":
         block = appr_mod.parse_word_approx(Path(args.approximation).read_text())
-        cs = appr_mod.change_set(block, args.speedup if args.speedup else None)
-        decoded = appr_mod.decode(cs, block.rows[0])
-        final = (
-            block.rows[-1]
-            if not args.speedup
-            else appr_mod.compose_rows(block, args.speedup)[-1]
-        )
+        speedup = args.speedup or None
+        rows = appr_mod.compose_rows(block, speedup)
+        cs = appr_mod.change_set(block, speedup)
+        decoded = appr_mod.decode(cs, rows[0])
         return {
             "kind": "change-set",
             "pairs": sorted([x, n, at] for (x, n), at in cs.pairs.items()),
             "decoded": decoded,
-            "matches_final_row": decoded == final,
+            "matches_final_row": decoded == rows[-1],
         }
     cost = costs.parse_cost_table(Path(args.cost).read_text())
     witness_cost = costs.parse_cost_table(Path(args.witness_cost).read_text())

@@ -1,5 +1,5 @@
-"""Cost tables with exact rational entries, marker scans, benignity checks,
-weighted sums, obedience sums, and totalization of partial tables.
+"""Cost tables with exact rational entries, marker scans, weighted sums,
+obedience sums, and totalization of partial tables.
 
 A cost table holds q(s, x) for stages 0 <= s < horizon and positions
 0 <= x < width.  Rows are non-increasing in x, columns non-decreasing in s.
@@ -220,19 +220,17 @@ BoundFn = Callable[[Fraction], int]
 
 
 def _as_bound_fn(bound) -> BoundFn:
-    if callable(bound):
-        return lambda eps: int(bound(Fraction(eps)))
-    if isinstance(bound, Mapping):
-        table = {Fraction(k): int(v) for k, v in bound.items()}
+    if not isinstance(bound, Mapping):
+        raise ScenarioError("bound must be a mapping")
+    table = {Fraction(k): int(v) for k, v in bound.items()}
 
-        def lookup(eps: Fraction) -> int:
-            eps = Fraction(eps)
-            if eps not in table:
-                raise ScenarioError(f"no bound recorded for threshold {eps}")
-            return table[eps]
+    def lookup(eps: Fraction) -> int:
+        eps = Fraction(eps)
+        if eps not in table:
+            raise ScenarioError(f"no bound recorded for threshold {eps}")
+        return table[eps]
 
-        return lookup
-    raise ScenarioError("bound must be callable or a mapping")
+    return lookup
 
 
 def halving_exponent(epsilon) -> int:
@@ -247,12 +245,13 @@ def halving_exponent(epsilon) -> int:
 
 
 def sum_benign(
-    parts: Sequence[tuple[CostTable, object]],
+    parts: Sequence[tuple[CostTable, Mapping]],
     horizon: Optional[int] = None,
     width: Optional[int] = None,
 ) -> tuple[CostTable, BoundFn]:
     """Weighted sum of the given normalized tables, part k scaled by 2**-k and
-    entering only from stage k+1 on.
+    entering only from stage k+1 on.  Each part comes with its bound g_k, a
+    mapping from threshold to marker count.
 
     Returns the combined table and the certified bound
     eps -> sum over k <= ceil(-log2 eps) + 1 of g_k(eps/4).
@@ -288,38 +287,6 @@ def sum_benign(
     return combined, certified
 
 
-@dataclass(frozen=True)
-class BenignityEntry:
-    epsilon: Fraction
-    count: int
-    bound: int
-    truncated: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.count <= self.bound
-
-
-@dataclass(frozen=True)
-class BenignityCertificate:
-    entries: tuple[BenignityEntry, ...]
-
-    @property
-    def verdict(self) -> bool:
-        return all(e.verdict for e in self.entries)
-
-
-def check_benign(table: CostTable, bound, eps_list: Iterable) -> BenignityCertificate:
-    bound_fn = _as_bound_fn(bound)
-    entries = []
-    for eps in eps_list:
-        seq = marker_sequence(table, eps)
-        entries.append(
-            BenignityEntry(Fraction(eps), seq.count, bound_fn(Fraction(eps)), seq.truncated)
-        )
-    return BenignityCertificate(tuple(entries))
-
-
 # A cell of a partial table is None (never converges) or (value, delay):
 # the value becomes readable once the per-cell step budget reaches `delay`.
 PartialCell = Optional[tuple[Fraction, int]]
@@ -328,10 +295,6 @@ PartialCell = Optional[tuple[Fraction, int]]
 @dataclass(frozen=True)
 class PartialCostTable:
     cells: tuple[tuple[PartialCell, ...], ...]
-
-    @classmethod
-    def from_values(cls, rows: Sequence[Sequence]) -> "PartialCostTable":
-        return cls(tuple(tuple((Fraction(v), 0) for v in row) for row in rows))
 
     @property
     def stages(self) -> int:
@@ -528,31 +491,6 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         numbers[1:],
     )
     return table
-
-
-def parse_partial_table(text: str) -> PartialCostTable:
-    """Rows of cells: 'p/q' (instant), 'p/q@d' (readable at budget d), '?' (never)."""
-    numbers, lines = _nonblank_lines(text)
-    if not lines:
-        raise ScenarioError("line 1: empty partial table")
-    rows = []
-    for i, line in zip(numbers, lines):
-        row: list[PartialCell] = []
-        for token in line.split():
-            if token == "?":
-                row.append(None)
-            elif "@" in token:
-                value, _, delay = token.partition("@")
-                if not delay.isdecimal():
-                    raise ScenarioError(f"line {i}: bad delay in {token!r}")
-                row.append((_parse_fraction(value, i), int(delay)))
-            else:
-                row.append((_parse_fraction(token, i), 0))
-        rows.append(tuple(row))
-    for i, row in zip(numbers, rows):
-        if len(row) != len(rows[0]):
-            raise ScenarioError(f"line {i}: ragged partial table")
-    return PartialCostTable(tuple(rows))
 
 
 def to_listed_form(table: CostTable) -> CostTable:

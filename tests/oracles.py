@@ -1,6 +1,7 @@
 """Brute-force reference definitions that the fast paths are tested against."""
-from tracelab.approximations import WordApproximation
-from tracelab.words import extensions_avoiding
+from itertools import product
+
+from tracelab.approximations import ChangeSet, WordApproximation, pair_code
 
 
 def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
@@ -39,6 +40,28 @@ def recursive_member(functional, word: str, upto=None) -> bool:
         return memo[(w, k)]
 
     return added_before(word, len(events) if upto is None else upto)
+
+
+def extensions_avoiding(word: str, length: int, blocked) -> list[str]:
+    """All length-`length` extensions of `word` with no prefix in `blocked`,
+    sorted.  When no member of `blocked` strictly extends `word` beyond
+    `length`, no two words of `blocked` and the result are comparable."""
+    if length < len(word):
+        raise ValueError(f"target length {length} below word length {len(word)}")
+    blocked = list(blocked)
+    extensions = (word + "".join(bits) for bits in product("01", repeat=length - len(word)))
+    return [w for w in extensions if not any(w.startswith(b) for b in blocked)]
+
+
+def changeset_word(cs: ChangeSet, stage: int, width: int) -> str:
+    """The change-set enumeration by `stage` as a word: bit c is 1 when the
+    pair with diagonal code c < width was enumerated by then."""
+    bits = ["0"] * width
+    for (x, n), enum_stage in cs.pairs.items():
+        code = pair_code(x, n)
+        if enum_stage <= stage and code < width:
+            bits[code] = "1"
+    return "".join(bits)
 
 
 def materialize(functional) -> list[str]:

@@ -553,6 +553,14 @@ def test_cli_approx_change_set(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pairs"] == [[0, 1, 1], [0, 2, 2], [0, 3, 3]]
     assert report["matches_final_row"]
+    # A sped-up sequence decodes from its own first row, not the block's.
+    block.write_text("3 2\n00\n01\n11\n")
+    argv = ["approx", "change-set", str(block), "--speedup", "1", "2", "--format", "machine"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pairs"] == [[0, 1, 1]]
+    assert report["decoded"] == "11"
+    assert report["matches_final_row"] is True
 
 
 def test_cli_fuzz_batches(tmp_path, capsys):
@@ -576,6 +584,9 @@ def test_cli_bad_fuzz_horizon_and_speedup_are_exit_one(tmp_path, capsys):
     block.write_text("4 3\n000\n100\n000\n100\n")
     assert main(["approx", "change-set", str(block), "--speedup", "-1", "0"]) == 1
     assert capsys.readouterr().err == "error: speed-up map has a negative stage -1\n"
+    block.write_text("3 2\n00\n01\n11\n")
+    assert main(["approx", "change-set", str(block), "--speedup", "9"]) == 1
+    assert capsys.readouterr().err == "error: speed-up map has no stage below horizon 3\n"
 
 
 def test_cli_verify_all(tmp_path, capsys):

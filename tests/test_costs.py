@@ -7,7 +7,6 @@ from tracelab.acceptance import certified_prefix, random_monotone_table
 from tracelab.costs import (
     CostTable,
     PartialCostTable,
-    check_benign,
     dyadic_decay_row,
     first_difference,
     format_cost_table,
@@ -15,13 +14,13 @@ from tracelab.costs import (
     marker_sequence,
     obedience_sum,
     parse_cost_table,
-    parse_partial_table,
     static_table,
     sum_benign,
     to_listed_form,
     totalize,
 )
 from tracelab.errors import ScenarioError
+from tracelab.scenarios import run_costfn_check
 
 F = Fraction
 
@@ -111,7 +110,7 @@ def test_obedience_sum_ignores_appended_stable_stages(rows):
 
 def test_sum_benign_two_identical_parts():
     part = decay_table()
-    combined, _ = sum_benign([(part, lambda e: 1), (part, lambda e: 1)])
+    combined, _ = sum_benign([(part, {F(1, 8): 1}), (part, {F(1, 8): 1})])
     for s in range(2, combined.horizon):
         for x in range(combined.width):
             assert combined.value(s, x) == F(3, 2) * F(1, 2**x)
@@ -120,7 +119,7 @@ def test_sum_benign_two_identical_parts():
 
 
 def test_sum_benign_certified_bound_example():
-    parts = [(decay_table(), lambda e: 4) for _ in range(3)]
+    parts = [(decay_table(), {F(1, 8): 4}) for _ in range(3)]
     _, bound = sum_benign(parts)
     assert bound(F(1, 2)) == 12
 
@@ -128,7 +127,7 @@ def test_sum_benign_certified_bound_example():
 def test_sum_benign_rejects_unnormalized_part():
     bad = static_table([F(2), F(1)], 4)
     with pytest.raises(ScenarioError):
-        sum_benign([(bad, lambda e: 1)])
+        sum_benign([(bad, {F(1, 8): 1})])
 
 
 def test_sum_benign_output_is_monotone_for_random_parts():
@@ -137,7 +136,7 @@ def test_sum_benign_output_is_monotone_for_random_parts():
     rng = random.Random(1)
     for _ in range(10):
         parts = [
-            (random_monotone_table(rng, 5, 5), lambda e: 5)
+            (random_monotone_table(rng, 5, 5), {F(1, 8): 5})
             for _ in range(rng.randint(1, 4))
         ]
         combined, _ = sum_benign(parts)  # CostTable validates both directions
@@ -153,25 +152,31 @@ def test_halving_exponent():
 # ---- benignity verdicts -------------------------------------------------------
 
 
+def check_benign(table, bound, eps_list):
+    """The costfn-check scenario's report: each marker count against its bound."""
+    return run_costfn_check(
+        {"cost_table": format_cost_table(table), "eps": eps_list, "bound": bound}
+    )
+
+
 def test_check_benign_verdicts():
-    table = decay_table()
-    good = check_benign(table, {F(1, 4): 4}, [F(1, 4)])
-    assert good.verdict and good.entries[0].count == 4
-    bad = check_benign(table, {F(1, 4): 3}, [F(1, 4)])
-    assert not bad.verdict
+    good = check_benign(decay_table(), {"1/4": 4}, ["1/4"])
+    assert good["ok"] and good["thresholds"]["1/4"]["count"] == 4
+    bad = check_benign(decay_table(), {"1/4": 3}, ["1/4"])
+    assert not bad["ok"] and bad["thresholds"]["1/4"]["ok"] is False
 
 
 def test_check_benign_zero_table():
-    cert = check_benign(zero_table(), lambda e: 1, [F(1, 2), F(1, 7)])
-    assert cert.verdict
+    report = check_benign(zero_table(), {"1/2": 1, "1/7": 1}, ["1/2", "1/7"])
+    assert report["ok"]
 
 
 # ---- totalization -------------------------------------------------------------
 
 
 def test_totalize_instant_total_input():
-    partial = PartialCostTable.from_values(
-        [[F(1, 2**(x + 1)) for x in range(5)] for _ in range(5)]
+    partial = PartialCostTable(
+        tuple(tuple((F(1, 2**(x + 1)), 0) for x in range(5)) for _ in range(5))
     )
     out = totalize(partial, horizon=6, width=6)
     for s in range(6):
@@ -283,22 +288,6 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("2 2\n\n0 0\n\n\n1/2 1/4\n", listed_form=True)
 
 
-def test_parse_partial_table_tokens():
-    partial = parse_partial_table("1/2 1/4@3 ?\n1/2 1/4 ?\n")
-    assert partial.cell(0, 0) == (F(1, 2), 0)
-    assert partial.cell(0, 1) == (F(1, 4), 3)
-    assert partial.cell(0, 2) is None
-
-
-def test_parse_partial_table_names_text_lines():
-    with pytest.raises(ScenarioError, match="^line 3: bad delay in '1/2@x'$"):
-        parse_partial_table("1/2 ?\n\n1/2@x ?\n")
-    with pytest.raises(ScenarioError, match="^line 4: bad rational 'y'$"):
-        parse_partial_table("\n1/2 ?\n\ny ?\n")
-    with pytest.raises(ScenarioError, match="^line 3: ragged partial table$"):
-        parse_partial_table("1/2 ?\n\n1/2\n")
-
-
 def test_first_difference():
     assert first_difference("0101", "0101") is None
     assert first_difference("0101", "0111") == 2
@@ -325,7 +314,7 @@ def test_cost_table_validation_catches_bad_monotonicity():
 
 def test_sum_benign_single_part_reproduces_it_from_stage_one():
     part = decay_table()
-    combined, _ = sum_benign([(part, lambda e: 4)])
+    combined, _ = sum_benign([(part, {F(1, 8): 4})])
     assert all(v == 0 for v in combined.rows[0])
     for s in range(1, combined.horizon):
         assert combined.rows[s] == part.rows[s]
