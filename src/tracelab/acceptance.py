@@ -89,10 +89,8 @@ def speedup_instance(rng: random.Random, horizon: int = 20, width: int = 12):
 def capacity_sweep(env) -> list[tuple[str, int, int]]:
     """(name, trace size, trace capacity) of every box the environment has
     made: its initial boxes, then its classes level by level."""
-    boxes = list(env.initial_boxes.values())
-    for family in env.classes.values():
-        boxes.extend(family.values())
-    return [(box.name, len(box.content), env.layout.trace_capacity(box.level)) for box in boxes]
+    capacity = env.layout.trace_capacity
+    return [(box.name, len(box.content), capacity(box.level)) for box in env.boxes()]
 
 
 def certified_prefix(partial: PartialCostTable, budget: int) -> int:
@@ -115,48 +113,36 @@ def certified_prefix(partial: PartialCostTable, budget: int) -> int:
 
 class PromotionBatch(NamedTuple):
     seed: int
-    runs: list  # (payload, engine, extraction or None), in generation order
+    runs: list  # finished `PromotionEngine`s, in generation order
 
 
 def promotion_batch(*, seed: int = 20240811, runs: int = 200) -> PromotionBatch:
     """Mixed-oracle promotion runs with every engine-internal bound audit
-    armed, so a single falsified lemma aborts the batch.  Honest runs are
-    extracted and, where the anchor settles inside the horizon, swept for
-    believability uniqueness stage by stage."""
+    armed, so a single falsified lemma aborts the batch.  Each honest run's
+    `run()` extracts and, where the anchor settles inside the horizon, sweeps
+    for believability uniqueness stage by stage."""
     rng = random.Random(seed)
-    out = []
-    for index in range(runs):
-        payload = boxpromo_payload(rng, index)
-        engine = build_promotion_engine(payload)
-        engine.run()
-        extraction = None
-        if payload["oracle"]["policy"] == "honest":
-            extraction = engine.extract_approximation()
-            if extraction.anchor and extraction.anchor_stage < engine.horizon:
-                engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
-        out.append((payload, engine, extraction))
+    out = [build_promotion_engine(boxpromo_payload(rng, index)).run() for index in range(runs)]
     return PromotionBatch(seed, out)
-
-
 
 
 def conflict_bound(batch: PromotionBatch) -> dict:
     oracles = set()
-    for index, (payload, engine, _) in enumerate(batch.runs):
-        oracles.add(payload["oracle"]["policy"])
-        ok = payload["overhead"] in (1, 2) and engine.top_level <= 4 and engine.horizon <= 100
+    for index, engine in enumerate(batch.runs):
+        oracles.add(engine.policy.kind)
+        ok = engine.overhead in (1, 2) and engine.top_level <= 4 and engine.horizon <= 100
         _require(ok, 1, batch.seed, f"run {index} lies outside the generated ranges")
         for level, state in engine.levels.items():
             # Conflicts latch monotonically, so the final tally is the
             # per-stage maximum.
-            ok = len(state.conflicts) < level
+            ok = sum(slot.conflict is not None for slot in state.slots) < level
             _require(ok, 1, batch.seed, f"run {index} level {level} has too many conflicts")
     return {"runs": len(batch.runs), "oracles": sorted(oracles)}
 
 
 def witness_certification(batch: PromotionBatch) -> dict:
     audited = 0
-    for index, (_, engine, _) in enumerate(batch.runs):
+    for index, engine in enumerate(batch.runs):
         for audit in engine.witness_audits:
             audited += 1
             where = f"run {index} audit at stage {audit.stage} level {audit.level}"
@@ -166,7 +152,7 @@ def witness_certification(batch: PromotionBatch) -> dict:
             _require(falling, 2, batch.seed, f"{where}: deficits rise, {deficits}")
             dropped = all(deficits[slot - 1] > deficits[slot] for slot in audit.conflicted)
             _require(dropped, 2, batch.seed, f"{where}: a conflicted slot keeps its deficit")
-        conflicted = any(state.conflicts for state in engine.levels.values())
+        conflicted = any(slot.conflict for state in engine.levels.values() for slot in state.slots)
         ok = engine.witness_audits or not conflicted
         _require(ok, 2, batch.seed, f"run {index} has conflicts but no witness audit")
     return {"audits": audited}
@@ -174,7 +160,7 @@ def witness_certification(batch: PromotionBatch) -> dict:
 
 def capacity(batch: PromotionBatch) -> dict:
     boxes = 0
-    for index, (_, engine, _) in enumerate(batch.runs):
+    for index, engine in enumerate(batch.runs):
         for level, state in engine.levels.items():
             ok = len(state.slots) <= engine.layout.lengths_capacity(level)
             _require(ok, 3, batch.seed, f"run {index} level {level} lists too many lengths")
@@ -186,16 +172,17 @@ def capacity(batch: PromotionBatch) -> dict:
 
 def believability(batch: PromotionBatch) -> dict:
     extracted = 0
-    for index, (payload, engine, extraction) in enumerate(batch.runs):
+    for index, engine in enumerate(batch.runs):
+        extraction = engine.extraction
         if extraction is None:
             continue
-        ok = payload["oracle"]["delay"] <= 2
+        ok = engine.policy.delay <= 2
         _require(ok, 4, batch.seed, f"run {index} has an oracle delay above 2")
         if extraction.anchor_stage >= engine.horizon:
             continue
         extracted += 1
         words = [extraction.anchor] + [step.word for step in extraction.steps]
-        on_truth = all(is_prefix(word, payload["ground_truth"]) for word in words)
+        on_truth = all(is_prefix(word, engine.env.ground_truth) for word in words)
         _require(on_truth, 4, batch.seed, f"run {index} extracts a word off the ground truth")
         few = all(len(hits) <= n + n * (n - 1) // 2 for n, hits in extraction.expensive.items())
         _require(few, 4, batch.seed, f"run {index} has too many expensive steps")

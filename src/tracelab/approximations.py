@@ -212,9 +212,13 @@ def obedience_speedup(
     twice the witness cost dominates the cost on the settled prefix; the
     witness approximation is expected to change cheaply under `witness_cost`.
     Raises HorizonExhausted when `steps` search steps were demanded but the
-    tables end first.
+    tables end first, and ScenarioError on a negative `steps` or `budget`.
     """
     budget = Fraction(budget)
+    if steps is not None and steps < 0:
+        raise ScenarioError(f"speed-up needs a step count of at least 0, got {steps}")
+    if budget < 0:
+        raise ScenarioError(f"speed-up needs a budget of at least 0, got {budget}")
     horizon = min(target.horizon, witness.horizon, cost.horizon, witness_cost.horizon)
     found: list[SpeedupStep] = []
     prev_stage, prev_pos = 1, 1

@@ -7,8 +7,10 @@ the lengths were added.  A slot holds its length, the stage it was added and
 its `Candidate`s, the certified strings of that length in listing order.  A
 candidate carries its own success ledger: `pending` counts the spawned
 classes that still lack a witness for it, and `since` is the first stage it
-counts as successful, set when `pending` reaches 0.  `lacking[box]` lists the
-candidates a class still lacks, in the class's pattern order.
+counts as successful, set when `pending` reaches 0.  A slot's `conflict` is
+the stage it latched and the two successful candidates that agree below the
+previous length.  `lacking[box]` lists the candidates a class still lacks, in
+the class's pattern order.
 """
 from __future__ import annotations
 
@@ -94,6 +96,7 @@ class Slot:
     length: int
     added: int  # stage the length was added
     candidates: list[Candidate] = field(default_factory=list)
+    conflict: Optional[tuple[int, tuple[Candidate, Candidate]]] = None  # (first stage, pair)
 
 
 @dataclass
@@ -101,7 +104,6 @@ class LevelState:
     level: int
     slots: list[Slot] = field(default_factory=list)
     lacking: dict[Box, list[Candidate]] = field(default_factory=dict)
-    conflicts: dict[int, tuple[int, tuple[int, int]]] = field(default_factory=dict)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
 
     def top_length(self) -> Optional[int]:
@@ -176,12 +178,19 @@ class PromotionEngine:
         }
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
+        self.extraction: Optional[Extraction] = None  # set by `run` for honest oracles
 
     # ---- per-stage actions -------------------------------------------------
 
     def run(self) -> "PromotionEngine":
+        """Every stage, then, for an honest oracle, the extraction and, when
+        its anchor settles inside the horizon, the uniqueness sweep."""
         for stage in range(self.overhead, self.horizon):
             self._stage(stage)
+        if self.policy.kind == "honest" and self.env.ground_truth is not None:
+            self.extraction = extraction = self.extract_approximation()
+            if extraction.anchor and extraction.anchor_stage < self.horizon:
+                self.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
         return self
 
     def _stage(self, stage: int) -> None:
@@ -301,12 +310,12 @@ class PromotionEngine:
         level = state.level
         fresh = []
         for slot, entry in enumerate(state.slots, start=1):
-            if slot in state.conflicts:
+            if entry.conflict is not None:
                 continue
             floor = state.slots[slot - 2].length if slot >= 2 else 0
-            hit = next(
+            entry.conflict = next(
                 (
-                    (a.index, b.index)
+                    (stage, (a, b))
                     for a, b in combinations(entry.candidates, 2)
                     if a.successful_at(stage)
                     and b.successful_at(stage)
@@ -314,19 +323,16 @@ class PromotionEngine:
                 ),
                 None,
             )
-            if hit:
-                state.conflicts[slot] = (stage, hit)
-                fresh.append(slot)
+            if entry.conflict is not None:
+                fresh.append(entry)
                 events["new_conflicts"].append({"level": level, "slot": slot})
-        for slot, (first, (i, j)) in state.conflicts.items():
-            candidates = state.slots[slot - 1].candidates
-            if not (
-                candidates[i - 1].successful_at(stage) and candidates[j - 1].successful_at(stage)
-            ):
+        latched = [entry.conflict[1] for entry in state.slots if entry.conflict is not None]
+        for pair in latched:
+            if not all(c.successful_at(stage) for c in pair):
                 raise InvariantViolation(
-                    f"latched conflict at level {level} slot {slot} lost its pair"
+                    f"latched conflict at level {level} slot {pair[0].slot} lost its pair"
                 )
-        count = len(state.conflicts)
+        count = len(latched)
         if count > level - 1:
             raise InvariantViolation(
                 f"{count} conflicted lengths at level {level}, stage {stage}; "
@@ -337,7 +343,7 @@ class PromotionEngine:
         # A conflicted length is offered downward once; the level below only
         # ever grows, so a length it cannot absorb now stays unabsorbable.
         if level > self.overhead and fresh:
-            outgoing = [state.slots[slot - 1].length for slot in fresh]
+            outgoing = [entry.length for entry in fresh]
             below = promoted_down.setdefault(level - 1, [])
             below.extend(outgoing)
             events["promotions"].append({"from": level, "lengths": sorted(outgoing)})
@@ -347,14 +353,14 @@ class PromotionEngine:
     def _build_witness(self, state, stage: int) -> WitnessAudit:
         level = state.level
         slots = len(state.slots)
-        conflicted = tuple(sorted(k for k, (first, _) in state.conflicts.items() if first <= stage))
+        conflicted = tuple(
+            k for k, e in enumerate(state.slots, start=1) if e.conflict and e.conflict[0] <= stage
+        )
         chain: dict[int, list[Candidate]] = {slots + 1: []}
         for slot in range(slots, 0, -1):
             current = list(chain[slot + 1])
             if slot in conflicted:
-                first, pair = state.conflicts[slot]
-                for index in pair:
-                    candidate = state.slots[slot - 1].candidates[index - 1]
+                for candidate in state.slots[slot - 1].conflict[1]:
                     if all(not comparable(candidate.word, other.word) for other in current):
                         current.append(candidate)
             chain[slot] = current
@@ -462,7 +468,7 @@ class PromotionEngine:
                     return False
         return True
 
-    def extract_approximation(self, pad_width: Optional[int] = None) -> Extraction:
+    def extract_approximation(self) -> Extraction:
         if self.env.ground_truth is None:
             raise ScenarioError("extraction needs a ground-truth word")
         truth = self.env.ground_truth
@@ -484,9 +490,8 @@ class PromotionEngine:
         if anchor_stage is None:
             return Extraction(anchor, self.horizon, [], {}, self.overhead, ZERO, ZERO)
 
-        width = pad_width or self.horizon
         steps: list[ExtractionStep] = []
-        previous_word = anchor.ljust(width, "0")
+        previous_word = anchor.ljust(self.horizon, "0")
         previous_stage = anchor_stage
         truncated_at = None
         exponents = set(range(self.top_level + 1))
@@ -501,7 +506,7 @@ class PromotionEngine:
                 truncated_at = index
                 break
             stage, word = found
-            padded = word.ljust(width, "0")
+            padded = word.ljust(self.horizon, "0")
             change = first_difference(padded, previous_word)
             cost = self.cost.value(index, change) if change is not None else ZERO
             if cost > 0:

@@ -144,6 +144,11 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         raise ScenarioError("boxpromo scenario needs a horizon of at least 2")
     overhead = _integer(payload.get("overhead", 1), "boxpromo scenario 'overhead'")
     top_level = _integer(payload.get("top_level", 3), "boxpromo scenario 'top_level'")
+    BoxLayout.check_levels(overhead, top_level)  # before the marker table reads them
+    what = "boxpromo scenario 'family_cap'"
+    family_cap = _integer(payload.get("family_cap", 20000), what)
+    if family_cap < 1:  # every class family holds its root class
+        raise ScenarioError(f"{what}: expected at least 1, got {family_cap}")
     cost = costs.parse_cost_table(
         text_block(_required(payload, "cost_table", "boxpromo scenario")),
         normalized=bool(payload.get("normalized", True)),
@@ -175,13 +180,12 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         horizon=horizon,
         policy=policy,
         ground_truth=ground_truth,
-        family_cap=_integer(payload.get("family_cap", 20000), "boxpromo scenario 'family_cap'"),
+        family_cap=family_cap,
     )
 
 
 def run_boxpromo(payload: dict) -> dict:
-    engine = build_promotion_engine(payload)
-    engine.run()
+    engine = build_promotion_engine(payload).run()
     report = {
         "kind": "boxpromo",
         "parameters": {
@@ -198,8 +202,9 @@ def run_boxpromo(payload: dict) -> dict:
                 "lengths_capacity": engine.layout.lengths_capacity(n),
                 "trace_capacity": engine.layout.trace_capacity(n),
                 "conflicts": {
-                    str(slot): {"stage": first, "pair": list(pair)}
-                    for slot, (first, pair) in sorted(state.conflicts.items())
+                    str(k): {"stage": slot.conflict[0], "pair": [c.index for c in slot.conflict[1]]}
+                    for k, slot in enumerate(state.slots, start=1)
+                    if slot.conflict is not None
                 },
                 "candidates": {
                     str(k): [c.word for c in slot.candidates]
@@ -223,17 +228,17 @@ def run_boxpromo(payload: dict) -> dict:
             for a in engine.witness_audits
         ],
         "tallies": {
-            "conflicts": sum(len(s.conflicts) for s in engine.levels.values()),
+            "conflicts": sum(
+                slot.conflict is not None for s in engine.levels.values() for slot in s.slots
+            ),
             "max_trace": engine.env.max_trace,
             "class_family": {
                 str(n): len(engine.env.classes.get(n, {})) for n in sorted(engine.levels)
             },
         },
     }
-    if engine.policy.kind == "honest" and engine.env.ground_truth is not None:
-        extraction = engine.extract_approximation()
-        if extraction.anchor and extraction.anchor_stage < engine.horizon:
-            engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
+    extraction = engine.extraction
+    if extraction is not None:
         report["extraction"] = {
             "anchor": extraction.anchor,
             "anchor_stage": extraction.anchor_stage,

@@ -1,5 +1,5 @@
-"""Box layouts indexed by an order function, the tested-string functional,
-and pluggable trace oracles.
+"""Box layouts with per-level capacities, the tested-string functional, and
+pluggable trace oracles.
 
 Hypercube boxes are handled as equivalence classes over the pairs of
 candidate strings actually enumerated: a class stands for every concrete box
@@ -25,28 +25,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .words import check_word, comparable, random_word
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def pair_subset_count(n: int) -> int:
-    """Number of subsets of {1..n} of size at most 2."""
-    if n < 1:
-        raise ScenarioError("levels start at 1")
-    return 1 + n + n * (n - 1) // 2
-
-
-def subsets_up_to_pairs(n: int) -> list[tuple[int, ...]]:
-    """Canonical enumeration of those subsets: by size, then lexicographic."""
-    out: list[tuple[int, ...]] = [()]
-    out.extend((i,) for i in range(1, n + 1))
-    out.extend(tuple(c) for c in combinations(range(1, n + 1), 2))
-    return out
 
 
 class Box:
@@ -75,18 +59,13 @@ class Box:
 
 
 class BoxLayout:
-    """Partition of an initial segment of the naturals into hypercube and
-    initial-testing intervals, one pair per level, with the order function
-    (`level_of`) constant on each level's stretch.  A level's hypercube
-    interval has pair_subset_count(n) ** lengths_capacity(n) addresses, so the
-    offsets of a tall layout are huge integers: they are computed only when
-    `address`, `level_of` or `total` asks for them."""
+    """Per-level capacities of a layout of levels up to `top_level`: how
+    many lengths a level lists, one initial-testing box each, and how many
+    values a box's trace component holds.  The layout makes the boxes and
+    puts hypercube coordinates in canonical form."""
 
     def __init__(self, overhead: int, slack: dict[int, int], top_level: int):
-        if overhead < 1:
-            raise ScenarioError("overhead constant must be at least 1")
-        if top_level < overhead:
-            raise ScenarioError("top level below the overhead constant")
+        BoxLayout.check_levels(overhead, top_level)
         for n in range(1, top_level + 1):
             if slack.get(n, 0) < 1:
                 raise ScenarioError(f"slack table must be >= 1 at level {n}")
@@ -94,21 +73,16 @@ class BoxLayout:
         self.slack = dict(slack)
         self.top_level = top_level
 
-    def _cube_size(self, level: int) -> int:
-        return pair_subset_count(level) ** self.lengths_capacity(level)
-
-    def _start(self, level: int) -> int:
-        """First address of the level: its hypercube interval, then its
-        initial-testing interval."""
-        return sum(self._cube_size(n) + self.lengths_capacity(n) for n in range(1, level))
-
-    @property
-    def total(self) -> int:
-        return self._start(self.top_level + 1)
+    @staticmethod
+    def check_levels(overhead: int, top_level: int) -> None:
+        """Reject an overhead below 1 or a top level below the overhead."""
+        if overhead < 1:
+            raise ScenarioError("overhead constant must be at least 1")
+        if top_level < overhead:
+            raise ScenarioError("top level below the overhead constant")
 
     def lengths_capacity(self, level: int) -> int:
-        """Most lengths the level lists: one initial-testing box per length,
-        so also the size of the level's initial-testing interval."""
+        """Most lengths the level lists, one initial-testing box each."""
         return level + self.slack[level]
 
     def trace_capacity(self, level: int) -> int:
@@ -140,28 +114,6 @@ class BoxLayout:
             cleaned.append((k, idx))
         cleaned.sort()
         return tuple(cleaned)
-
-    def address(self, box: Box) -> int:
-        """Numeric position of the box (for M-classes: of the representative
-        whose unlisted coordinates are empty)."""
-        m_start = self._start(box.level)
-        if box.kind == "I":
-            return m_start + self._cube_size(box.level) + (box.slot - 1)
-        digits = {k: idx for k, idx in box.pattern}
-        enumeration = {s: d for d, s in enumerate(subsets_up_to_pairs(box.level))}
-        base = pair_subset_count(box.level)
-        value = 0
-        for k in range(self.lengths_capacity(box.level), 0, -1):
-            value = value * base + enumeration[digits.get(k, ())]
-        return m_start + value
-
-    def level_of(self, address: int) -> int:
-        end = 0
-        for n in range(1, self.top_level + 1):
-            end += self._cube_size(n) + self.lengths_capacity(n)
-            if 0 <= address < end:
-                return n
-        raise ScenarioError(f"address {address} outside the layout")
 
 
 @dataclass(frozen=True)
@@ -234,6 +186,14 @@ class Environment:
         self.max_trace = 0  # largest trace component written so far
 
     # ---- structure -------------------------------------------------------
+
+    def boxes(self) -> list[Box]:
+        """Every box made so far: the initial boxes, then the classes level
+        by level."""
+        boxes = list(self.initial_boxes.values())
+        for family in self.classes.values():
+            boxes.extend(family.values())
+        return boxes
 
     def initial_box(self, level: int, slot: int) -> Box:
         box = self.initial_boxes.get((level, slot))
@@ -352,10 +312,7 @@ class HonestPolicy:
         if env.ground_truth is None:
             raise ScenarioError("honest policy needs a ground truth")
         moves = []
-        boxes = list(env.initial_boxes.values())  # `oracle_step` sorts the moves
-        for family in env.classes.values():
-            boxes.extend(family.values())
-        for box in boxes:
+        for box in env.boxes():  # `oracle_step` sorts the moves
             due = env.honest_value(box)
             if due is None:
                 continue

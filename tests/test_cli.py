@@ -313,7 +313,13 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "line 1: expected 'stage box value', got '\u00b2 I2.2 000'",
         ),
         ("boxpromo", dict(canned, oracle=script("1 M2.1:x2 0")), "bad cube-box spec 'M2.1:x2'"),
+        ("boxpromo", dict(canned, top_level=-1), "top level below the overhead constant"),
     ]
+    # A class family always holds its root class, so a cap below 1 is a
+    # parse problem, not horizon exhaustion.
+    for cap in (0, -5):
+        message = f"boxpromo scenario 'family_cap': expected at least 1, got {cap}"
+        cases.append(("boxpromo", dict(canned, family_cap=cap), message))
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -357,7 +363,12 @@ LISTED_20 = format_cost_table(to_listed_form(static_table(dyadic_decay_row(20), 
 REQUIREMENT_20 = {"cost_table": LISTED_20, "stage_map": [[i, i, i + 1] for i in range(20)]}
 MUTATION_BASES = [
     canned_scripted_payload(),
-    dict(canned_scripted_payload(), ground_truth="01101001100101", oracle={"policy": "honest", "delay": 1}),
+    dict(
+        canned_scripted_payload(),
+        ground_truth="01101001100101",
+        oracle={"policy": "honest", "delay": 1},
+        family_cap=4,  # the run's largest family, so the cap is tight
+    ),
     dict(canned_scripted_payload(), slack={"1": 2}, oracle={"policy": "random", "seed": 3, "feed_rate": 0.9}),
     dict(synth_payload_small(), requirements=[REQUIREMENT_20]),
     {"kind": "costfn-check", "cost_table": decay_text(6), "eps": ["1/4"], "bound": {"1/4": 4}},
@@ -446,8 +457,7 @@ def test_cli_report_to_a_closed_pipe_ends_quietly(tmp_path):
 
 
 def test_cli_runs_a_layout_three_thousand_levels_tall(tmp_path, capsys):
-    # Level n's hypercube interval has pair_subset_count(n) ** (n + slack[n])
-    # addresses; the layout computes such offsets only when asked for them.
+    # The layout holds per-level capacities only, so a tall one stays cheap.
     payload = dict(
         canned_scripted_payload(), top_level=3000, ground_truth="0" * 14, oracle={"policy": "honest"}
     )
@@ -587,6 +597,16 @@ def test_cli_bad_fuzz_horizon_and_speedup_are_exit_one(tmp_path, capsys):
     block.write_text("3 2\n00\n01\n11\n")
     assert main(["approx", "change-set", str(block), "--speedup", "9"]) == 1
     assert capsys.readouterr().err == "error: speed-up map has no stage below horizon 3\n"
+    # A negative step count or budget is a usage problem, not an empty or
+    # exhausted search.
+    cost = tmp_path / "c.table"
+    cost.write_text(decay_text(4))
+    block.write_text("4 3\n000\n100\n000\n100\n")
+    speedup = ["approx", "speedup", str(cost), str(cost), str(block), str(block)]
+    assert main(speedup + ["--steps", "-1"]) == 1
+    assert capsys.readouterr().err == "error: speed-up needs a step count of at least 0, got -1\n"
+    assert main(speedup + ["--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: speed-up needs a budget of at least 0, got -1\n"
 
 
 def test_cli_verify_all(tmp_path, capsys):

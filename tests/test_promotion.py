@@ -187,10 +187,20 @@ def test_honest_extraction_tracks_the_ground_truth():
         assert hits <= n + n * (n - 1) // 2
 
 
+def test_run_extracts_for_honest_oracles_only():
+    truth = {"ground_truth": "01101001100101"}
+    scripted = build_promotion_engine(dict(canned_scripted_payload(), **truth)).run()
+    adversary = dict(canned_scripted_payload(), oracle={"policy": "random", "seed": 3}, **truth)
+    assert scripted.extraction is None
+    assert build_promotion_engine(adversary).run().extraction is None
+    engine = build_promotion_engine(honest_payload(4)).run()
+    assert engine.extraction is not None
+    assert engine.extraction == engine.extract_approximation()
+
+
 def test_believable_is_the_anchor_at_the_anchor_stage():
-    engine = build_promotion_engine(honest_payload(4))
-    engine.run()
-    extraction = engine.extract_approximation()
+    engine = build_promotion_engine(honest_payload(4)).run()
+    extraction = engine.extraction
     anchor = extraction.anchor
     assert engine.believable(engine.overhead, extraction.anchor_stage, anchor) == anchor
 
@@ -298,15 +308,15 @@ def test_honest_trace_completeness_at_the_final_stage():
     engine.run()
     truth = payload["ground_truth"]
     final = engine.horizon - 1
-    for box in engine.env.initial_boxes.values():
-        if box.functional.events[0].stage + 1 <= final:
-            assert any(is_prefix(v, truth) for v, _ in box.content)
-    for level in engine.levels:
-        for box in engine.env.classes_at(level):
-            due = engine.env.honest_value(box)
-            if due is not None and due[0] + 1 <= final:
-                values = [v for v, _ in box.content]
-                assert any(is_prefix(v, truth) or is_prefix(truth[: len(v)], v) for v in values)
+    for box in engine.env.boxes():
+        values = [v for v, _ in box.content]
+        if box.kind == "I":
+            if box.functional.events[0].stage + 1 <= final:
+                assert any(is_prefix(v, truth) for v in values)
+            continue
+        due = engine.env.honest_value(box)
+        if due is not None and due[0] + 1 <= final:
+            assert any(is_prefix(v, truth) or is_prefix(truth[: len(v)], v) for v in values)
 
 
 def test_scenario_accepts_an_approximation_block_for_the_truth():
@@ -319,8 +329,8 @@ def test_scenario_accepts_an_approximation_block_for_the_truth():
 
 
 def conflict_is_active(engine, level, slot, stage):
-    entry = engine.levels[level].conflicts.get(slot)
-    return entry is not None and entry[0] <= stage
+    conflict = engine.levels[level].slots[slot - 1].conflict
+    return conflict is not None and conflict[0] <= stage
 
 
 def test_conflict_query_latches_per_stage():
@@ -332,6 +342,7 @@ def test_conflict_query_latches_per_stage():
     assert not conflict_is_active(engine, 2, 1, 9)
     state = engine.levels[2]
     first, second = state.slots[1].candidates[:2]
+    assert state.slots[1].conflict == (5, (first, second))
     assert not first.successful_at(4)
     assert first.successful_at(5)
     assert second.successful_at(5)
@@ -369,7 +380,5 @@ def test_extraction_reports_truncation_on_short_horizons():
     # With the oracle delay eating most of an 8-stage run, upper levels never
     # produce a credible word; extraction must say so rather than pretend.
     payload = honest_payload(6, horizon=8, top=3, delay=2)
-    engine = build_promotion_engine(payload)
-    engine.run()
-    extraction = engine.extract_approximation()
+    extraction = build_promotion_engine(payload).run().extraction
     assert extraction.truncated_at is not None or len(extraction.steps) < 2

@@ -15,10 +15,8 @@ from tracelab.tracer import (
     RandomPolicy,
     ScriptedPolicy,
     oracle_step,
-    pair_subset_count,
     parse_box_level,
     resolve_box_spec,
-    subsets_up_to_pairs,
 )
 from tracelab.words import comparable
 
@@ -27,24 +25,7 @@ def small_layout(overhead=1, top=3):
     return BoxLayout(overhead, {n: 3 for n in range(1, top + 1)}, top)
 
 
-def cube_size(layout, level):
-    """Length of the level's hypercube interval in the layout: from the
-    address of its empty-pattern class to that of its first initial box."""
-    first_initial = layout.address(layout.initial_box(level, 1))
-    return first_initial - layout.address(layout.cube_box(level, {}))
-
-
 # ---- layout ---------------------------------------------------------------------
-
-
-def test_pair_subset_count_small_values():
-    assert pair_subset_count(1) == 2
-    assert pair_subset_count(2) == 4
-    assert pair_subset_count(3) == 7
-
-
-def test_subset_enumeration_is_canonical():
-    assert subsets_up_to_pairs(2) == [(), (1,), (2,), (1, 2)]
 
 
 def test_cube_box_is_deterministic_and_injective():
@@ -54,7 +35,19 @@ def test_cube_box_is_deterministic_and_injective():
     assert (a.pattern, a.name) == (b.pattern, b.name)
     c = layout.cube_box(2, {1: (2,)})
     assert a.pattern != c.pattern and a.name != c.name
-    assert layout.address(a) != layout.address(c)
+
+
+def test_layout_checks_its_levels_and_holds_their_capacities():
+    for overhead, top in ((0, 3), (2, 1), (1, -1)):
+        with pytest.raises(ScenarioError):
+            BoxLayout.check_levels(overhead, top)
+        with pytest.raises(ScenarioError):
+            BoxLayout(overhead, {n: 3 for n in range(1, 4)}, top)
+    with pytest.raises(ScenarioError):
+        BoxLayout(1, {1: 3, 2: 0}, 2)
+    layout = small_layout(overhead=2)
+    assert [layout.lengths_capacity(n) for n in (1, 2, 3)] == [4, 5, 6]
+    assert [layout.trace_capacity(n) for n in (1, 2, 3)] == [2, 2, 3]
 
 
 def test_cube_box_rejects_oversized_coordinate_values():
@@ -63,32 +56,6 @@ def test_cube_box_rejects_oversized_coordinate_values():
         layout.cube_box(2, {1: (1, 2, 3)})
     with pytest.raises(ScenarioError):
         layout.cube_box(2, {1: (3,)})  # index above the level
-
-
-def test_interval_sizes_match_the_layout():
-    layout = small_layout()
-    for n in (1, 2, 3):
-        assert cube_size(layout, n) == pair_subset_count(n) ** (n + 3)
-        assert layout.lengths_capacity(n) == n + 3
-
-
-def test_order_function_is_positive_and_nondecreasing():
-    layout = small_layout()
-    previous = 0
-    probes = list(range(0, 40)) + [layout.total - 1]
-    assert layout.level_of(0) == 1
-    for address in probes:
-        level = layout.level_of(address)
-        assert level >= previous or address == layout.total - 1
-        previous = max(previous, level)
-
-
-def test_addresses_land_in_their_level():
-    layout = small_layout()
-    box = layout.initial_box(2, 1)
-    assert layout.level_of(layout.address(box)) == 2
-    cube = layout.cube_box(3, {1: (1, 2)})
-    assert layout.level_of(layout.address(cube)) == 3
 
 
 # ---- the functional ---------------------------------------------------------------
