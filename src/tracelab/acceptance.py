@@ -184,7 +184,7 @@ def believability(batch: PromotionBatch) -> dict:
         words = [extraction.anchor] + [step.word for step in extraction.steps]
         on_truth = all(is_prefix(word, engine.env.ground_truth) for word in words)
         _require(on_truth, 4, batch.seed, f"run {index} extracts a word off the ground truth")
-        few = all(len(hits) <= n + n * (n - 1) // 2 for n, hits in extraction.expensive.items())
+        few = all(count <= n + n * (n - 1) // 2 for n, count in extraction.expensive.items())
         _require(few, 4, batch.seed, f"run {index} has too many expensive steps")
         ok = extraction.total_cost <= extraction.layered_bound
         _require(ok, 4, batch.seed, f"run {index} extraction exceeds its layered bound")

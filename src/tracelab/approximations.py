@@ -64,12 +64,6 @@ class WordApproximation:
     def width(self) -> int:
         return len(self.rows[0])
 
-    def readable(self, stage: int, position: int, wall: int) -> bool:
-        if stage >= self.horizon or position >= self.width:
-            return False
-        ready = self.schedule.get((stage, position), stage)
-        return ready is not None and ready <= wall
-
     @cached_property
     def square_ready(self) -> tuple[int, ...]:
         """Entry b: the wall from which the square u, x <= b is readable

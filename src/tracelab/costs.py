@@ -198,18 +198,18 @@ def first_difference(a: str, b: str) -> Optional[int]:
     return None
 
 
-def obedience_sum(table: CostTable, rows, first_stage: int = 1) -> Fraction:
+def obedience_sum(table: CostTable, rows) -> Fraction:
     """Total change cost of the approximation given by `rows` (a sequence of
     bit words, or any object carrying one as `.rows`).
 
-    Stage s >= first_stage contributes q(s, x_s) when rows[s] != rows[s-1],
-    where x_s is the least position of disagreement; change-free stages
-    contribute nothing.
+    Stage s >= 1 contributes q(s, x_s) when rows[s] != rows[s-1], where x_s
+    is the least position of disagreement; change-free stages contribute
+    nothing.
     """
     rows = getattr(rows, "rows", rows)
     total = ZERO
     last = min(len(rows), table.horizon)
-    for s in range(max(1, first_stage), last):
+    for s in range(1, last):
         if rows[s] != rows[s - 1]:
             x = first_difference(rows[s], rows[s - 1])
             total += table.value(s, x)
@@ -244,13 +244,10 @@ def halving_exponent(epsilon) -> int:
     return j
 
 
-def sum_benign(
-    parts: Sequence[tuple[CostTable, Mapping]],
-    horizon: Optional[int] = None,
-    width: Optional[int] = None,
-) -> tuple[CostTable, BoundFn]:
+def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, BoundFn]:
     """Weighted sum of the given normalized tables, part k scaled by 2**-k and
-    entering only from stage k+1 on.  Each part comes with its bound g_k, a
+    entering only from stage k+1 on, over the shortest horizon and the
+    narrowest width among them.  Each part comes with its bound g_k, a
     mapping from threshold to marker count.
 
     Returns the combined table and the certified bound
@@ -265,8 +262,8 @@ def sum_benign(
         # first entry is the table's largest.
         if t.width and t.rows[-1][0] > 1:
             raise ScenarioError(f"part {idx} is not bounded by 1")
-    S = horizon if horizon is not None else min(t.horizon for t in tables)
-    X = width if width is not None else min(t.width for t in tables)
+    S = min(t.horizon for t in tables)
+    X = min(t.width for t in tables)
     rows = []
     for s in range(S):
         row = []

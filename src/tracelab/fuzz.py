@@ -141,7 +141,6 @@ def synth_payload(
     rng: random.Random,
     index: int,
     horizon: int = 120,
-    settle_by: int | None = None,
     min_flip_position: int = 4,
     max_flips: int = 2,
     slow_maps: bool = False,
@@ -159,7 +158,7 @@ def synth_payload(
                 "stage_map": stage_map,
             }
         )
-    settle = settle_by if settle_by is not None else max(4, horizon // 3)
+    settle = max(4, horizon // 3)
     flips = []
     for _ in range(rng.randint(0, max_flips)):
         if slow_maps:
@@ -242,7 +241,7 @@ def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
     }
 
 
-def _fuzz_synth(seed: int, count: int, horizon: int = 120, slow_share: float = 0.3) -> dict:
+def _fuzz_synth(seed: int, count: int, horizon: int = 120) -> dict:
     if horizon < 2:
         raise ScenarioError(f"synth fuzz needs a horizon of at least 2, got {horizon}")
     rng = random.Random(seed)
@@ -254,7 +253,7 @@ def _fuzz_synth(seed: int, count: int, horizon: int = 120, slow_share: float = 0
             rng,
             index,
             horizon=horizon,
-            slow_maps=rng.random() < slow_share,
+            slow_maps=rng.random() < 0.3,
             min_flip_position=2 if rng.random() < 0.5 else 4,
             max_flips=3,
         )

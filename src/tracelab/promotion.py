@@ -11,9 +11,17 @@ counts as successful, set when `pending` reaches 0.  A slot's `conflict` is
 the stage it latched and the two successful candidates that agree below the
 previous length.  `lacking[box]` lists the candidates a class still lacks, in
 the class's pattern order.
+
+An honest run's extraction decides credibility once: its anchor stage is the
+first at which the base level's chain check holds for the truth's prefix,
+`uniqueness_sweep` tabulates the credible word at every level and stage from
+there on (raising where two are credible), and each step reads that table.
+`Extraction.expensive` counts, per threshold exponent n, the steps that cost
+at least 2^-n.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -139,7 +147,7 @@ class Extraction:
     anchor: str
     anchor_stage: int
     steps: list[ExtractionStep]
-    expensive: dict[int, list[int]]  # threshold exponent -> extraction indices
+    expensive: dict[int, int]  # threshold exponent n -> steps costing at least 2^-n
     truncated_at: Optional[int]
     total_cost: Fraction
     layered_bound: Fraction
@@ -183,14 +191,11 @@ class PromotionEngine:
     # ---- per-stage actions -------------------------------------------------
 
     def run(self) -> "PromotionEngine":
-        """Every stage, then, for an honest oracle, the extraction and, when
-        its anchor settles inside the horizon, the uniqueness sweep."""
+        """Every stage, then, for an honest oracle, the extraction."""
         for stage in range(self.overhead, self.horizon):
             self._stage(stage)
         if self.policy.kind == "honest" and self.env.ground_truth is not None:
-            self.extraction = extraction = self.extract_approximation()
-            if extraction.anchor and extraction.anchor_stage < self.horizon:
-                self.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
+            self.extraction = self.extract_approximation()
         return self
 
     def _stage(self, stage: int) -> None:
@@ -471,70 +476,57 @@ class PromotionEngine:
     def extract_approximation(self) -> Extraction:
         if self.env.ground_truth is None:
             raise ScenarioError("extraction needs a ground-truth word")
-        truth = self.env.ground_truth
         base = self.levels[self.overhead]
-        if not base.slots:
-            return Extraction("", self.horizon, [], {}, self.overhead, ZERO, ZERO)
-        anchor = truth[: base.top_length()]
-        anchor_stage = None
-        for stage in range(max(self.overhead + 1, base.slots[-1].added), self.horizon):
-            if all(
-                any(
-                    c.word == truth[: slot.length] and c.successful_at(stage)
-                    for c in slot.candidates
-                )
-                for slot in base.slots
-            ):
-                anchor_stage = stage
+        anchor = self.env.ground_truth[: base.top_length() or 0]
+        # From the stage the last base slot was added on, the chain check
+        # covers every base slot.
+        first = max(self.overhead + 1, base.slots[-1].added) if base.slots else self.horizon
+        for anchor_stage in range(first, self.horizon):
+            if self._believable_chain_ok(anchor, self.overhead, anchor_stage):
                 break
-        if anchor_stage is None:
+        else:
             return Extraction(anchor, self.horizon, [], {}, self.overhead, ZERO, ZERO)
-
+        credible = self.uniqueness_sweep(anchor, anchor_stage)
         steps: list[ExtractionStep] = []
-        previous_word = anchor.ljust(self.horizon, "0")
-        previous_stage = anchor_stage
+        previous_word, previous_stage = anchor.ljust(self.horizon, "0"), anchor_stage
         truncated_at = None
-        exponents = set(range(self.top_level + 1))
         for index in range(self.overhead + 1, self.top_level + 1):
-            found = None
             for stage in range(previous_stage + 1, self.horizon):
-                word = self.believable(index, stage, anchor)
+                word = credible[index, stage]
                 if word is not None:
-                    found = (stage, word)
                     break
-            if found is None:
+            else:
                 truncated_at = index
                 break
-            stage, word = found
             padded = word.ljust(self.horizon, "0")
             change = first_difference(padded, previous_word)
             cost = self.cost.value(index, change) if change is not None else ZERO
-            if cost > 0:
-                exponents.add(halving_exponent(cost))
             steps.append(ExtractionStep(index, stage, word, change, cost))
             previous_word, previous_stage = padded, stage
-        top = max(exponents, default=self.top_level)
-        expensive: dict[int, list[int]] = {n: [] for n in range(top + 1)}
-        for step in steps:
-            for n in range(top + 1):
-                if step.cost >= Fraction(1, 2**n):
-                    expensive[n].append(step.index)
-        for n, hits in expensive.items():
-            if len(hits) > n + n * (n - 1) // 2:
+        # A step is expensive at 2^-n exactly when its cost is positive and
+        # its halving exponent is at most n.
+        exponents = sorted(halving_exponent(s.cost) for s in steps if s.cost > 0)
+        top = max([self.top_level, *exponents])
+        expensive = {n: bisect_right(exponents, n) for n in range(top + 1)}
+        for n, count in expensive.items():
+            if count > n + n * (n - 1) // 2:
                 raise InvariantViolation(
-                    f"{len(hits)} expensive extraction steps at threshold 2^-{n}, "
+                    f"{count} expensive extraction steps at threshold 2^-{n}, "
                     f"allowed {n + n * (n - 1) // 2}"
                 )
         total = sum((s.cost for s in steps), ZERO)
         layered = sum(
-            (len(hits) * Fraction(2) ** (1 - n) for n, hits in expensive.items()),
-            ZERO,
+            (count * Fraction(2) ** (1 - n) for n, count in expensive.items() if count), ZERO
         )
         if total > layered:
             raise InvariantViolation("layered cost bound failed on the extraction")
         return Extraction(anchor, anchor_stage, steps, expensive, truncated_at, total, layered)
 
-    def uniqueness_sweep(self, anchor: str, from_stage: int) -> None:
-        for level in range(self.overhead, self.top_level + 1):
-            for stage in range(from_stage, self.horizon):
-                self.believable(level, stage, anchor)  # raises on duplicates
+    def uniqueness_sweep(self, anchor: str, from_stage: int) -> dict[tuple[int, int], str | None]:
+        """The credible word, or None, at every level and every stage from
+        `from_stage` on; `believable` raises where two words are credible."""
+        return {
+            (level, stage): self.believable(level, stage, anchor)
+            for level in range(self.overhead, self.top_level + 1)
+            for stage in range(from_stage, self.horizon)
+        }

@@ -253,9 +253,7 @@ def run_boxpromo(payload: dict) -> dict:
                 }
                 for s in extraction.steps
             ],
-            "expensive_counts": {
-                str(n): len(hits) for n, hits in sorted(extraction.expensive.items())
-            },
+            "expensive_counts": {str(n): c for n, c in sorted(extraction.expensive.items())},
             "total_cost": fraction_str(extraction.total_cost),
             "layered_bound": fraction_str(extraction.layered_bound),
         }
@@ -458,8 +456,9 @@ def machine_format(report: dict) -> str:
 
 def table_format(report: dict) -> str:
     """Compact human-readable summary; details stay in the machine format."""
-    lines = [f"kind: {report.get('kind')}"]
-    if report.get("kind") == "boxpromo":
+    kind = report.get("kind")
+    lines = [f"kind: {kind}"]
+    if kind == "boxpromo":
         tallies = report["tallies"]
         lines.append(f"conflicts: {tallies['conflicts']}  max-trace: {tallies['max_trace']}")
         lines.append(f"witness audits: {len(report['witness_audits'])}")
@@ -471,18 +470,27 @@ def table_format(report: dict) -> str:
             )
         else:
             lines.append(f"extraction: {extraction.get('skipped', 'n/a')}")
-    elif report.get("kind") == "synth":
-        lines.append(f"halted_at: {report['halted_at']}  measured: {report['measured']}")
-        lines.append(f"speedup frontier: {report['totality']['speedup_frontier']}")
-        for eps, entry in sorted(report["benign"].items()):
+    elif kind in ("synth", "costfn-sum"):
+        if kind == "synth":
+            lines.append(f"halted_at: {report['halted_at']}  measured: {report['measured']}")
+            lines.append(f"speedup frontier: {report['totality']['speedup_frontier']}")
+        benign = report["benign"] if kind == "synth" else report["thresholds"]
+        for eps, entry in sorted(benign.items()):
             lines.append(
                 f"benign @{eps}: count {entry['count']} <= bound {entry['bound']}: {entry['ok']}"
             )
-    elif report.get("kind") == "costfn-check":
+    elif kind == "change-set":
+        pairs, decoded, same = len(report["pairs"]), report["decoded"], report["matches_final_row"]
+        lines.append(f"pairs: {pairs}  decoded: {decoded}  matches final row: {same}")
+    elif kind == "speedup":
+        lines.append(f"map: {report['map']}  omitted: {report['omitted']}")
+        tail, full = report["tail_sum"], report["full_sum"]
+        lines.append(f"tail sum: {tail}  full sum: {full}  ok: {report['ok']}")
+    elif kind == "costfn-check":
         for eps, entry in sorted(report["thresholds"].items()):
             verdict = entry.get("ok", "n/a")
             lines.append(f"@{eps}: count {entry['count']} truncated={entry['truncated']} ok={verdict}")
-    elif report.get("kind") == "verify":
+    elif kind == "verify":
         lines.extend(entry["line"] for entry in report["criteria"])
     elif "runs" in report:
         lines.append(f"runs: {report['runs']}  ok: {report.get('ok')}")

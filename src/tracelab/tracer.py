@@ -31,6 +31,7 @@ from .errors import HorizonExhausted, InvariantViolation, ScenarioError
 from .words import check_word, comparable, random_word
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
+BoxKey = tuple[str, int, "int | Pattern"]  # ("I", level, slot) or ("M", level, pattern)
 
 
 class Box:
@@ -44,13 +45,7 @@ class Box:
         self.level = level
         self.slot = slot  # length index, for I-boxes
         self.pattern = pattern  # pairs (k, (i, ...)), for M-boxes
-        if kind == "I":
-            self.name = f"I{level}.{slot}"
-        elif not pattern:
-            self.name = f"M{level}.root"
-        else:
-            coords = ".".join(f"{k}:{'+'.join(map(str, idx))}" for k, idx in pattern)
-            self.name = f"M{level}.{coords}"
+        self.name = box_name((kind, level, slot if kind == "I" else pattern))
         self.functional = Functional()
         self.content: list[tuple[str, int]] = []  # (value, stage), in order
 
@@ -61,8 +56,8 @@ class Box:
 class BoxLayout:
     """Per-level capacities of a layout of levels up to `top_level`: how
     many lengths a level lists, one initial-testing box each, and how many
-    values a box's trace component holds.  The layout makes the boxes and
-    puts hypercube coordinates in canonical form."""
+    values a box's trace component holds.  The layout makes the hypercube
+    boxes and puts their coordinates in canonical form."""
 
     def __init__(self, overhead: int, slack: dict[int, int], top_level: int):
         BoxLayout.check_levels(overhead, top_level)
@@ -87,12 +82,6 @@ class BoxLayout:
 
     def trace_capacity(self, level: int) -> int:
         return max(level, self.overhead)
-
-    def initial_box(self, level: int, slot: int) -> Box:
-        """A new box for the slot; `Environment.initial_box` makes it once."""
-        if not (1 <= slot <= self.lengths_capacity(level)):
-            raise ScenarioError(f"slot {slot} outside the initial interval of level {level}")
-        return Box("I", level, slot=slot)
 
     def cube_box(self, level: int, pattern) -> Box:
         return Box("M", level, pattern=self.canonical_pattern(level, pattern))
@@ -154,16 +143,11 @@ class Functional:
         hit = self.first_hit(word)
         return hit is not None and hit.depth == len(word)
 
-    def covers(self, word: str) -> bool:
-        """Is every deep extension of `word` tested (some tested prefix)?"""
-        return self.first_hit(word) is not None
-
 
 @dataclass
 class EnumRecord:
     box: Box
     value: str
-    stage: int
     member: bool
 
 
@@ -198,7 +182,7 @@ class Environment:
     def initial_box(self, level: int, slot: int) -> Box:
         box = self.initial_boxes.get((level, slot))
         if box is None:
-            box = self.initial_boxes[(level, slot)] = self.layout.initial_box(level, slot)
+            box = self.initial_boxes[(level, slot)] = Box("I", level, slot=slot)
         return box
 
     def ensure_level(self, level: int) -> None:
@@ -250,13 +234,10 @@ class Environment:
             family[child.pattern] = child
         return spawned
 
-    def classes_at(self, level: int) -> list[Box]:
-        self.ensure_level(level)
-        return list(self.classes[level].values())
-
     def classes_containing(self, level: int, slot: int, index: int) -> list[Box]:
+        self.ensure_level(level)
         out = []
-        for box in self.classes_at(level):
+        for box in self.classes[level].values():
             for k, idx in box.pattern:  # at most one entry per slot
                 if k == slot:
                     if index in idx:
@@ -282,7 +263,7 @@ class Environment:
             )
         bucket.append((value, stage))
         self.max_trace = max(self.max_trace, len(bucket))
-        return EnumRecord(box, value, stage, box.functional.member(value))
+        return EnumRecord(box, value, box.functional.member(value))
 
     # ---- honest bookkeeping ----------------------------------------------
 
@@ -323,36 +304,32 @@ class HonestPolicy:
 
 
 class ScriptedPolicy:
-    """Replays an explicit list of (stage, box spec, value) enumerations."""
+    """Replays an explicit list of (stage, box spec, value) enumerations.
+    Each spec is read once, into the key of the box it names, so every
+    spelling of a box counts toward its capacity."""
 
     kind = "scripted"
 
     def __init__(self, entries: list[tuple[int, str, str]], layout: BoxLayout):
-        self.by_stage: dict[int, list[tuple[str, str]]] = {}
-        per_box: dict[str, int] = {}
+        self.by_stage: dict[int, list[tuple[BoxKey, str]]] = {}
+        per_box: dict[BoxKey, int] = {}
         for stage, spec, value in entries:
             try:
                 check_word(value)
             except ValueError as exc:
                 raise ScenarioError(f"script value for {spec!r}: {exc}") from None
-            level = parse_box_level(spec)
-            if not 1 <= level <= layout.top_level:
+            key = parse_box_spec(spec, layout)
+            per_box[key] = per_box.get(key, 0) + 1
+            capacity = layout.trace_capacity(key[1])
+            if per_box[key] > capacity:
                 raise ScenarioError(
-                    f"script box {spec!r} is at level {level}, outside 1..{layout.top_level}"
+                    f"script enumerates {per_box[key]} values into {box_name(key)}, "
+                    f"capacity is {capacity}"
                 )
-            per_box[spec] = per_box.get(spec, 0) + 1
-            if per_box[spec] > layout.trace_capacity(level):
-                raise ScenarioError(
-                    f"script enumerates {per_box[spec]} values into {spec}, "
-                    f"capacity is {layout.trace_capacity(level)}"
-                )
-            self.by_stage.setdefault(stage, []).append((spec, value))
+            self.by_stage.setdefault(stage, []).append((key, value))
 
     def step(self, env: Environment, stage: int) -> list[tuple[Box, str]]:
-        moves = []
-        for spec, value in self.by_stage.get(stage, ()):
-            moves.append((resolve_box_spec(env, spec), value))
-        return moves
+        return [(resolve_box(env, key), value) for key, value in self.by_stage.get(stage, ())]
 
 
 class RandomPolicy:
@@ -448,28 +425,38 @@ def oracle_step(env: Environment, policy, stage: int) -> list[EnumRecord]:
     return records
 
 
-# ---- box spec grammar: "I<n>.<k>" and "M<n>.<k>:<i>[+<i>][.<k>:<i>...]" ----
+# ---- box spec grammar: "I<n>.<k>", "M<n>.root" and "M<n>.<k>:<i>[+<i>][.<k>:<i>...]" ----
 
 
-def parse_box_level(spec: str) -> int:
-    if not spec or spec[0] not in "IM":
+def box_name(key: BoxKey) -> str:
+    kind, level, where = key
+    if kind == "I":
+        return f"I{level}.{where}"
+    if not where:
+        return f"M{level}.root"
+    return f"M{level}." + ".".join(f"{k}:{'+'.join(map(str, idx))}" for k, idx in where)
+
+
+def parse_box_spec(spec: str, layout: BoxLayout) -> BoxKey:
+    """The key of the box `spec` names.  A malformed spec, or a level, slot
+    or coordinate outside `layout`, is a `ScenarioError`."""
+    kind, (head, dot, rest) = spec[:1], spec[1:].partition(".")
+    if kind not in ("I", "M") or not head.isdecimal():
         raise ScenarioError(f"bad box spec {spec!r}")
-    head = spec[1:].split(".", 1)[0]
-    if not head.isdecimal():
-        raise ScenarioError(f"bad box spec {spec!r}")
-    return int(head)
-
-
-def resolve_box_spec(env: Environment, spec: str) -> Box:
-    level = parse_box_level(spec)
-    rest = spec[1 + len(str(level)) :]
-    if spec[0] == "I":
-        if not (rest.startswith(".") and rest[1:].isdecimal()):
+    level = int(head)
+    if not 1 <= level <= layout.top_level:
+        raise ScenarioError(
+            f"script box {spec!r} is at level {level}, outside 1..{layout.top_level}"
+        )
+    if kind == "I":
+        if not rest.isdecimal():
             raise ScenarioError(f"bad initial-box spec {spec!r}")
-        return env.initial_box(level, int(rest[1:]))
-    if rest in ("", ".root"):
-        env.ensure_level(level)
-        return env.classes[level][()]
+        slot = int(rest)
+        if not 1 <= slot <= layout.lengths_capacity(level):
+            raise ScenarioError(f"slot {slot} outside the initial interval of level {level}")
+        return ("I", level, slot)
+    if dot + rest in ("", ".root"):
+        return ("M", level, ())
     coords = {}
     for part in rest.lstrip(".").split("."):
         slot_text, _, idx_text = part.partition(":")
@@ -477,8 +464,15 @@ def resolve_box_spec(env: Environment, spec: str) -> Box:
         if not slot_text.isdecimal() or not all(tok.isdecimal() for tok in tokens):
             raise ScenarioError(f"bad cube-box spec {spec!r}")
         coords[int(slot_text)] = tuple(int(tok) for tok in tokens)
-    pattern = env.layout.canonical_pattern(level, coords)
+    return ("M", level, layout.canonical_pattern(level, coords))
+
+
+def resolve_box(env: Environment, key: BoxKey) -> Box:
+    kind, level, where = key
+    if kind == "I":
+        return env.initial_box(level, where)
     env.ensure_level(level)
-    if pattern not in env.classes[level]:
-        raise ScenarioError(f"box {spec!r} names a class that is not active yet")
-    return env.classes[level][pattern]
+    box = env.classes[level].get(where)
+    if box is None:
+        raise ScenarioError(f"box {box_name(key)!r} names a class that is not active yet")
+    return box

@@ -1,4 +1,5 @@
 """Brute-force reference definitions that the fast paths are tested against."""
+from fractions import Fraction
 from itertools import product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
@@ -10,15 +11,28 @@ def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
     0 when no such b exists."""
     top = min(stage - 1, appr.horizon - 1, appr.width - 1)
     for b in range(top, -1, -1):
-        if all(appr.readable(u, x, stage) for u in range(b + 1) for x in range(b + 1)):
+        if all(readable(appr, u, x, stage) for u in range(b + 1) for x in range(b + 1)):
             return b
     return 0
+
+
+def readable(appr: WordApproximation, stage: int, position: int, wall: int) -> bool:
+    """Is cell (stage, position) of `appr` readable at `wall`?"""
+    if stage >= appr.horizon or position >= appr.width:
+        return False
+    ready = appr.schedule.get((stage, position), stage)
+    return ready is not None and ready <= wall
 
 
 def observed_values(stage_map, stage: int) -> list[int]:
     """Values of the stage map's entries visible by `stage`, in argument
     order, by a scan of every entry."""
     return [v for v, at in zip(stage_map.values, stage_map.visible_at) if at <= stage]
+
+
+def covers(functional, word: str) -> bool:
+    """Is every deep extension of `word` tested (some tested prefix)?"""
+    return functional.first_hit(word) is not None
 
 
 def recursive_member(functional, word: str, upto=None) -> bool:
@@ -72,3 +86,13 @@ def materialize(functional) -> list[str]:
         tested.extend(extensions_avoiding(ev.base, ev.depth, tested))
     return sorted(tested)
 
+
+
+def expensive_counts(steps, top_level: int) -> dict[int, int]:
+    """Per threshold exponent n, how many extraction steps cost at least
+    2^-n, by comparing every step with every threshold from 2^0 down to
+    2^-top_level, and further down until every positive cost clears one."""
+    top = top_level
+    while any(0 < s.cost < Fraction(1, 2**top) for s in steps):
+        top += 1
+    return {n: sum(s.cost >= Fraction(1, 2**n) for s in steps) for n in range(top + 1)}

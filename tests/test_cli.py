@@ -13,7 +13,7 @@ from tracelab import acceptance
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
-from tracelab.fuzz import canned_scripted_payload, fuzz
+from tracelab.fuzz import CANNED_SCRIPT, canned_scripted_payload, fuzz
 from tracelab.scenarios import (
     load_scenario,
     machine_format,
@@ -320,6 +320,14 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     for cap in (0, -5):
         message = f"boxpromo scenario 'family_cap': expected at least 1, got {cap}"
         cases.append(("boxpromo", dict(canned, family_cap=cap), message))
+    # A script's box capacity counts every spelling of the box.
+    for box, lines in (
+        ("I2.2", ["4 I2.2 000", "4 I2.2 001", "4 I2.2 010"]),
+        ("I2.2", ["4 I2.2 000", "4 I2.2 001", "4 I2.02 010"]),
+        ("M2.2:1", CANNED_SCRIPT + ["5 M2.2:1 0001", "5 M2.2:01 0011"]),
+    ):
+        over_full = dict(canned, oracle={"policy": "scripted", "script": lines})
+        cases.append(("boxpromo", over_full, f"script enumerates 3 values into {box}, capacity is 2"))
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -369,10 +377,22 @@ MUTATION_BASES = [
         oracle={"policy": "honest", "delay": 1},
         family_cap=4,  # the run's largest family, so the cap is tight
     ),
-    dict(canned_scripted_payload(), slack={"1": 2}, oracle={"policy": "random", "seed": 3, "feed_rate": 0.9}),
+    dict(
+        canned_scripted_payload(),
+        slack={"1": 2, "2": 3},
+        oracle={"policy": "random", "seed": 3, "feed_rate": 0.9},
+    ),
     dict(synth_payload_small(), requirements=[REQUIREMENT_20]),
     {"kind": "costfn-check", "cost_table": decay_text(6), "eps": ["1/4"], "bound": {"1/4": 4}},
 ]
+
+
+def test_every_mutation_base_runs_unmutated(tmp_path, capsys):
+    for payload in MUTATION_BASES:
+        path = write_json(tmp_path, "base.json", payload)
+        command = "synth" if payload["kind"] == "synth" else "boxpromo"
+        assert main([command, "run", path]) == 0, payload
+        assert capsys.readouterr().err == ""
 
 
 @st.composite
@@ -581,6 +601,75 @@ def test_cli_fuzz_batches(tmp_path, capsys):
         for seed in ("0", "1", "2", "3"):
             argv = ["synth", "fuzz", "--count", "4", "--seed", seed, "--horizon", horizon]
             assert main(argv) == 0
+
+
+def test_cli_default_output_carries_the_result(tmp_path, capsys):
+    files = {
+        "d6.table": decay_text(6),
+        "d8.table": decay_text(8),
+        "b.approx": "3 2\n00\n01\n11\n",
+        "t.approx": "6 6\n" + "000000\n100000\n" * 3,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    d6, d8, b, t = (str(tmp_path / name) for name in files)
+    synth = write_json(tmp_path, "synth.json", synth_payload_small())
+    cases = [
+        (
+            ["synth", "run", synth],
+            [
+                "kind: synth",
+                "halted_at: None  measured: 0/1",
+                "speedup frontier: 18",
+                "benign @1/2: count 3 <= bound 163: True",
+            ],
+        ),
+        (
+            ["synth", "fuzz", "--count", "2", "--seed", "3", "--horizon", "40"],
+            ["kind: synth-fuzz", "runs: 2  ok: True", "benign_checks: 6", "doubling_stages: 5", "halted: 0"],
+        ),
+        (
+            ["boxpromo", "fuzz", "--count", "6", "--seed", "3"],
+            [
+                "kind: boxpromo-fuzz",
+                "runs: 6  ok: True",
+                "conflicts: 3",
+                "extractions: 3",
+                "max_trace: 3",
+                "oracles: {'honest': 3, 'random': 2, 'scripted': 1}",
+                "witness_audited_stages: 34",
+            ],
+        ),
+        (
+            ["costfn", "markers", d8, "--eps", "1/4"],
+            ["kind: costfn-check", "@1/4: count 4 truncated=True ok=n/a"],
+        ),
+        (
+            ["costfn", "check-benign", d8, "--eps", "1/4", "--bound", "1/4=4"],
+            ["kind: costfn-check", "@1/4: count 4 truncated=True ok=True"],
+        ),
+        (
+            ["costfn", "sum", d6, d6, "--eps", "1/2", "1/4"],
+            [
+                "kind: costfn-sum",
+                "benign @1/2: count 3 <= bound 10: True",
+                "benign @1/4: count 4 <= bound 12: True",
+            ],
+        ),
+        (
+            ["approx", "change-set", b, "--speedup", "1", "2"],
+            ["kind: change-set", "pairs: 1  decoded: 11  matches final row: True"],
+        ),
+        (
+            ["approx", "speedup", d6, d6, t, t],
+            ["kind: speedup", "map: [3, 4, 5]  omitted: 1", "tail sum: 1/1  full sum: 2/1  ok: True"],
+        ),
+    ]
+    for argv, expected in cases:
+        assert main(argv) == 0
+        *lines, elapsed = capsys.readouterr().out.splitlines()
+        assert lines == expected, argv
+        assert elapsed.startswith("elapsed: ")
 
 
 def test_cli_bad_fuzz_horizon_and_speedup_are_exit_one(tmp_path, capsys):

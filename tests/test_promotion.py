@@ -3,16 +3,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import expensive_counts
 
-from tracelab.acceptance import capacity_sweep
+from tracelab.acceptance import capacity_sweep, promotion_batch
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
     static_table,
 )
-from tracelab.errors import ScenarioError
+from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import boxpromo_payload, canned_scripted_payload
-from tracelab.promotion import length_for_level, marker_table, slack_from_markers
+from tracelab.promotion import Candidate, length_for_level, marker_table, slack_from_markers
 from tracelab.scenarios import build_promotion_engine, run_boxpromo
 from tracelab.words import is_prefix
 
@@ -214,10 +215,45 @@ def test_believable_is_none_when_nothing_was_traced():
 
 
 def test_uniqueness_sweep_passes_on_honest_runs():
-    engine = build_promotion_engine(honest_payload(5))
-    engine.run()
-    extraction = engine.extract_approximation()
-    engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
+    engine = build_promotion_engine(honest_payload(5)).run()
+    extraction = engine.extraction
+    credible = engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
+    assert credible[engine.overhead, extraction.anchor_stage] == extraction.anchor
+    for step in extraction.steps:
+        assert credible[step.index, step.stage] == step.word
+
+
+def test_expensive_counts_match_the_per_threshold_comparison():
+    extracted = 0
+    for engine in promotion_batch().runs:
+        extraction = engine.extraction
+        if extraction is None or extraction.anchor_stage >= engine.horizon:
+            continue
+        extracted += 1
+        assert extraction.expensive == expensive_counts(extraction.steps, engine.top_level)
+    assert extracted >= 40
+
+
+def test_a_second_credible_word_is_an_invariant_violation():
+    engine = build_promotion_engine(honest_payload(4)).run()
+    anchor = engine.extraction.anchor
+    word = next(s.word for s in engine.extraction.steps if len(s.word) > len(anchor))
+    twin = word[:-1] + ("1" if word[-1] == "0" else "0")  # extends the anchor too
+    for state in engine.levels.values():
+        for slot in state.slots:
+            for c in [c for c in slot.candidates if c.word == word]:
+                index = len(slot.candidates) + 1
+                slot.candidates.append(Candidate(twin, c.appeared, c.slot, index, since=c.since))
+    with pytest.raises(InvariantViolation, match="two credible words"):
+        engine.extract_approximation()
+
+
+def test_an_extraction_step_over_its_allowance_is_an_invariant_violation():
+    engine = promotion_batch(runs=20).runs[5]
+    assert engine.extraction.steps  # an honest run with a step to charge
+    engine.cost = CostTable([[1] * engine.cost.width] * engine.cost.horizon)
+    with pytest.raises(InvariantViolation, match=r"^1 expensive extraction steps at threshold 2\^-0,"):
+        engine.extract_approximation()
 
 
 def test_monotone_length_chain_and_capacity_hold():

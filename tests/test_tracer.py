@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import materialize, recursive_member
+from oracles import covers, materialize, recursive_member
 from tracelab.acceptance import capacity_sweep
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.tracer import (
@@ -14,9 +14,10 @@ from tracelab.tracer import (
     HonestPolicy,
     RandomPolicy,
     ScriptedPolicy,
+    box_name,
     oracle_step,
-    parse_box_level,
-    resolve_box_spec,
+    parse_box_spec,
+    resolve_box,
 )
 from tracelab.words import comparable
 
@@ -87,12 +88,12 @@ def test_tested_set_covers_the_tested_string():
     functional = Functional()
     functional.add_event("01", 4, 4)
     for tail in range(4):
-        assert functional.covers("01" + bin(tail)[2:].zfill(2))
+        assert covers(functional, "01" + bin(tail)[2:].zfill(2))
     functional.add_event("0", 5, 5)
     tested = materialized_antichain_holds(functional)
     # Everything below "01" at depth 5 is reachable through one tested string.
     for tail in range(16):
-        assert functional.covers("0" + bin(tail)[2:].zfill(4))
+        assert covers(functional, "0" + bin(tail)[2:].zfill(4))
 
 
 def test_single_valuedness_via_antichain_on_random_event_histories():
@@ -147,7 +148,7 @@ def test_first_hit_rule_matches_the_recursive_definition(history, truth):
         assert functional.member(word) == member
         assert recursive_member(functional, word) == member
         prefixes = [word[:cut] for cut in range(len(word) + 1)]
-        assert functional.covers(word) == any(p in tested for p in prefixes)
+        assert covers(functional, word) == any(p in tested for p in prefixes)
     assert env.honest_value(box) == honest_reference(functional, truth)
 
 
@@ -162,8 +163,8 @@ def test_a_shallow_event_after_a_deep_one_tests_a_prefix_of_a_member():
     for word in words_up_to(3):
         assert functional.member(word) == (word in ("0", "00", "1"))
         assert functional.member(word) == recursive_member(functional, word)
-    assert not functional.covers("")
-    assert functional.covers("01") and functional.covers("000")
+    assert not covers(functional, "")
+    assert covers(functional, "01") and covers(functional, "000")
     assert env.honest_value(box) == (3, "00")  # the first event reaches the truth
     env.ground_truth = "0110"
     assert env.honest_value(box) == (5, "0")
@@ -224,17 +225,17 @@ def test_one_object_per_box():
     layout = small_layout()
     env = Environment(layout)
     tested = env.add_initial_test(2, 1, 2, 1)
-    assert resolve_box_spec(env, "I2.1") is env.initial_box(2, 1) is tested
+    assert resolve_box(env, ("I", 2, 1)) is env.initial_box(2, 1) is tested
     assert env.initial_boxes[(2, 1)] is tested
-    untested = resolve_box_spec(env, "I3.2")
+    untested = resolve_box(env, ("I", 3, 2))
     assert env.initial_box(3, 2) is untested and not untested.functional.events
     env.activate_pair(3, 1, 1, "0", 2)
     env.activate_pair(3, 1, 2, "1", 2)
-    assert resolve_box_spec(env, "M3.root") is env.classes[3][()]
-    pair = resolve_box_spec(env, "M3.1:1+2")
+    assert resolve_box(env, ("M", 3, ())) is env.classes[3][()]
+    pair = resolve_box(env, ("M", 3, ((1, (1, 2)),)))
     assert pair is env.classes[3][((1, (1, 2)),)]
     assert pair in env.classes_containing(3, 1, 2)
-    assert {box.name for box in env.classes_at(3)} == {"M3.root", "M3.1:1", "M3.1:2", "M3.1:1+2"}
+    assert {box.name for box in env.classes[3].values()} == {"M3.root", "M3.1:1", "M3.1:2", "M3.1:1+2"}
 
 
 def test_activation_rejects_duplicate_pairs():
@@ -283,6 +284,9 @@ def test_scripted_policy_validates_capacity_at_load():
     entries = [(1, "I2.1", "00"), (2, "I2.1", "01"), (3, "I2.1", "10")]
     with pytest.raises(ScenarioError):
         ScriptedPolicy(entries, layout)
+    entries[2] = (3, "I2.01", "10")  # another spelling of the same box
+    with pytest.raises(ScenarioError, match="script enumerates 3 values into I2.1, capacity is 2"):
+        ScriptedPolicy(entries, layout)
 
 
 def test_scripted_policy_replays_entries():
@@ -304,16 +308,31 @@ def test_scripted_policy_rejects_inactive_class_targets():
 
 
 def test_box_spec_parsing():
-    assert parse_box_level("I2.1") == 2
-    assert parse_box_level("M3.1:1+2.2:1") == 3
-    with pytest.raises(ScenarioError):
-        parse_box_level("Q1.1")
     layout = small_layout()
+    assert parse_box_spec("I2.1", layout) == ("I", 2, 1)
+    assert parse_box_spec("M3.1:1+2.2:1", layout) == ("M", 3, ((1, (1, 2)), (2, (1,))))
+    # Every spelling of a box reads to its one key, whose name is canonical.
+    for spec in ("I2.1", "I02.1", "I2.01"):
+        assert box_name(parse_box_spec(spec, layout)) == "I2.1"
+    for spec in ("M3", "M3.root", "M03.root"):
+        assert parse_box_spec(spec, layout) == ("M", 3, ())
+    for spec in ("M3.1:2+1", "M3.01:1+02", "M3.1:1+2+1"):
+        assert box_name(parse_box_spec(spec, layout)) == "M3.1:1+2"
+    for spec, message in (
+        ("Q1.1", "bad box spec 'Q1.1'"),
+        ("I2", "bad initial-box spec 'I2'"),
+        ("I2.9", "slot 9 outside the initial interval of level 2"),
+        ("M2.1:x2", "bad cube-box spec 'M2.1:x2'"),
+        ("M2.9:1", "coordinate 9 outside the cube directions of level 2"),
+    ):
+        with pytest.raises(ScenarioError) as caught:
+            parse_box_spec(spec, layout)
+        assert str(caught.value) == message
     env = Environment(layout)
     env.ensure_level(3)
     env.activate_pair(3, 1, 1, "0", 2)
     env.activate_pair(3, 1, 2, "1", 2)
-    box = resolve_box_spec(env, "M3.1:1+2")
+    box = resolve_box(env, parse_box_spec("M3.1:1+2", layout))
     assert box.pattern == ((1, (1, 2)),)
 
 
@@ -336,7 +355,7 @@ def test_random_policy_is_deterministic_per_seed():
         policy = RandomPolicy(seed=seed)
         out = []
         for stage in range(2, 12):
-            out.extend((str(r.box), r.value, r.stage) for r in oracle_step(env, policy, stage))
+            out.extend((str(r.box), r.value, stage) for r in oracle_step(env, policy, stage))
         return out
 
     assert run(5) == run(5)
@@ -361,4 +380,4 @@ def test_retesting_a_covered_string_changes_nothing():
     functional.add_event("00", 2, 2)
     functional.add_event("00", 3, 3)
     assert materialize(functional) == ["00"]
-    assert functional.covers("00")
+    assert covers(functional, "00")
