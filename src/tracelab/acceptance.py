@@ -3,7 +3,9 @@
 Each criterion is a function whose keyword arguments are its seed and sizes,
 defaulting to the stated ones; criteria 1-4 read one shared promotion batch
 instead.  A criterion returns its work counts and raises `InvariantViolation`,
-prefixed `criterion N (<name>, seed S): `, at its first failed check.  The
+prefixed `criterion N (<name>, seed S): `, at its first failed check.  An
+engine's own error keeps its type and gains that prefix and `run I: ` in
+criteria 7 and 8, and `boxpromo fuzz case I (batch seed S): ` in the batch.  The
 test suite runs every criterion at its stated sizes and asserts coverage
 floors on the counts; `verify` runs `CRITERIA` at their quick sizes.
 """
@@ -32,8 +34,8 @@ from .costs import (
     sum_benign,
     totalize,
 )
-from .errors import HorizonExhausted, InvariantViolation
-from .fuzz import boxpromo_payload, synth_payload
+from .errors import HorizonExhausted, InvariantViolation, prefixed
+from .fuzz import boxpromo_payload, fuzz_case, synth_payload
 from .scenarios import build_promotion_engine, build_synthesis_run
 from .synthesis import audit_requirement, closed_form_bound
 from .words import is_prefix, random_word
@@ -41,10 +43,13 @@ from .words import is_prefix, random_word
 F = Fraction
 
 
+def _criterion(number: int, seed: int) -> str:
+    return f"criterion {number} ({CRITERIA[number - 1].name}, seed {seed}): "
+
+
 def _require(ok: bool, number: int, seed: int, detail: str) -> None:
     if not ok:
-        name = CRITERIA[number - 1].name
-        raise InvariantViolation(f"criterion {number} ({name}, seed {seed}): {detail}")
+        raise InvariantViolation(_criterion(number, seed) + detail)
 
 
 def random_monotone_table(rng: random.Random, horizon: int, width: int) -> CostTable:
@@ -122,7 +127,10 @@ def promotion_batch(*, seed: int = 20240811, runs: int = 200) -> PromotionBatch:
     `run()` extracts and, where the anchor settles inside the horizon, sweeps
     for believability uniqueness stage by stage."""
     rng = random.Random(seed)
-    out = [build_promotion_engine(boxpromo_payload(rng, index)).run() for index in range(runs)]
+    out = []
+    for index in range(runs):  # the payloads of `fuzz("boxpromo", runs, seed)`
+        with fuzz_case("boxpromo", index, seed):
+            out.append(build_promotion_engine(boxpromo_payload(rng, index)).run())
     return PromotionBatch(seed, out)
 
 
@@ -259,7 +267,8 @@ def synth_benignity(*, seed: int = 77, runs: int = 50) -> dict:
             min_flip_position=2 if index % 3 else 4,
             max_flips=3,
         )
-        out = build_synthesis_run(payload).run()
+        with prefixed(f"{_criterion(7, seed)}run {index}: "):
+            out = build_synthesis_run(payload).run()
         budgets.add(out.budget_exp)
         capped = all(v <= 1 for row in out.cost_table.rows for v in row)
         _require(capped, 7, seed, f"run {index} synthesizes an entry above 1")
@@ -291,7 +300,8 @@ def final_accounting(*, seed: int = 31, qualifying: int = 20) -> dict:
             slow_maps=index % 4 == 0,
             requirement_flavor="dyadic",
         )
-        out = build_synthesis_run(payload).run()
+        with prefixed(f"{_criterion(8, seed)}run {index}: "):
+            out = build_synthesis_run(payload).run()
         if out.halted_at is not None or out.measured > 2**out.budget_exp:
             continue
         if any(state.activity > 1 for state in out.states):
@@ -300,7 +310,8 @@ def final_accounting(*, seed: int = 31, qualifying: int = 20) -> dict:
         for e, state in enumerate(out.states):
             where = f"run {index} requirement {e}"
             _require(len(state.checkpoints) > 5, 8, seed, f"{where} has fewer than 5 checkpoints")
-            audit = audit_requirement(out, e)
+            with prefixed(f"{_criterion(8, seed)}run {index}: "):
+                audit = audit_requirement(out, e)
             audits += 1
             ok = audit.total <= 1 + F(2 ** (out.budget_exp + e + 1))
             _require(ok, 8, seed, f"{where} is charged {audit.total}, above its bound")

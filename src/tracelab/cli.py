@@ -122,25 +122,17 @@ def _emit(report: dict, args, elapsed: float) -> None:
 
 
 def _cmd_costfn(args) -> dict:
-    if args.action == "markers":
-        table = costs.parse_cost_table(Path(args.table).read_text())
-        out = {}
-        for eps in args.eps:
-            seq = costs.marker_sequence(table, parse_rational(eps, "--eps"))
-            out[eps] = {
-                "markers": list(seq.markers),
-                "count": seq.count,
-                "truncated": seq.truncated,
-            }
-        return {"kind": "costfn-check", "shape": [table.horizon, table.width],
-                "thresholds": {k: dict(v, ok="n/a") for k, v in out.items()}, "ok": True}
-    if args.action == "check-benign":
+    if args.action != "sum":
         bound = {}
-        for token in args.bound:
-            eps_text, _, count = token.partition("=")
-            if not count.isdecimal():
-                raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
-            bound[eps_text] = int(count)
+        if args.action == "markers":
+            for text in args.eps:  # checked here, so the message names the flag
+                parse_rational(text, "--eps")
+        else:
+            for token in args.bound:
+                eps_text, _, count = token.partition("=")
+                if not count.isdecimal():
+                    raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
+                bound[eps_text] = int(count)
         return run_scenario(
             {
                 "kind": "costfn-check",

@@ -157,7 +157,6 @@ class MarkerSequence:
     reaches the threshold.  `truncated` means a longer horizon could extend
     the sequence, so `count` is only a lower bound on the true count."""
 
-    epsilon: Fraction
     markers: tuple[int, ...]
     truncated: bool
 
@@ -184,7 +183,7 @@ def marker_sequence(table: CostTable, epsilon) -> MarkerSequence:
     # marker.  Columns are non-decreasing, so a later stage still could,
     # unless the table's cap already rules it out.
     truncated = not (table.normalized and eps > ONE)
-    return MarkerSequence(eps, tuple(marks), truncated)
+    return MarkerSequence(tuple(marks), truncated)
 
 
 def first_difference(a: str, b: str) -> Optional[int]:
@@ -238,10 +237,9 @@ def halving_exponent(epsilon) -> int:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ScenarioError("threshold must be positive")
-    j = 0
-    while Fraction(1, 2**j) > eps:
-        j += 1
-    return j
+    p, q = eps.numerator, eps.denominator
+    j = max(0, q.bit_length() - p.bit_length())  # no smaller j has p * 2**j >= q
+    return j if p << j >= q else j + 1  # 2**-j <= p/q exactly when p * 2**j >= q
 
 
 def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, BoundFn]:

@@ -3,6 +3,7 @@
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
 """
+from contextlib import contextmanager
 
 
 class ScenarioError(ValueError):
@@ -19,3 +20,12 @@ class InvariantViolation(AssertionError):
 
 class HorizonExhausted(RuntimeError):
     """A finite run ended before a required completion was reached."""
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise an error of these types as its own type, `prefix` first."""
+    try:
+        yield
+    except (ScenarioError, InvariantViolation, HorizonExhausted) as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc

@@ -9,11 +9,10 @@ its message prefixed with the kind, the case index and the batch seed;
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 from . import costs
-from .errors import HorizonExhausted, InvariantViolation, ScenarioError
+from .errors import ScenarioError, prefixed
 from .scenarios import run_boxpromo, run_synth
 from .words import random_word
 
@@ -196,14 +195,10 @@ def fuzz(kind: str, count: int, seed: int, **params) -> dict:
     raise ScenarioError(f"unknown fuzz kind {kind!r}")
 
 
-@contextmanager
-def _case(kind: str, index: int, seed: int):
-    """Re-raise a case's error with its type unchanged, prefixed with what
-    regenerates the case's payload."""
-    try:
-        yield
-    except (ScenarioError, InvariantViolation, HorizonExhausted) as exc:
-        raise type(exc)(f"{kind} fuzz case {index} (batch seed {seed}): {exc}") from exc
+def fuzz_case(kind: str, index: int, seed: int):
+    """Context of one batch case: its errors keep their type and name what
+    regenerates its payload."""
+    return prefixed(f"{kind} fuzz case {index} (batch seed {seed}): ")
 
 
 def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
@@ -218,7 +213,7 @@ def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
     oracles: dict[str, int] = {}
     for index in range(count):
         payload = boxpromo_payload(rng, index, horizon=horizon)
-        with _case("boxpromo", index, seed):
+        with fuzz_case("boxpromo", index, seed):
             report = run_boxpromo(payload)
         policy = payload["oracle"]["policy"]
         oracles[policy] = oracles.get(policy, 0) + 1
@@ -257,11 +252,8 @@ def _fuzz_synth(seed: int, count: int, horizon: int = 120) -> dict:
             min_flip_position=2 if rng.random() < 0.5 else 4,
             max_flips=3,
         )
-        with _case("synth", index, seed):
+        with fuzz_case("synth", index, seed):
             report = run_synth(payload)
-            for entry in report["benign"].values():
-                if not entry["ok"]:
-                    raise ScenarioError("benignity bound failed in a fuzz run")
         if report["halted_at"] is not None:
             halted += 1
         doubled += len(report["doubling_stages"])

@@ -41,7 +41,15 @@ from .words import comparable, is_prefix, restrict
 
 
 def marker_table(cost: CostTable, top_level: int) -> dict[int, MarkerSequence]:
-    return {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(top_level + 1)}
+    """The marker sequences at thresholds 2^-r, r <= top_level.  Every
+    threshold at or below the table's least positive entry picks out the
+    positive cells, so from there on the thresholds share one sequence."""
+    distinct = [row for s, row in enumerate(cost.rows) if not s or row is not cost.rows[s - 1]]
+    # A row does not increase, so its least positive entry is its last one.
+    positive = [next(v for v in reversed(row) if v) for row in distinct if any(row)]
+    last = min(top_level, halving_exponent(min(positive))) if positive else 0
+    table = {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(last + 1)}
+    return table | dict.fromkeys(range(last + 1, top_level + 1), table[last])
 
 
 def slack_from_markers(markers: dict[int, MarkerSequence], top_level: int) -> dict[int, int]:
@@ -125,10 +133,10 @@ class LevelState:
 class WitnessAudit:
     level: int
     stage: int
-    conflicted: tuple[int, ...]
-    pattern: str
-    chain_sizes: tuple[int, ...]
-    deficits: tuple[int, ...]
+    conflicted: list[int]
+    box: str
+    chain_sizes: list[int]
+    deficits: list[int]
     trace_members: int
     trace_size: int
 
@@ -358,9 +366,9 @@ class PromotionEngine:
     def _build_witness(self, state, stage: int) -> WitnessAudit:
         level = state.level
         slots = len(state.slots)
-        conflicted = tuple(
+        conflicted = [
             k for k, e in enumerate(state.slots, start=1) if e.conflict and e.conflict[0] <= stage
-        )
+        ]
         chain: dict[int, list[Candidate]] = {slots + 1: []}
         for slot in range(slots, 0, -1):
             current = list(chain[slot + 1])
@@ -418,14 +426,7 @@ class PromotionEngine:
                 f"{len(conflicted)} conflicts"
             )
         return WitnessAudit(
-            level,
-            stage,
-            conflicted,
-            box.name,
-            tuple(sizes),
-            tuple(deficits),
-            len(member_values),
-            len(values),
+            level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(values)
         )
 
     def _check_chain(self, stage: int) -> None:

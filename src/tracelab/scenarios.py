@@ -4,6 +4,10 @@ execution, and machine-readable reports.
 Machine reports are plain JSON-compatible dicts; serialize with sorted keys
 and they are byte-stable for a fixed scenario and seed.  Wall-clock timings
 never enter machine reports, only the human-readable table output.
+
+Witness audits, extraction steps and final-accounting charges are reported
+as their engine records' fields (`vars`, each `Fraction` as its `n/d`
+string); nothing writes to a report after it is built.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import ScenarioError
+from .errors import InvariantViolation, ScenarioError
 from .promotion import PromotionEngine, marker_table, slack_from_markers
 from .synthesis import (
     PartialStageMap,
@@ -214,19 +218,7 @@ def run_boxpromo(payload: dict) -> dict:
             }
             for n, state in sorted(engine.levels.items())
         },
-        "witness_audits": [
-            {
-                "level": a.level,
-                "stage": a.stage,
-                "conflicted": list(a.conflicted),
-                "box": a.pattern,
-                "chain_sizes": list(a.chain_sizes),
-                "deficits": list(a.deficits),
-                "trace_members": a.trace_members,
-                "trace_size": a.trace_size,
-            }
-            for a in engine.witness_audits
-        ],
+        "witness_audits": [vars(audit) for audit in engine.witness_audits],
         "tallies": {
             "conflicts": sum(
                 slot.conflict is not None for s in engine.levels.values() for slot in s.slots
@@ -243,16 +235,7 @@ def run_boxpromo(payload: dict) -> dict:
             "anchor": extraction.anchor,
             "anchor_stage": extraction.anchor_stage,
             "truncated_at": extraction.truncated_at,
-            "steps": [
-                {
-                    "index": s.index,
-                    "stage": s.stage,
-                    "word": s.word,
-                    "change_at": s.change_at,
-                    "cost": fraction_str(s.cost),
-                }
-                for s in extraction.steps
-            ],
+            "steps": [dict(vars(s), cost=fraction_str(s.cost)) for s in extraction.steps],
             "expensive_counts": {str(n): c for n, c in sorted(extraction.expensive.items())},
             "total_cost": fraction_str(extraction.total_cost),
             "layered_bound": fraction_str(extraction.layered_bound),
@@ -330,13 +313,12 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
     eps_list = [parse_rational(e, what) for e in eps_texts]
     benign = {}
     for eps in eps_list:
-        seq = costs.marker_sequence(run.cost_table, eps)
-        bound = run.bound(eps)
-        benign[fraction_str(eps)] = {
-            "count": seq.count,
-            "bound": bound,
-            "ok": seq.count <= bound,
-        }
+        count, bound = costs.marker_sequence(run.cost_table, eps).count, run.bound(eps)
+        if count > bound:
+            raise InvariantViolation(
+                f"benignity bound failed at eps {fraction_str(eps)}: {count} markers, bound {bound}"
+            )
+        benign[fraction_str(eps)] = {"count": count, "bound": bound, "ok": True}
     audits = []
     if payload.get("audit", True):
         for e, state in enumerate(run.states):
@@ -346,14 +328,7 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
                     {
                         "requirement": e,
                         "charges": [
-                            {
-                                "index": c.index,
-                                "code": c.code,
-                                "position": c.position,
-                                "amount": fraction_str(c.amount),
-                                "case": c.case,
-                            }
-                            for c in audit.charges
+                            dict(vars(c), amount=fraction_str(c.amount)) for c in audit.charges
                         ],
                         "persistent_total": fraction_str(audit.persistent_total),
                         "transient_total": fraction_str(audit.transient_total),
@@ -409,18 +384,11 @@ def run_costfn_check(payload: dict) -> dict:
                 f"{where} 'bound' entry {k!r}: expected a count of at least 0, got {v!r}"
             )
     entries = {}
-    all_ok = True
     for eps in eps_list:
         seq = costs.marker_sequence(table, eps)
-        entry = {
-            "markers": list(seq.markers),
-            "count": seq.count,
-            "truncated": seq.truncated,
-        }
+        entry = {"markers": list(seq.markers), "count": seq.count, "truncated": seq.truncated}
         if eps in bound:
-            entry["bound"] = bound[eps]
-            entry["ok"] = seq.count <= bound[eps]
-            all_ok = all_ok and entry["ok"]
+            entry.update(bound=bound[eps], ok=seq.count <= bound[eps])
         entries[fraction_str(eps)] = entry
     # The vanishing-tail condition is observed and reported, never enforced:
     # tables with a fat tail are legitimate inputs elsewhere.
@@ -437,7 +405,7 @@ def run_costfn_check(payload: dict) -> dict:
             "threshold": fraction_str(tail_threshold),
             "below": tail <= tail_threshold,
         },
-        "ok": all_ok,
+        "ok": all(entry.get("ok", True) for entry in entries.values()),
     }
 
 

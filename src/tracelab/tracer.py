@@ -306,24 +306,26 @@ class HonestPolicy:
 class ScriptedPolicy:
     """Replays an explicit list of (stage, box spec, value) enumerations.
     Each spec is read once, into the key of the box it names, so every
-    spelling of a box counts toward its capacity."""
+    spelling of a box counts toward its capacity; a value listed twice for
+    one box counts once, as re-enumerating it is a no-op."""
 
     kind = "scripted"
 
     def __init__(self, entries: list[tuple[int, str, str]], layout: BoxLayout):
         self.by_stage: dict[int, list[tuple[BoxKey, str]]] = {}
-        per_box: dict[BoxKey, int] = {}
+        per_box: dict[BoxKey, set[str]] = {}
         for stage, spec, value in entries:
             try:
                 check_word(value)
             except ValueError as exc:
                 raise ScenarioError(f"script value for {spec!r}: {exc}") from None
             key = parse_box_spec(spec, layout)
-            per_box[key] = per_box.get(key, 0) + 1
+            values = per_box.setdefault(key, set())
+            values.add(value)
             capacity = layout.trace_capacity(key[1])
-            if per_box[key] > capacity:
+            if len(values) > capacity:
                 raise ScenarioError(
-                    f"script enumerates {per_box[key]} values into {box_name(key)}, "
+                    f"script enumerates {len(values)} values into {box_name(key)}, "
                     f"capacity is {capacity}"
                 )
             self.by_stage.setdefault(stage, []).append((key, value))
@@ -458,10 +460,11 @@ def parse_box_spec(spec: str, layout: BoxLayout) -> BoxKey:
     if dot + rest in ("", ".root"):
         return ("M", level, ())
     coords = {}
-    for part in rest.lstrip(".").split("."):
+    for part in rest.split("."):
         slot_text, _, idx_text = part.partition(":")
         tokens = idx_text.split("+")
-        if not slot_text.isdecimal() or not all(tok.isdecimal() for tok in tokens):
+        malformed = not slot_text.isdecimal() or not all(tok.isdecimal() for tok in tokens)
+        if malformed or int(slot_text) in coords:  # each coordinate is named once
             raise ScenarioError(f"bad cube-box spec {spec!r}")
         coords[int(slot_text)] = tuple(int(tok) for tok in tokens)
     return ("M", level, layout.canonical_pattern(level, coords))

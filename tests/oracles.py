@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
+from tracelab.costs import marker_sequence
 
 
 def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
@@ -96,3 +97,9 @@ def expensive_counts(steps, top_level: int) -> dict[int, int]:
     while any(0 < s.cost < Fraction(1, 2**top) for s in steps):
         top += 1
     return {n: sum(s.cost >= Fraction(1, 2**n) for s in steps) for n in range(top + 1)}
+
+
+def marker_table(cost, top_level: int) -> dict:
+    """The marker sequence at every threshold 2^-r, r <= top_level, by one
+    scan per threshold."""
+    return {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(top_level + 1)}

@@ -1,10 +1,17 @@
 """Acceptance battery: every criterion of `tracelab.acceptance` runs at its
 stated size and exact tolerance, the test asserts its coverage floors, and
-it prints one PASS line on success (run with -s to see them)."""
+it prints one PASS line on success (run with -s to see them).  An engine
+fault injected into a criterion's runs names the case it hit."""
+
+import re
 
 import pytest
 
 from tracelab import acceptance
+from tracelab.errors import InvariantViolation
+from tracelab.fuzz import fuzz
+from tracelab.promotion import PromotionEngine
+from tracelab.synthesis import SynthesisRun
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +76,43 @@ def test_criterion_9_sum_of_benign():
 def test_criterion_10_totalization():
     counts = acceptance.totalization()
     print(acceptance.pass_line(10, counts))
+
+
+def test_a_promotion_batch_fault_names_its_fuzz_case(monkeypatch):
+    check = PromotionEngine._check_chain
+
+    def faulty(engine, stage):
+        if engine.policy.kind == "random" and stage == 7:
+            raise InvariantViolation(f"length chain out of order at stage {stage}")
+        check(engine, stage)
+
+    monkeypatch.setattr(PromotionEngine, "_check_chain", faulty)
+    message = "boxpromo fuzz case 2 (batch seed 0): length chain out of order at stage 7"
+    with pytest.raises(InvariantViolation, match=rf"^{re.escape(message)}$"):
+        acceptance.verify(0)
+    # The same payload fails the same way in the fuzz batch.
+    with pytest.raises(InvariantViolation, match=rf"^{re.escape(message)}$"):
+        fuzz("boxpromo", 20, 0)
+
+
+def test_a_synthesis_fault_names_its_criterion_and_run(monkeypatch):
+    def faulty(run):
+        raise InvariantViolation("stage map went backwards")
+
+    monkeypatch.setattr(SynthesisRun, "run", faulty)
+    for check, message in (
+        (acceptance.synth_benignity, "criterion 7 (synth benignity, seed 77): run 0: "),
+        (acceptance.final_accounting, "criterion 8 (final accounting, seed 31): run 1: "),
+    ):
+        with pytest.raises(InvariantViolation, match=rf"^{re.escape(message)}stage map"):
+            check()
+
+
+def test_a_final_accounting_audit_fault_names_its_criterion_and_run(monkeypatch):
+    def faulty(run, requirement):
+        raise InvariantViolation(f"charge 3 for requirement {requirement} has no recorded change")
+
+    monkeypatch.setattr(acceptance, "audit_requirement", faulty)
+    message = "criterion 8 (final accounting, seed 31): run 1: charge 3 for requirement 0"
+    with pytest.raises(InvariantViolation, match=rf"^{re.escape(message)}"):
+        acceptance.final_accounting(qualifying=1)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tracelab
-from tracelab import acceptance
+from tracelab import acceptance, synthesis
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
-from tracelab.fuzz import CANNED_SCRIPT, canned_scripted_payload, fuzz
+from tracelab.fuzz import CANNED_SCRIPT, canned_scripted_payload, fuzz, synth_payload
 from tracelab.scenarios import (
     load_scenario,
     machine_format,
@@ -477,13 +478,25 @@ def test_cli_report_to_a_closed_pipe_ends_quietly(tmp_path):
 
 
 def test_cli_runs_a_layout_three_thousand_levels_tall(tmp_path, capsys):
-    # The layout holds per-level capacities only, so a tall one stays cheap.
-    payload = dict(
-        canned_scripted_payload(), top_level=3000, ground_truth="0" * 14, oracle={"policy": "honest"}
-    )
-    path = write_json(tmp_path, "tall.json", payload)
-    assert main(["boxpromo", "run", path]) == 0
-    assert capsys.readouterr().err == ""
+    # The layout holds per-level capacities only, and thresholds below the
+    # table's least positive entry share one marker scan, so a tall layout
+    # stays cheap.
+    for top_level in (3000, 10000):
+        payload = dict(canned_scripted_payload(), top_level=top_level, ground_truth="0" * 14)
+        payload["oracle"] = {"policy": "honest"}
+        path = write_json(tmp_path, "tall.json", payload)
+        assert main(["boxpromo", "run", path]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_cli_script_value_listed_twice_counts_once(tmp_path, capsys):
+    reports = []
+    for script in (["4 I2.2 000", "4 I2.2 000", "4 I2.2 001"], ["4 I2.2 000", "4 I2.2 001"]):
+        payload = dict(canned_scripted_payload(), oracle={"policy": "scripted", "script": script})
+        path = write_json(tmp_path, "script.json", payload)
+        assert main(["boxpromo", "run", path, "--format", "machine"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_cli_script_box_outside_the_layout_is_exit_one(tmp_path, capsys):
@@ -534,6 +547,17 @@ def test_cli_failed_benignity_bound_is_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_failed_synthesis_benignity_bound_is_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(synthesis, "closed_form_bound", lambda budget_exp: lambda eps: 0)
+    path = write_json(tmp_path, "synth.json", synth_payload(random.Random(1), 0, horizon=30))
+    assert main(["synth", "run", path]) == 2
+    failed = "benignity bound failed at eps 1/2: 3 markers, bound 0"
+    assert capsys.readouterr().err == f"invariant violation: {failed}\n"
+    assert main(["synth", "fuzz", "--count", "1", "--horizon", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: synth fuzz case 0 (batch seed 0): benignity bound")
+
+
 def test_cli_horizon_exhaustion_is_exit_three(tmp_path, capsys):
     cost = tmp_path / "d.table"
     cost.write_text(decay_text(10, 8))
@@ -564,6 +588,17 @@ def test_cli_costfn_markers(tmp_path, capsys):
     assert main(["costfn", "markers", str(table), "--eps", "1/4", "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["thresholds"]["1/4"]["markers"] == [0, 1, 2, 3]
+
+
+def test_cli_costfn_markers_is_the_costfn_check_report_without_bounds(tmp_path, capsys):
+    text = format_cost_table(to_listed_form(static_table(dyadic_decay_row(8), 8)))
+    table = tmp_path / "c.table"
+    table.write_text(text)
+    argv = ["costfn", "markers", str(table), "--eps", "0.25", "1/2", "1/3", "--format", "machine"]
+    assert main(argv) == 0
+    expected = run_scenario({"kind": "costfn-check", "cost_table": text, "eps": ["1/4", "1/2", "1/3"]})
+    assert capsys.readouterr().out == machine_format(expected)
+    assert "limit_tail" in expected and "1/4" in expected["thresholds"]
 
 
 def test_cli_costfn_sum(tmp_path, capsys):

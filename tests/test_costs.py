@@ -147,6 +147,9 @@ def test_halving_exponent():
     assert halving_exponent(F(1, 2)) == 1
     assert halving_exponent(F(1, 3)) == 2
     assert halving_exponent(F(5)) == 0
+    for eps in [F(p, q) for p in range(1, 40) for q in range(1, 40)] + [F(1, 2**300), F(3, 2**300)]:
+        j = halving_exponent(eps)
+        assert F(1, 2**j) <= eps and (j == 0 or F(1, 2 ** (j - 1)) > eps)
 
 
 # ---- benignity verdicts -------------------------------------------------------

@@ -3,12 +3,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import oracles
 from oracles import expensive_counts
 
-from tracelab.acceptance import capacity_sweep, promotion_batch
+from tracelab import promotion
+from tracelab.acceptance import capacity_sweep, promotion_batch, random_monotone_table
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
+    halving_exponent,
     static_table,
 )
 from tracelab.errors import InvariantViolation, ScenarioError
@@ -54,6 +57,29 @@ def test_length_for_level_tolerates_the_marker_boundary():
     # the cost sits exactly at 2^-level; the certificate must not fire.
     assert length_for_level(2, 2, markers, table) == 2
     assert length_for_level(3, 3, markers, table) == 3
+
+
+def test_marker_table_matches_one_scan_per_threshold():
+    rng = random.Random(5)
+    tables = [zero_cost(6), decay(10), CostTable([[3, 2, 0], [3, 2, 1]])]
+    tables += [random_monotone_table(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    for table in tables:
+        for top in (0, 1, 3, 12):
+            assert marker_table(table, top) == oracles.marker_table(table, top)
+
+
+def test_marker_table_scans_once_per_threshold_above_the_least_entry(monkeypatch):
+    calls = []
+    scan = promotion.marker_sequence
+    monkeypatch.setattr(promotion, "marker_sequence", lambda *a: calls.append(a) or scan(*a))
+    least = halving_exponent(F(1, 2**9))  # of the least positive entry of `decay(10)`
+    for top in (40, 3):
+        calls.clear()
+        marker_table(decay(10), top)
+        assert len(calls) == min(top, least) + 1
+    calls.clear()
+    marker_table(zero_cost(6), 40)
+    assert len(calls) == 1
 
 
 def test_slack_from_markers_covers_observed_lengths():
@@ -407,9 +433,9 @@ def test_witness_with_no_conflicts_is_the_empty_chain():
     engine = build_promotion_engine(honest_payload(1))
     engine.run()
     audit = engine._build_witness(engine.levels[2], engine.horizon - 1)
-    assert audit.conflicted == ()
+    assert audit.conflicted == []
     assert audit.chain_sizes[0] == 0
-    assert audit.pattern.endswith("root")
+    assert audit.box.endswith("root")
 
 
 def test_extraction_reports_truncation_on_short_horizons():

@@ -323,6 +323,8 @@ def test_box_spec_parsing():
         ("I2", "bad initial-box spec 'I2'"),
         ("I2.9", "slot 9 outside the initial interval of level 2"),
         ("M2.1:x2", "bad cube-box spec 'M2.1:x2'"),
+        ("M2.2:1.2:2", "bad cube-box spec 'M2.2:1.2:2'"),
+        ("M2..1:1", "bad cube-box spec 'M2..1:1'"),
         ("M2.9:1", "coordinate 9 outside the cube directions of level 2"),
     ):
         with pytest.raises(ScenarioError) as caught:
