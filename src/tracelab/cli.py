@@ -123,15 +123,15 @@ def _emit(report: dict, args, elapsed: float) -> None:
 
 def _cmd_costfn(args) -> dict:
     if args.action != "sum":
+        for text in args.eps:  # checked here, so the messages name the flags
+            parse_rational(text, "--eps")
         bound = {}
-        if args.action == "markers":
-            for text in args.eps:  # checked here, so the message names the flag
-                parse_rational(text, "--eps")
-        else:
+        if args.action == "check-benign":
             for token in args.bound:
                 eps_text, _, count = token.partition("=")
                 if not count.isdecimal():
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
+                parse_rational(eps_text, "--bound")
                 bound[eps_text] = int(count)
         return run_scenario(
             {

@@ -44,19 +44,25 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _exact(value) -> Fraction:
+    """`value` itself if it is a `Fraction`, else `Fraction(value)`."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class CostTable:
     """Exact cost table; stage s reads `rows[s]`, a tuple of `Fraction`s.
 
     `CostTable(rows)` takes one row per stage, of anything `Fraction`
-    accepts; a row equal to its predecessor's is neither converted nor
-    copied, and its stage shares the predecessor's row object.
+    accepts; a `Fraction` entry is kept as it is.  A row equal to its
+    predecessor's is neither converted nor copied, and its stage shares the
+    predecessor's row object.
     """
 
     __slots__ = ("rows", "horizon", "width", "normalized", "listed_form")
 
     def __init__(self, rows: Sequence[Sequence], normalized=False, listed_form=False):
         windows = (
-            None if s and row == rows[s - 1] else (0, tuple(map(Fraction, row)), 0)
+            None if s and row == rows[s - 1] else (0, tuple(map(_exact, row)), 0)
             for s, row in enumerate(rows)
         )
         self._build(windows, normalized, listed_form)

@@ -14,8 +14,9 @@ the class's pattern order.
 
 An honest run's extraction decides credibility once: its anchor stage is the
 first at which the base level's chain check holds for the truth's prefix,
-`uniqueness_sweep` tabulates the credible word at every level and stage from
-there on (raising where two are credible), and each step reads that table.
+`uniqueness_sweep` tabulates the credible word at every level that lists a
+length and every stage from there on (raising where two are credible), and
+each step reads that table, a missing entry as None.
 `Extraction.expensive` counts, per threshold exponent n, the steps that cost
 at least 2^-n.
 """
@@ -493,7 +494,7 @@ class PromotionEngine:
         truncated_at = None
         for index in range(self.overhead + 1, self.top_level + 1):
             for stage in range(previous_stage + 1, self.horizon):
-                word = credible[index, stage]
+                word = credible.get((index, stage))
                 if word is not None:
                     break
             else:
@@ -524,10 +525,13 @@ class PromotionEngine:
         return Extraction(anchor, anchor_stage, steps, expensive, truncated_at, total, layered)
 
     def uniqueness_sweep(self, anchor: str, from_stage: int) -> dict[tuple[int, int], str | None]:
-        """The credible word, or None, at every level and every stage from
-        `from_stage` on; `believable` raises where two words are credible."""
+        """The credible word, or None, at every level that lists a length and
+        every stage from `from_stage` on; `believable` raises where two words
+        are credible.  A level without slots has no credible word, so it has
+        no entries."""
         return {
             (level, stage): self.believable(level, stage, anchor)
-            for level in range(self.overhead, self.top_level + 1)
+            for level, state in self.levels.items()
+            if state.slots
             for stage in range(from_stage, self.horizon)
         }

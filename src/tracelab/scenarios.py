@@ -4,6 +4,10 @@ execution, and machine-readable reports.
 Machine reports are plain JSON-compatible dicts; serialize with sorted keys
 and they are byte-stable for a fixed scenario and seed.  Wall-clock timings
 never enter machine reports, only the human-readable table output.
+`machine_format` writes the text `json.dumps(report, sort_keys=True,
+indent=2)` gives, byte for byte, with its own writer: `json.dumps` runs the
+pure-Python encoder whenever it indents, and that encoder took about a
+quarter of a small promotion scenario's time.
 
 Witness audits, extraction steps and final-accounting charges are reported
 as their engine records' fields (`vars`, each `Fraction` as its `n/d`
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Optional
 
@@ -419,7 +424,84 @@ def run_scenario(source) -> dict:
 
 
 def machine_format(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(report, sort_keys=True, indent=2) + "\n"`, written by
+    `_write_json`."""
+    out: list[str] = []
+    _write_json(report, 0, out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_PADS = tuple("\n" + "  " * depth for depth in range(16))
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _pad(depth: int) -> str:
+    return _PADS[depth] if depth < len(_PADS) else "\n" + "  " * depth
+
+
+def _json_key(key) -> str:
+    """A dict key as `json` writes it: strings as they are, float, bool,
+    None and int keys by their JSON text, quoted."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float):
+        return _json_str(json.dumps(key))
+    if key is True or key is False or key is None:
+        return '"' + _LITERALS[key] + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(value, depth: int, out) -> None:
+    """Pass the indent-2 JSON text of `value`, nested `depth` deep, to `out`
+    in pieces.  Strings, ints, bools and None inside a container are written
+    in its loop; a float, an int or str subclass or anything `json` rejects
+    goes through `json.dumps`, which gives its text or raises."""
+    if isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = _pad(depth + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            head = sep + (_json_str(key) if type(key) is str else _json_key(key)) + ": "
+            kind = type(item)
+            if kind is str:
+                out(head + _json_str(item))
+            elif kind is int:
+                out(head + int.__repr__(item))
+            elif kind is bool or item is None:
+                out(head + _LITERALS[item])
+            else:
+                out(head)
+                _write_json(item, depth + 1, out)
+            sep = "," + inner
+        out(_pad(depth) + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = _pad(depth + 1)
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out(sep + _json_str(item))
+            elif kind is int:
+                out(sep + int.__repr__(item))
+            elif kind is bool or item is None:
+                out(sep + _LITERALS[item])
+            else:
+                out(sep)
+                _write_json(item, depth + 1, out)
+            sep = "," + inner
+        out(_pad(depth) + "]")
+    elif isinstance(value, str):
+        out(_json_str(value))
+    else:
+        out(json.dumps(value))
 
 
 def table_format(report: dict) -> str:

@@ -99,6 +99,11 @@ def expensive_counts(steps, top_level: int) -> dict[int, int]:
     return {n: sum(s.cost >= Fraction(1, 2**n) for s in steps) for n in range(top + 1)}
 
 
+def random_word(rng, length: int) -> str:
+    """A word of `length` bits, one `rng.choice("01")` draw per bit."""
+    return "".join(rng.choice("01") for _ in range(length))
+
+
 def marker_table(cost, top_level: int) -> dict:
     """The marker sequence at every threshold 2^-r, r <= top_level, by one
     scan per threshold."""

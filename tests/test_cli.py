@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,53 @@ def test_cli_machine_format_is_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # well-formed machine report
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+def _json_trees():
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers().map(_Int),
+        st.floats(),  # nan and the infinities included
+        st.text(),
+        st.sampled_from(["", "\\", '"', "\n\t\x00\x1f\x7f", "é", "\u2028", "\U0001f600"]),
+        st.text().map(_Str),
+    )
+    numbers = st.one_of(st.integers(), st.booleans(), st.floats())
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=3), inner, max_size=4),
+            st.dictionaries(numbers, inner, max_size=4),  # keys json writes as text
+            st.dictionaries(st.none(), inner, max_size=1),
+        ),
+        max_leaves=30,
+    )
+
+
+@given(_json_trees())
+def test_machine_format_is_json_dumps_indent_2(tree):
+    assert machine_format(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_machine_format_rejects_what_json_rejects():
+    for bad in (Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]}, [{"b": {0}}], {(0,): 1}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            machine_format(bad)
 
 
 def test_cli_usage_error_is_exit_one(capsys):
@@ -342,11 +390,11 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         (["costfn", "markers", str(table), "--eps", "abc"], "--eps: bad rational 'abc'"),
         (
             ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "x=3"],
-            "costfn-check scenario 'bound' key: bad rational 'x'",
+            "--bound: bad rational 'x'",
         ),
         (
             ["costfn", "check-benign", str(table), "--eps", "1/4", "a/b", "--bound", "1/4=3"],
-            "costfn-check scenario 'eps': bad rational 'a/b'",
+            "--eps: bad rational 'a/b'",
         ),
         (["costfn", "sum", str(table), "--eps", "1/0"], "--eps: bad rational '1/0'"),
         (

@@ -249,6 +249,25 @@ def test_uniqueness_sweep_passes_on_honest_runs():
         assert credible[step.index, step.stage] == step.word
 
 
+def test_uniqueness_sweep_skips_levels_without_slots(monkeypatch):
+    # A horizon-14 honest run on a layout 10000 levels tall lists lengths on
+    # a handful of levels; only those are swept.
+    calls = Counter()
+    believable = promotion.PromotionEngine.believable
+
+    def counted(self, level, stage, anchor):
+        calls[level] += 1
+        return believable(self, level, stage, anchor)
+
+    monkeypatch.setattr(promotion.PromotionEngine, "believable", counted)
+    payload = dict(canned_scripted_payload(), top_level=10000, ground_truth="0" * 14)
+    payload["oracle"] = {"policy": "honest"}
+    engine = build_promotion_engine(payload).run()
+    listed = [n for n, state in engine.levels.items() if state.slots]
+    assert engine.extraction.steps and set(calls) <= set(listed)
+    assert 0 < sum(calls.values()) <= len(listed) * engine.horizon
+
+
 def test_expensive_counts_match_the_per_threshold_comparison():
     extracted = 0
     for engine in promotion_batch().runs:

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import extensions_avoiding
-from tracelab.words import comparable, restrict
+from tracelab.words import comparable, random_word, restrict
 
 words = st.text(alphabet="01", max_size=7)
 
@@ -69,3 +72,13 @@ def test_extensions_preserve_antichain_and_cover(data):
     for tail in range(2 ** (depth - len(sigma))):
         suffix = bin(tail)[2:].zfill(depth - len(sigma)) if depth > len(sigma) else ""
         assert any((sigma + suffix).startswith(w) for w in union)
+
+
+def test_random_word_keeps_the_per_bit_stream():
+    # Every length 0-200 in turn from one generator per seed: the block draw
+    # gives the per-bit word and leaves the generator where it leaves it.
+    for seed in range(40):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for length in range(201):
+            assert random_word(fast, length) == oracles.random_word(slow, length)
+            assert fast.getstate() == slow.getstate()
