@@ -1,13 +1,13 @@
 """Acceptance battery: the ten criteria that stand in for the paper's lemmas.
 
 Each criterion is a function whose keyword arguments are its seed and sizes,
-defaulting to the stated ones; criteria 1-4 read one shared promotion batch
-instead.  A criterion returns its work counts and raises `InvariantViolation`,
-prefixed `criterion N (<name>, seed S): `, at its first failed check.  An
-engine's own error keeps its type and gains that prefix and `run I: ` in
-criteria 7 and 8, and `boxpromo fuzz case I (batch seed S): ` in the batch.  The
-test suite runs every criterion at its stated sizes and asserts coverage
-floors on the counts; `verify` runs `CRITERIA` at their quick sizes.
+defaulting to the stated ones; criteria 1-4 read the engines of one shared
+batch, `fuzz.boxpromo_engines`.  A criterion returns its work counts and raises
+`InvariantViolation`, prefixed `criterion N (<name>, seed S): `, at its first
+failed check.  An engine's own error keeps its type and gains that prefix and
+`run I: ` in criteria 7 and 8, and `boxpromo fuzz case I (batch seed S): ` in
+the batch.  The test suite runs every criterion at its stated sizes and asserts
+coverage floors on the counts; `verify` runs `CRITERIA` at their quick sizes.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ from .costs import (
     totalize,
 )
 from .errors import HorizonExhausted, InvariantViolation, prefixed
-from .fuzz import boxpromo_payload, fuzz_case, synth_payload
-from .scenarios import build_promotion_engine, build_synthesis_run
+from .fuzz import boxpromo_engines, synth_payload
+from .scenarios import build_synthesis_run
 from .synthesis import audit_requirement, closed_form_bound
 from .words import is_prefix, random_word
 
@@ -122,16 +122,11 @@ class PromotionBatch(NamedTuple):
 
 
 def promotion_batch(*, seed: int = 20240811, runs: int = 200) -> PromotionBatch:
-    """Mixed-oracle promotion runs with every engine-internal bound audit
-    armed, so a single falsified lemma aborts the batch.  Each honest run's
-    `run()` extracts and, where the anchor settles inside the horizon, sweeps
-    for believability uniqueness stage by stage."""
-    rng = random.Random(seed)
-    out = []
-    for index in range(runs):  # the payloads of `fuzz("boxpromo", runs, seed)`
-        with fuzz_case("boxpromo", index, seed):
-            out.append(build_promotion_engine(boxpromo_payload(rng, index)).run())
-    return PromotionBatch(seed, out)
+    """The engines `fuzz("boxpromo", runs, seed)` tallies, with every bound
+    audit armed, so a single falsified lemma aborts the batch.  Each honest
+    run's `run()` extracts and, where the anchor settles inside the horizon,
+    sweeps for believability uniqueness stage by stage."""
+    return PromotionBatch(seed, list(boxpromo_engines(seed, runs)))
 
 
 def conflict_bound(batch: PromotionBatch) -> dict:
@@ -160,8 +155,7 @@ def witness_certification(batch: PromotionBatch) -> dict:
             _require(falling, 2, batch.seed, f"{where}: deficits rise, {deficits}")
             dropped = all(deficits[slot - 1] > deficits[slot] for slot in audit.conflicted)
             _require(dropped, 2, batch.seed, f"{where}: a conflicted slot keeps its deficit")
-        conflicted = any(slot.conflict for state in engine.levels.values() for slot in state.slots)
-        ok = engine.witness_audits or not conflicted
+        ok = engine.witness_audits or not engine.conflict_count()
         _require(ok, 2, batch.seed, f"run {index} has conflicts but no witness audit")
     return {"audits": audited}
 

@@ -21,6 +21,7 @@ from .scenarios import (
     load_scenario,
     machine_format,
     parse_rational,
+    positive_rational,
     run_scenario,
     run_synth,
     table_format,
@@ -124,14 +125,14 @@ def _emit(report: dict, args, elapsed: float) -> None:
 def _cmd_costfn(args) -> dict:
     if args.action != "sum":
         for text in args.eps:  # checked here, so the messages name the flags
-            parse_rational(text, "--eps")
+            positive_rational(text, "--eps")
         bound = {}
         if args.action == "check-benign":
             for token in args.bound:
                 eps_text, _, count = token.partition("=")
                 if not count.isdecimal():
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
-                parse_rational(eps_text, "--bound")
+                positive_rational(eps_text, "--bound")
                 bound[eps_text] = int(count)
         return run_scenario(
             {
@@ -144,7 +145,7 @@ def _cmd_costfn(args) -> dict:
     tables = [
         costs.parse_cost_table(Path(p).read_text(), normalized=True) for p in args.tables
     ]
-    eps_of = {text: parse_rational(text, "--eps") for text in args.eps}
+    eps_of = {text: positive_rational(text, "--eps") for text in args.eps}
     parts = [
         (t, {e / 4: costs.marker_sequence(t, e / 4).count for e in eps_of.values()})
         for t in tables

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import costs
 from .errors import ScenarioError, prefixed
-from .scenarios import run_boxpromo, run_synth
+from .scenarios import build_promotion_engine, run_synth
 from .words import random_word
 
 
@@ -201,27 +201,30 @@ def fuzz_case(kind: str, index: int, seed: int):
     return prefixed(f"{kind} fuzz case {index} (batch seed {seed}): ")
 
 
-def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
+def boxpromo_engines(seed: int, count: int, horizon: int | None = None):
+    """The finished engine of each `boxpromo_payload(rng, index, horizon)`,
+    run under `fuzz_case`: `boxpromo fuzz` tallies them, and acceptance
+    criteria 1-4 read them."""
     if horizon is not None and horizon < 2:
         # Checked here: below 2 the cost-table generator fails before the engine.
         raise ScenarioError(f"boxpromo fuzz needs a horizon of at least 2, got {horizon}")
     rng = random.Random(seed)
-    conflicts = 0
-    witness_stages = 0
-    max_trace = 0
-    extractions = 0
-    oracles: dict[str, int] = {}
     for index in range(count):
         payload = boxpromo_payload(rng, index, horizon=horizon)
         with fuzz_case("boxpromo", index, seed):
-            report = run_boxpromo(payload)
-        policy = payload["oracle"]["policy"]
-        oracles[policy] = oracles.get(policy, 0) + 1
-        conflicts += report["tallies"]["conflicts"]
-        witness_stages += len(report["witness_audits"])
-        max_trace = max(max_trace, report["tallies"]["max_trace"])
-        if "steps" in report.get("extraction", {}):
-            extractions += 1
+            engine = build_promotion_engine(payload).run()
+        yield engine
+
+
+def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
+    conflicts = witness_stages = largest_trace = extractions = 0
+    oracles: dict[str, int] = {}
+    for engine in boxpromo_engines(seed, count, horizon):
+        oracles[engine.policy.kind] = oracles.get(engine.policy.kind, 0) + 1
+        conflicts += engine.conflict_count()
+        witness_stages += len(engine.witness_audits)
+        largest_trace = max(largest_trace, engine.env.max_trace)
+        extractions += engine.extraction is not None
     return {
         "kind": "boxpromo-fuzz",
         "runs": count,
@@ -229,7 +232,7 @@ def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
         "tallies": {
             "conflicts": conflicts,
             "witness_audited_stages": witness_stages,
-            "max_trace": max_trace,
+            "max_trace": largest_trace,
             "extractions": extractions,
             "oracles": oracles,
         },

@@ -5,12 +5,12 @@ extracted approximation with its exact cost ledger.
 Each level keeps a list of `Slot`s, one per candidate length, in the order
 the lengths were added.  A slot holds its length, the stage it was added and
 its `Candidate`s, the certified strings of that length in listing order.  A
-candidate carries its own success ledger: `pending` counts the spawned
-classes that still lack a witness for it, and `since` is the first stage it
-counts as successful, set when `pending` reaches 0.  A slot's `conflict` is
-the stage it latched and the two successful candidates that agree below the
-previous length.  `lacking[box]` lists the candidates a class still lacks, in
-the class's pattern order.
+candidate carries the one success ledger: `lacking` is the set of spawned
+classes that contain it and still lack a witness for it, and `since` is the
+first stage it counts as successful, set when `lacking` empties.  A member
+value enumerated into a class settles the candidates it witnesses in the
+class's pattern order.  A slot's `conflict` is the stage it latched and the
+two successful candidates that agree below the previous length.
 
 An honest run's extraction decides credibility once: its anchor stage is the
 first at which the base level's chain check holds for the truth's prefix,
@@ -102,7 +102,7 @@ class Candidate:
     slot: int
     index: int
     since: Optional[int] = None  # first successful stage
-    pending: int = 0  # spawned classes still lacking a witness for it
+    lacking: set[Box] = field(default_factory=set)  # spawned classes without a witness for it
 
     def successful_at(self, stage: int) -> bool:
         return self.since is not None and self.since <= stage
@@ -120,7 +120,6 @@ class Slot:
 class LevelState:
     level: int
     slots: list[Slot] = field(default_factory=list)
-    lacking: dict[Box, list[Candidate]] = field(default_factory=dict)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
 
     def top_length(self) -> Optional[int]:
@@ -197,6 +196,10 @@ class PromotionEngine:
         self.stage_log: list[dict] = []
         self.extraction: Optional[Extraction] = None  # set by `run` for honest oracles
 
+    def conflict_count(self) -> int:
+        """Latched conflicts over every level."""
+        return sum(slot.conflict is not None for s in self.levels.values() for slot in s.slots)
+
     # ---- per-stage actions -------------------------------------------------
 
     def run(self) -> "PromotionEngine":
@@ -258,27 +261,26 @@ class PromotionEngine:
     def _absorb_enumerations(self, state, records, stage: int, events) -> None:
         level = state.level
         for record in records:
-            if record.box.level != level:
+            box = record.box
+            if box.level != level:
                 continue
-            if record.box.kind == "M":
-                lack = state.lacking.get(record.box)
-                if not lack or not record.member:
-                    continue
-                for candidate in [c for c in lack if comparable(record.value, c.word)]:
-                    lack.remove(candidate)
-                    candidate.pending -= 1
-                    if candidate.pending == 0:
-                        candidate.since = max(stage, candidate.appeared + 1)
-                        events["new_successes"].append(
-                            {"level": level, "slot": candidate.slot, "index": candidate.index}
-                        )
-            else:
-                slot = record.box.slot
-                if slot > len(state.slots):
+            if box.kind == "I":
+                if box.slot > len(state.slots):
                     continue  # enumeration into a still-unused initial box
-                if len(record.value) != state.slots[slot - 1].length:
+                if len(record.value) != state.slots[box.slot - 1].length:
                     continue  # stray trace value; counts toward capacity only
-                self._list_candidate(state, slot, record.value, stage, events)
+                self._list_candidate(state, box.slot, record.value, stage, events)
+            elif record.member:
+                for k, indices in box.pattern:
+                    for i in indices:
+                        candidate = state.slots[k - 1].candidates[i - 1]
+                        if box in candidate.lacking and comparable(record.value, candidate.word):
+                            candidate.lacking.remove(box)
+                            if not candidate.lacking:
+                                candidate.since = max(stage, candidate.appeared + 1)
+                                events["new_successes"].append(
+                                    {"level": level, "slot": k, "index": i}
+                                )
 
     def _list_candidate(self, state, slot: int, value: str, stage: int, events) -> None:
         candidates = state.slots[slot - 1].candidates
@@ -297,7 +299,6 @@ class PromotionEngine:
             level, candidate.slot, candidate.index, candidate.word, stage
         )
         for child in spawned:
-            lack = []
             for k, indices in child.pattern:
                 for i in indices:
                     other = state.slots[k - 1].candidates[i - 1]
@@ -311,10 +312,8 @@ class PromotionEngine:
                         raise InvariantViolation(
                             f"successful pair {(level, k, i)} lost its witness on spawn"
                         )
-                    lack.append(other)
-                    other.pending += 1
-            state.lacking[child] = lack
-        if candidate.pending == 0:
+                    other.lacking.add(child)
+        if not candidate.lacking:
             candidate.since = stage + 1
             events["new_successes"].append(
                 {"level": level, "slot": candidate.slot, "index": candidate.index}

@@ -49,6 +49,15 @@ def parse_rational(value, what: str) -> Fraction:
         raise ScenarioError(f"{what}: bad rational {value!r}") from None
 
 
+def positive_rational(value, what: str) -> Fraction:
+    """`parse_rational(value, what)`; a value at or below 0 is a
+    `ScenarioError` naming it."""
+    rational = parse_rational(value, what)
+    if rational <= 0:
+        raise ScenarioError(f"{what}: expected a positive rational, got {value!r}")
+    return rational
+
+
 def _integer(value, what: str) -> int:
     """`int(value)`; a boolean, a non-integral number or a value `int`
     rejects is a `ScenarioError` naming it."""
@@ -225,9 +234,7 @@ def run_boxpromo(payload: dict) -> dict:
         },
         "witness_audits": [vars(audit) for audit in engine.witness_audits],
         "tallies": {
-            "conflicts": sum(
-                slot.conflict is not None for s in engine.levels.values() for slot in s.slots
-            ),
+            "conflicts": engine.conflict_count(),
             "max_trace": engine.env.max_trace,
             "class_family": {
                 str(n): len(engine.env.classes.get(n, {})) for n in sorted(engine.levels)
@@ -315,7 +322,7 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
     run = build_synthesis_run(payload).run()
     what = "synth scenario 'eps'"
     eps_texts = _typed(payload.get("eps", ["1/2", "1/4", "1/8"]), list, what)
-    eps_list = [parse_rational(e, what) for e in eps_texts]
+    eps_list = [positive_rational(e, what) for e in eps_texts]
     benign = {}
     for eps in eps_list:
         count, bound = costs.marker_sequence(run.cost_table, eps).count, run.bound(eps)
@@ -325,22 +332,21 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
             )
         benign[fraction_str(eps)] = {"count": count, "bound": bound, "ok": True}
     audits = []
-    if payload.get("audit", True):
-        for e, state in enumerate(run.states):
-            if state.activity <= 1:
-                audit = audit_requirement(run, e)
-                audits.append(
-                    {
-                        "requirement": e,
-                        "charges": [
-                            dict(vars(c), amount=fraction_str(c.amount)) for c in audit.charges
-                        ],
-                        "persistent_total": fraction_str(audit.persistent_total),
-                        "transient_total": fraction_str(audit.transient_total),
-                    }
-                )
-            else:
-                audits.append({"requirement": e, "skipped": "activity sum above 1"})
+    for e, state in enumerate(run.states):
+        if state.activity <= 1:
+            audit = audit_requirement(run, e)
+            audits.append(
+                {
+                    "requirement": e,
+                    "charges": [
+                        dict(vars(c), amount=fraction_str(c.amount)) for c in audit.charges
+                    ],
+                    "persistent_total": fraction_str(audit.persistent_total),
+                    "transient_total": fraction_str(audit.transient_total),
+                }
+            )
+        else:
+            audits.append({"requirement": e, "skipped": "activity sum above 1"})
     report = {
         "kind": "synth",
         "parameters": {
@@ -379,10 +385,10 @@ def run_costfn_check(payload: dict) -> dict:
         normalized=bool(payload.get("normalized", False)),
     )
     eps_texts = _typed(payload.get("eps", ["1/2"]), list, f"{where} 'eps'")
-    eps_list = [parse_rational(e, f"{where} 'eps'") for e in eps_texts]
+    eps_list = [positive_rational(e, f"{where} 'eps'") for e in eps_texts]
     bound = {}
     for k, v in _typed(payload.get("bound", {}), dict, f"{where} 'bound'").items():
-        eps = parse_rational(k, f"{where} 'bound' key")
+        eps = positive_rational(k, f"{where} 'bound' key")
         bound[eps] = _integer(v, f"{where} 'bound' entry {k!r}")
         if bound[eps] < 0:
             raise ScenarioError(

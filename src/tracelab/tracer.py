@@ -167,7 +167,6 @@ class Environment:
         self.classes: dict[int, dict[Pattern, Box]] = {}
         self.initial_boxes: dict[tuple[int, int], Box] = {}  # (n, slot) -> box, tested or not
         self.pair_sigma: dict[tuple[int, int, int], str] = {}  # (n, k, i) -> candidate string
-        self.max_trace = 0  # largest trace component written so far
 
     # ---- structure -------------------------------------------------------
 
@@ -178,6 +177,11 @@ class Environment:
         for family in self.classes.values():
             boxes.extend(family.values())
         return boxes
+
+    @property
+    def max_trace(self) -> int:
+        """The largest trace component written so far: content only grows."""
+        return max((len(box.content) for box in self.boxes()), default=0)
 
     def initial_box(self, level: int, slot: int) -> Box:
         box = self.initial_boxes.get((level, slot))
@@ -225,7 +229,6 @@ class Environment:
                     f"trace capacity {capacity} exceeded on box {child} at stage {stage}: "
                     f"{len(parent.content)} values inherited from {parent}"
                 )
-            # The copied bucket was counted in `max_trace` when it was written.
             child.content = list(parent.content)
             child.functional.events = list(parent.functional.events)
             child.functional.add_event(sigma, stage, stage)
@@ -262,7 +265,6 @@ class Environment:
                 f"trace capacity {capacity} exceeded on box {box} at stage {stage}"
             )
         bucket.append((value, stage))
-        self.max_trace = max(self.max_trace, len(bucket))
         return EnumRecord(box, value, box.functional.member(value))
 
     # ---- honest bookkeeping ----------------------------------------------

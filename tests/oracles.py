@@ -4,6 +4,7 @@ from itertools import product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
 from tracelab.costs import marker_sequence
+from tracelab.words import comparable
 
 
 def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
@@ -66,6 +67,20 @@ def extensions_avoiding(word: str, length: int, blocked) -> list[str]:
     blocked = list(blocked)
     extensions = (word + "".join(bits) for bits in product("01", repeat=length - len(word)))
     return [w for w in extensions if not any(w.startswith(b) for b in blocked)]
+
+
+def lacking_classes(env, level: int, candidate) -> set:
+    """The classes at `level` whose pattern names `candidate` and whose
+    content holds no member value comparable to its word, by a scan of every
+    class."""
+    return {
+        box
+        for box in env.classes.get(level, {}).values()
+        if candidate.index in dict(box.pattern).get(candidate.slot, ())
+        and not any(
+            box.functional.member(v) and comparable(v, candidate.word) for v, _ in box.content
+        )
+    }
 
 
 def changeset_word(cs: ChangeSet, stage: int, width: int) -> str:

@@ -364,6 +364,13 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         ("boxpromo", dict(canned, oracle=script("1 M2.1:x2 0")), "bad cube-box spec 'M2.1:x2'"),
         ("boxpromo", dict(canned, top_level=-1), "top level below the overhead constant"),
     ]
+    # A threshold at or below 0 names its field and value.
+    positive = "expected a positive rational, got"
+    cases += [
+        ("synth", dict(small, eps=["0"]), f"synth scenario 'eps': {positive} '0'"),
+        ("boxpromo", dict(check, eps=["-1/4"]), f"costfn-check scenario 'eps': {positive} '-1/4'"),
+        ("boxpromo", dict(check, bound={"0": 3}), f"costfn-check scenario 'bound' key: {positive} '0'"),
+    ]
     # A class family always holds its root class, so a cap below 1 is a
     # parse problem, not horizon exhaustion.
     for cap in (0, -5):
@@ -402,6 +409,12 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "bad bound entry '1/4=\u00b2', expected eps=count",
         ),
         (["approx", "change-set", str(superscript)], "line 1: expected header 'S X', got '\u00b24 3'"),
+        (["costfn", "markers", str(table), "--eps", "0"], "--eps: expected a positive rational, got '0'"),
+        (["costfn", "sum", str(table), "--eps", "-1"], "--eps: expected a positive rational, got '-1'"),
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "0=3"],
+            "--bound: expected a positive rational, got '0'",
+        ),
     ]
     for argv, message in argvs:
         assert main(argv) == 1

@@ -23,7 +23,7 @@ from tracelab.fuzz import (
     listed_cost_block,
     synth_payload,
 )
-from tracelab.scenarios import machine_format, run_scenario
+from tracelab.scenarios import machine_format, run_boxpromo, run_scenario
 
 
 def test_payload_generation_is_deterministic():
@@ -151,7 +151,7 @@ def test_listed_cost_block_is_a_valid_listed_table(flavor, horizon):
 
 def test_fuzz_failure_names_its_case_and_seed(monkeypatch, capsys):
     seen = []
-    real = fuzz_mod.run_boxpromo
+    real = fuzz_mod.build_promotion_engine
 
     def failing(payload):
         seen.append(payload)
@@ -159,13 +159,46 @@ def test_fuzz_failure_names_its_case_and_seed(monkeypatch, capsys):
             raise InvariantViolation("conflict bound exceeded")
         return real(payload)
 
-    monkeypatch.setattr(fuzz_mod, "run_boxpromo", failing)
+    monkeypatch.setattr(fuzz_mod, "build_promotion_engine", failing)
     assert main(["boxpromo", "fuzz", "--count", "6", "--seed", "17"]) == 2
     err = capsys.readouterr().err
     assert err == "invariant violation: boxpromo fuzz case 3 (batch seed 17): conflict bound exceeded\n"
     # fuzz(kind, index + 1, seed) regenerates the failing payload last.
     failed = seen[3]
     seen.clear()
-    monkeypatch.setattr(fuzz_mod, "run_boxpromo", lambda payload: seen.append(payload) or real(payload))
+    monkeypatch.setattr(
+        fuzz_mod, "build_promotion_engine", lambda payload: seen.append(payload) or real(payload)
+    )
     fuzz("boxpromo", 3 + 1, 17)
     assert seen[-1] == failed
+
+
+def tallied_from_reports(count, seed, horizon=None):
+    """The boxpromo batch report tallied from each payload's machine report."""
+    rng = random.Random(seed)
+    conflicts = witness_stages = max_trace = extractions = 0
+    oracles = {}
+    for index in range(count):
+        payload = boxpromo_payload(rng, index, horizon=horizon)
+        report = run_boxpromo(payload)
+        policy = payload["oracle"]["policy"]
+        oracles[policy] = oracles.get(policy, 0) + 1
+        conflicts += report["tallies"]["conflicts"]
+        witness_stages += len(report["witness_audits"])
+        max_trace = max(max_trace, report["tallies"]["max_trace"])
+        extractions += "steps" in report["extraction"]
+    tallies = {
+        "conflicts": conflicts,
+        "witness_audited_stages": witness_stages,
+        "max_trace": max_trace,
+        "extractions": extractions,
+        "oracles": oracles,
+    }
+    return {"kind": "boxpromo-fuzz", "runs": count, "ok": True, "tallies": tallies}
+
+
+@pytest.mark.parametrize("horizon", [None, 40])
+@pytest.mark.parametrize("seed", [0, 7, 17])
+def test_boxpromo_fuzz_tallies_match_the_per_payload_reports(seed, horizon):
+    batch = fuzz("boxpromo", 30, seed, horizon=horizon)
+    assert machine_format(batch) == machine_format(tallied_from_reports(30, seed, horizon))

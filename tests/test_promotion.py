@@ -350,22 +350,16 @@ def test_success_needs_the_stage_after_testing():
 
 
 def check_ledger(engine):
-    """Every candidate's success ledger agrees with the lacking lists and the
-    environment's record of the pair."""
+    """Every candidate's success ledger is the set of classes that lack it,
+    and agrees with the environment's record of the pair."""
     listed = []
     for level, state in engine.levels.items():
-        holders = Counter()
-        for box, lack in state.lacking.items():
-            pairs = [(c.slot, c.index) for c in lack]
-            assert pairs == sorted(pairs), box.name  # pattern order
-            assert all(i in dict(box.pattern).get(k, ()) for k, i in pairs), box.name
-            holders.update(lack)
         for k, slot in enumerate(state.slots, start=1):
             for i, candidate in enumerate(slot.candidates, start=1):
                 assert (candidate.slot, candidate.index) == (k, i)
                 assert len(candidate.word) == slot.length
-                assert candidate.pending == holders[candidate]
-                assert (candidate.since is not None) == (candidate.pending == 0)
+                assert candidate.lacking == oracles.lacking_classes(engine.env, level, candidate)
+                assert (candidate.since is not None) == (not candidate.lacking)
                 if candidate.since is not None:
                     assert candidate.since > candidate.appeared
                 assert engine.env.pair_sigma[(level, k, i)] == candidate.word
@@ -373,7 +367,7 @@ def check_ledger(engine):
     assert sorted(listed) == sorted(engine.env.pair_sigma)
 
 
-def test_success_ledger_agrees_with_the_lacking_lists_at_every_stage():
+def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
     for seed in (0, 1):
         rng = random.Random(seed)
         for index in range(5):  # honest, honest, random, random, scripted
@@ -381,6 +375,41 @@ def test_success_ledger_agrees_with_the_lacking_lists_at_every_stage():
             for stage in range(engine.overhead, engine.horizon):
                 engine._stage(stage)
                 check_ledger(engine)
+
+
+def canned_engine_through(last_stage):
+    """The canned scripted engine after its stages up to `last_stage`."""
+    engine = build_promotion_engine(canned_scripted_payload())
+    for stage in range(engine.overhead, last_stage + 1):
+        engine._stage(stage)
+    return engine
+
+
+def test_a_successful_pair_that_a_new_class_lacks_is_an_invariant_violation():
+    # After stage 4 level 2 slot 2 lists 000 and 001, and the classes
+    # naming them are still unfed.  Forge success for 000, then list a
+    # sibling at slot 1: the class M2.1:1.2:1 spawns without a witness for 000.
+    engine = canned_engine_through(4)
+    state = engine.levels[2]
+    assert [slot.length for slot in state.slots] == [2, 3] and not state.slots[0].candidates
+    first = state.slots[1].candidates[0]
+    assert first.word == "000" and first.lacking and first.since is None
+    first.since = 4
+    events = {"new_candidates": [], "new_successes": []}
+    message = r"^successful pair \(2, 2, 1\) lost its witness on spawn$"
+    with pytest.raises(InvariantViolation, match=message):
+        engine._list_candidate(state, 1, "00", 5, events)
+
+
+def test_a_latched_conflict_whose_pair_lost_success_is_an_invariant_violation():
+    # The canned run latches level 2 slot 2 at stage 5; clear the success of
+    # one member of the pair and run the next stage.
+    engine = canned_engine_through(5)
+    stage, pair = engine.levels[2].slots[1].conflict
+    assert stage == 5
+    pair[0].since = None
+    with pytest.raises(InvariantViolation, match=r"^latched conflict at level 2 slot 2 lost its pair$"):
+        engine._stage(6)
 
 
 def test_honest_trace_completeness_at_the_final_stage():

@@ -345,6 +345,13 @@ def test_run_synth_reports_benignity_against_the_closed_form():
     assert report["cost_table_shape"] == [51, 50]
 
 
+def test_run_synth_always_runs_the_final_accounting():
+    payload = synth_payload(random.Random(1), 0, horizon=50)
+    report = run_synth(dict(payload, audit=False))  # no key turns the audits off
+    assert report["audits"] and all("charges" in audit for audit in report["audits"])
+    assert machine_format(report) == machine_format(run_synth(payload))
+
+
 def test_run_returns_itself_and_runs_can_share_requirements(monkeypatch):
     """The run carries its outputs, and each run keeps its ledgers off the
     `Requirement`s, so two runs over the same requirement objects report
