@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .approximations import (
     WordApproximation,

@@ -124,15 +124,16 @@ def _emit(report: dict, args, elapsed: float) -> None:
 
 def _cmd_costfn(args) -> dict:
     if args.action != "sum":
-        for text in args.eps:  # checked here, so the messages name the flags
-            positive_rational(text, "--eps")
+        # Checked here, so the messages name the flags.
+        eps_values = {positive_rational(text, "--eps") for text in args.eps}
         bound = {}
         if args.action == "check-benign":
             for token in args.bound:
                 eps_text, _, count = token.partition("=")
                 if not count.isdecimal():
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
-                positive_rational(eps_text, "--bound")
+                if positive_rational(eps_text, "--bound") not in eps_values:
+                    raise ScenarioError(f"--bound: threshold {eps_text} is not among --eps")
                 bound[eps_text] = int(count)
         return run_scenario(
             {

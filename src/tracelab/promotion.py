@@ -249,28 +249,23 @@ class PromotionEngine:
                     f"{self.layout.lengths_capacity(level)} at stage {stage}"
                 )
             state.slots.append(Slot(length, stage))
-            slot = len(state.slots)
-            box = self.env.add_initial_test(level, slot, length, stage)
-            events["new_lengths"].append({"level": level, "slot": slot, "length": length})
+            box = self.env.add_initial_test(level, len(state.slots), length, stage)
+            events["new_lengths"].append({"level": level, "slot": box.slot, "length": length})
             # Trace values that arrived before the box was tested become
-            # certified candidates the moment the test exists.
-            for value, _ in list(box.content):
-                if len(value) == length:
-                    self._list_candidate(state, slot, value, stage, events)
+            # certified candidates the moment the test makes them members.
+            for value, _, member in box.content:
+                if member:
+                    self._list_candidate(state, box.slot, value, stage, events)
 
     def _absorb_enumerations(self, state, records, stage: int, events) -> None:
         level = state.level
         for record in records:
             box = record.box
-            if box.level != level:
-                continue
+            if box.level != level or not record.member:
+                continue  # a non-member counts toward capacity only
             if box.kind == "I":
-                if box.slot > len(state.slots):
-                    continue  # enumeration into a still-unused initial box
-                if len(record.value) != state.slots[box.slot - 1].length:
-                    continue  # stray trace value; counts toward capacity only
                 self._list_candidate(state, box.slot, record.value, stage, events)
-            elif record.member:
+            else:
                 for k, indices in box.pattern:
                     for i in indices:
                         candidate = state.slots[k - 1].candidates[i - 1]
@@ -302,11 +297,7 @@ class PromotionEngine:
             for k, indices in child.pattern:
                 for i in indices:
                     other = state.slots[k - 1].candidates[i - 1]
-                    satisfied = any(
-                        child.functional.member(v) and comparable(v, other.word)
-                        for v, _ in child.content
-                    )
-                    if satisfied:
+                    if child.witnesses(other.word):
                         continue
                     if other is not candidate and other.since is not None:
                         raise InvariantViolation(
@@ -404,8 +395,7 @@ class PromotionEngine:
             raise InvariantViolation(
                 f"witness class {self.layout.cube_box(level, canon)} was never spawned"
             )
-        values = box.content
-        member_values = [v for v, _ in values if box.functional.member(v)]
+        member_values = [v for v, _, member in box.content if member]
         for value in member_values:
             owners = [c for c in antichain_members if is_prefix(c.word, value)]
             if len(owners) != 1:
@@ -426,7 +416,7 @@ class PromotionEngine:
                 f"{len(conflicted)} conflicts"
             )
         return WitnessAudit(
-            level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(values)
+            level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(box.content)
         )
 
     def _check_chain(self, stage: int) -> None:

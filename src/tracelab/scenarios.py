@@ -81,6 +81,14 @@ def _rate(value, what: str) -> float:
     return rate
 
 
+def _boolean(value, what: str) -> bool:
+    """`value` if it is a JSON boolean; anything else is a `ScenarioError`
+    naming it."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{what}: expected true or false, got {value!r}")
+    return value
+
+
 def _typed(value, kind: type, what: str):
     """`value` if it is a list or dict as `kind` asks; anything else is a
     `ScenarioError` naming it."""
@@ -90,12 +98,14 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def text_block(value) -> str:
+def text_block(value, what: str) -> str:
+    """A string, or a list of lines joined; anything else is a
+    `ScenarioError` naming it."""
     if isinstance(value, list):
         return "\n".join(str(line) for line in value)
     if isinstance(value, str):
         return value
-    raise ScenarioError("expected a text block (string or list of lines)")
+    raise ScenarioError(f"{what}: expected a text block (string or list of lines), got {value!r}")
 
 
 def _required(payload: dict, field: str, where: str):
@@ -145,7 +155,8 @@ def _build_policy(spec, layout, ground_truth: Optional[str]):
             raise ScenarioError("honest oracle needs a ground truth word")
         return HonestPolicy(delay=_integer(spec.get("delay", 1), "oracle 'delay'"))
     if name == "scripted":
-        return ScriptedPolicy(parse_script(text_block(spec.get("script", ""))), layout)
+        script = text_block(spec.get("script", ""), "oracle 'script'")
+        return ScriptedPolicy(parse_script(script), layout)
     if name == "random":
         return RandomPolicy(
             seed=_integer(spec.get("seed", 0), "oracle 'seed'"),
@@ -167,9 +178,10 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     family_cap = _integer(payload.get("family_cap", 20000), what)
     if family_cap < 1:  # every class family holds its root class
         raise ScenarioError(f"{what}: expected at least 1, got {family_cap}")
+    where = "boxpromo scenario"
     cost = costs.parse_cost_table(
-        text_block(_required(payload, "cost_table", "boxpromo scenario")),
-        normalized=bool(payload.get("normalized", True)),
+        text_block(_required(payload, "cost_table", where), f"{where} 'cost_table'"),
+        normalized=_boolean(payload.get("normalized", True), f"{where} 'normalized'"),
     )
     ground_truth = payload.get("ground_truth")
     if ground_truth is not None:
@@ -178,7 +190,8 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         except ValueError as exc:
             raise ScenarioError(f"ground_truth: {exc}") from None
     if ground_truth is None and "approximation" in payload:
-        block = appr_mod.parse_word_approx(text_block(payload["approximation"]))
+        text = text_block(payload["approximation"], f"{where} 'approximation'")
+        block = appr_mod.parse_word_approx(text)
         ground_truth = block.rows[-1]
     slack = None
     if "slack" in payload:
@@ -263,7 +276,10 @@ def run_boxpromo(payload: dict) -> dict:
 def build_synthesis_run(payload: dict) -> SynthesisRun:
     horizon = _integer(payload.get("horizon", 0), "synth scenario 'horizon'")
     approximation = appr_mod.parse_word_approx(
-        text_block(_required(payload, "approximation", "synth scenario"))
+        text_block(
+            _required(payload, "approximation", "synth scenario"),
+            "synth scenario 'approximation'",
+        )
     )
     width = payload.get("width")
     if width is not None:
@@ -274,7 +290,9 @@ def build_synthesis_run(payload: dict) -> SynthesisRun:
         where = f"synth requirement {r}"
         _typed(block, dict, where)
         table = costs.parse_cost_table(
-            text_block(_required(block, "cost_table", where)), normalized=True, listed_form=True
+            text_block(_required(block, "cost_table", where), f"{where} 'cost_table'"),
+            normalized=True,
+            listed_form=True,
         )
         entries = []
         stage_map = _typed(_required(block, "stage_map", where), list, f"{where} 'stage_map'")
@@ -381,8 +399,8 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
 def run_costfn_check(payload: dict) -> dict:
     where = "costfn-check scenario"
     table = costs.parse_cost_table(
-        text_block(_required(payload, "cost_table", where)),
-        normalized=bool(payload.get("normalized", False)),
+        text_block(_required(payload, "cost_table", where), f"{where} 'cost_table'"),
+        normalized=_boolean(payload.get("normalized", False), f"{where} 'normalized'"),
     )
     eps_texts = _typed(payload.get("eps", ["1/2"]), list, f"{where} 'eps'")
     eps_list = [positive_rational(e, f"{where} 'eps'") for e in eps_texts]
@@ -394,6 +412,8 @@ def run_costfn_check(payload: dict) -> dict:
             raise ScenarioError(
                 f"{where} 'bound' entry {k!r}: expected a count of at least 0, got {v!r}"
             )
+        if eps not in eps_list:  # a bound on a threshold not scanned would go unchecked
+            raise ScenarioError(f"{where} 'bound' key {k!r}: threshold not listed in 'eps'")
     entries = {}
     for eps in eps_list:
         seq = costs.marker_sequence(table, eps)

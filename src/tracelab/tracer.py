@@ -20,6 +20,10 @@ A `Box` holds its name, its tested-string functional and its trace content.
 The environment makes each box once, so a box is its own dict key (by
 identity).  Trace capacity is checked where content is written: when a value
 is enumerated into a box, and when a spawned class copies its parent's.
+Each content entry also carries whether its value is in the box's tested
+set.  A class gets all its events at spawn and an initial box its one at its
+test, so the flag is decided when a value is enumerated, when a spawned class
+inherits it, and when an initial box is tested, and never changes after.
 """
 from __future__ import annotations
 
@@ -36,7 +40,8 @@ BoxKey = tuple[str, int, "int | Pattern"]  # ("I", level, slot) or ("M", level, 
 
 class Box:
     """One box: an initial-testing box `I<level>.<slot>` or a hypercube class
-    `M<level>.<pattern>`, with its tested set and its trace component."""
+    `M<level>.<pattern>`, with its tested set and its trace component, whose
+    entries carry their membership flags (decided as the module says)."""
 
     __slots__ = ("kind", "level", "slot", "pattern", "name", "functional", "content")
 
@@ -47,10 +52,14 @@ class Box:
         self.pattern = pattern  # pairs (k, (i, ...)), for M-boxes
         self.name = box_name((kind, level, slot if kind == "I" else pattern))
         self.functional = Functional()
-        self.content: list[tuple[str, int]] = []  # (value, stage), in order
+        self.content: list[tuple[str, int, bool]] = []  # (value, stage, member), in order
 
     def __str__(self) -> str:
         return self.name
+
+    def witnesses(self, word: str) -> bool:
+        """Does the box hold a member value comparable to `word`?"""
+        return any(member and comparable(v, word) for v, _, member in self.content)
 
 
 class BoxLayout:
@@ -198,6 +207,7 @@ class Environment:
         if box.functional.events:
             raise InvariantViolation(f"initial box {box} tested twice")
         box.functional.add_event("", length, stage)
+        box.content = [(v, s, box.functional.member(v)) for v, s, _ in box.content]
         return box
 
     def activate_pair(self, level: int, slot: int, index: int, sigma: str, stage: int) -> list[Box]:
@@ -229,9 +239,9 @@ class Environment:
                     f"trace capacity {capacity} exceeded on box {child} at stage {stage}: "
                     f"{len(parent.content)} values inherited from {parent}"
                 )
-            child.content = list(parent.content)
             child.functional.events = list(parent.functional.events)
             child.functional.add_event(sigma, stage, stage)
+            child.content = [(v, s, child.functional.member(v)) for v, s, _ in parent.content]
             spawned.append(child)
         for child in spawned:
             family[child.pattern] = child
@@ -255,7 +265,7 @@ class Environment:
     ) -> Optional[EnumRecord]:
         check_word(value)
         bucket = box.content
-        if any(v == value for v, _ in bucket):
+        if any(v == value for v, _, _ in bucket):
             return None  # trace components are sets; re-enumeration is a no-op
         capacity = self.layout.trace_capacity(box.level)
         if len(bucket) >= capacity:
@@ -264,8 +274,9 @@ class Environment:
             raise InvariantViolation(
                 f"trace capacity {capacity} exceeded on box {box} at stage {stage}"
             )
-        bucket.append((value, stage))
-        return EnumRecord(box, value, box.functional.member(value))
+        member = box.functional.member(value)
+        bucket.append((value, stage, member))
+        return EnumRecord(box, value, member)
 
     # ---- honest bookkeeping ----------------------------------------------
 
@@ -300,7 +311,7 @@ class HonestPolicy:
             if due is None:
                 continue
             due_stage, value = due
-            if due_stage + self.delay <= stage and all(v != value for v, _ in box.content):
+            if due_stage + self.delay <= stage and all(v != value for v, _, _ in box.content):
                 moves.append((box, value))
         return moves
 
@@ -357,7 +368,7 @@ class RandomPolicy:
 
     def _candidate_value(self, env: Environment, tested, level: int, slot: int) -> Optional[str]:
         length = tested[(level, slot)]
-        members = [v for v, _ in env.initial_boxes[(level, slot)].content if len(v) == length]
+        members = [v for v, _, member in env.initial_boxes[(level, slot)].content if member]
         previous = [tested[(level, s)] for s in range(1, slot) if (level, s) in tested]
         floor = max(previous, default=0)
         if members and floor < length:
@@ -377,15 +388,14 @@ class RandomPolicy:
         if sigma is None:
             return
         for box in env.classes_containing(level, slot, index):
-            values = [v for v, _ in box.content]
-            if any(box.functional.member(v) and comparable(v, sigma) for v in values):
+            if box.witnesses(sigma):
                 continue
             event = next((ev for ev in box.functional.events if ev.base == sigma), None)
             if event is None:
                 continue
             for _ in range(8):
                 candidate = sigma + random_word(self.rng, event.depth - len(sigma))
-                if box.functional.member(candidate) and candidate not in values:
+                if box.functional.member(candidate):  # new, as no member extends sigma
                     moves.append((box, candidate))
                     break
 

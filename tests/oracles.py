@@ -78,7 +78,7 @@ def lacking_classes(env, level: int, candidate) -> set:
         for box in env.classes.get(level, {}).values()
         if candidate.index in dict(box.pattern).get(candidate.slot, ())
         and not any(
-            box.functional.member(v) and comparable(v, candidate.word) for v, _ in box.content
+            box.functional.member(v) and comparable(v, candidate.word) for v, _, _ in box.content
         )
     }
 

@@ -75,16 +75,18 @@ def test_run_scenario_boxpromo_and_determinism(tmp_path):
 
 
 def test_run_scenario_costfn_check():
-    report = run_scenario(
-        {
-            "kind": "costfn-check",
-            "cost_table": decay_text(8),
-            "eps": ["1/4"],
-            "bound": {"1/4": 4},
-        }
-    )
-    assert report["ok"]
-    assert report["thresholds"]["1/4"]["count"] == 4
+    for key in ("1/4", "0.25"):  # a bound key matches its threshold as a rational
+        report = run_scenario(
+            {
+                "kind": "costfn-check",
+                "cost_table": decay_text(8),
+                "eps": ["1/4"],
+                "bound": {key: 4},
+            }
+        )
+        assert report["ok"]
+        assert report["thresholds"]["1/4"]["count"] == 4
+        assert report["thresholds"]["1/4"]["bound"] == 4
 
 
 def test_parse_script_rejects_malformed_lines():
@@ -384,6 +386,36 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     ):
         over_full = dict(canned, oracle={"policy": "scripted", "script": lines})
         cases.append(("boxpromo", over_full, f"script enumerates 3 values into {box}, capacity is 2"))
+    # A bound on a threshold the scan does not list, a `normalized` that is
+    # not a JSON boolean and a text block that is not text name their field.
+    block = "expected a text block (string or list of lines), got"
+    cases += [
+        (
+            "boxpromo",
+            dict(check, bound={"1/4": 0}),
+            "costfn-check scenario 'bound' key '1/4': threshold not listed in 'eps'",
+        ),
+        (
+            "boxpromo",
+            dict(canned, normalized="false"),
+            "boxpromo scenario 'normalized': expected true or false, got 'false'",
+        ),
+        (
+            "boxpromo",
+            dict(check, normalized=0),
+            "costfn-check scenario 'normalized': expected true or false, got 0",
+        ),
+        ("boxpromo", dict(canned, oracle={"policy": "scripted", "script": 5}), f"oracle 'script': {block} 5"),
+        ("boxpromo", dict(canned, cost_table=5), f"boxpromo scenario 'cost_table': {block} 5"),
+        ("boxpromo", dict(canned, approximation=None), f"boxpromo scenario 'approximation': {block} None"),
+        ("boxpromo", dict(check, cost_table={}), f"costfn-check scenario 'cost_table': {block} {{}}"),
+        ("synth", dict(small, approximation=5), f"synth scenario 'approximation': {block} 5"),
+        (
+            "synth",
+            dict(small, requirements=[{"cost_table": 5, "stage_map": []}]),
+            f"synth requirement 0 'cost_table': {block} 5",
+        ),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -414,6 +446,10 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
         (
             ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "0=3"],
             "--bound: expected a positive rational, got '0'",
+        ),
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/2", "--bound", "1/4=0"],
+            "--bound: threshold 1/4 is not among --eps",
         ),
     ]
     for argv, message in argvs:
@@ -602,10 +638,9 @@ def test_cli_bad_schedule_triple_is_a_one_line_error(tmp_path, capsys):
 def test_cli_failed_benignity_bound_is_exit_two(tmp_path, capsys):
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))
-    code = main(
-        ["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", "1/4=3"]
-    )
-    assert code == 2
+    for bound in ("1/4=3", "0.25=3"):  # a bound matches its threshold as a rational
+        code = main(["costfn", "check-benign", str(table), "--eps", "1/4", "--bound", bound])
+        assert code == 2
 
 
 def test_cli_failed_synthesis_benignity_bound_is_exit_two(tmp_path, capsys, monkeypatch):

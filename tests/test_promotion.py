@@ -316,17 +316,28 @@ def test_monotone_length_chain_and_capacity_hold():
             assert size <= cap
 
 
-def test_capacity_and_max_trace_agree_with_the_full_sweep_at_every_stage():
+def test_capacity_holds_and_trace_content_only_grows_at_every_stage():
+    # `max_trace` and the membership flags rest on this: a box's (value,
+    # stage) pairs only grow, and a flag changes only when an initial box
+    # is tested.
     for seed in (0, 1, 2):
         oracle = {"policy": "random", "seed": seed, "feed_rate": 1.0, "junk_rate": 0.5}
         engine = build_promotion_engine(dict(canned_scripted_payload(30), top_level=3, oracle=oracle))
+        previous, max_trace = {}, 0
         for stage in range(engine.overhead, engine.horizon):
             engine._stage(stage)
-            sizes = []
             for name, size, cap in capacity_sweep(engine.env):
                 assert size <= cap, name
-                sizes.append(size)
-            assert max(sizes, default=0) == engine.env.max_trace
+            for box in engine.env.boxes():
+                pairs, flags = [e[:2] for e in box.content], [e[2] for e in box.content]
+                old_pairs, old_flags = previous.get(box, ([], []))
+                assert pairs[: len(old_pairs)] == old_pairs, box.name
+                events = box.functional.events
+                if not (box.kind == "I" and events and events[0].stage == stage):
+                    assert flags[: len(old_flags)] == old_flags, box.name
+                previous[box] = pairs, flags
+            assert engine.env.max_trace >= max_trace
+            max_trace = engine.env.max_trace
         assert engine.env.max_trace == engine.layout.trace_capacity(engine.top_level)
 
 
@@ -377,6 +388,24 @@ def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
                 check_ledger(engine)
 
 
+def test_membership_flags_match_the_recursive_definition_at_every_stage():
+    payloads = []
+    for seed in (0, 1):  # the ledger test's payloads
+        rng = random.Random(seed)
+        payloads += [boxpromo_payload(rng, index) for index in range(5)]
+    for seed in (0, 1, 2):
+        oracle = {"policy": "random", "seed": seed}
+        payloads.append(dict(canned_scripted_payload(60), top_level=5, oracle=oracle))
+    for payload in payloads:
+        engine = build_promotion_engine(payload)
+        for stage in range(engine.overhead, engine.horizon):
+            engine._stage(stage)
+            for box in engine.env.boxes():
+                for value, _, member in box.content:
+                    expected = oracles.recursive_member(box.functional, value)
+                    assert member == expected, (stage, box.name, value)
+
+
 def canned_engine_through(last_stage):
     """The canned scripted engine after its stages up to `last_stage`."""
     engine = build_promotion_engine(canned_scripted_payload())
@@ -419,7 +448,7 @@ def test_honest_trace_completeness_at_the_final_stage():
     truth = payload["ground_truth"]
     final = engine.horizon - 1
     for box in engine.env.boxes():
-        values = [v for v, _ in box.content]
+        values = [v for v, _, _ in box.content]
         if box.kind == "I":
             if box.functional.events[0].stage + 1 <= final:
                 assert any(is_prefix(v, truth) for v in values)

@@ -182,7 +182,7 @@ def test_enumerate_value_respects_capacity():
     with pytest.raises(InvariantViolation):
         env.enumerate_value(box, "10", 1)
     assert env.enumerate_value(box, "10", 1, clamp=True) is None
-    assert box.content == [("00", 1), ("01", 1)]
+    assert box.content == [("00", 1, True), ("01", 1, True)]
 
 
 def test_enumerate_value_deduplicates():
@@ -191,7 +191,7 @@ def test_enumerate_value_deduplicates():
     box = env.add_initial_test(2, 1, 2, 1)
     assert env.enumerate_value(box, "00", 1) is not None
     assert env.enumerate_value(box, "00", 2) is None
-    assert box.content == [("00", 1)]
+    assert box.content == [("00", 1, True)]
 
 
 def test_activation_spawns_every_containing_class_and_inherits_content():
@@ -205,7 +205,7 @@ def test_activation_spawns_every_containing_class_and_inherits_content():
     patterns = sorted(cls.pattern for cls in second)
     assert patterns == [((1, (1, 2)),), ((1, (2,)),)]
     merged = next(cls for cls in second if cls.pattern == ((1, (1, 2)),))
-    assert merged.content == [("000", 4)]  # inherited from the parent
+    assert merged.content == [("000", 4, True)]  # inherited from the parent
 
 
 def test_a_spawned_class_never_inherits_more_than_the_capacity():
@@ -213,12 +213,38 @@ def test_a_spawned_class_never_inherits_more_than_the_capacity():
     env = Environment(layout)
     env.ensure_level(2)
     root = env.classes[2][()]
-    root.content.extend([("0", 1), ("1", 1)])
+    root.content.extend([("0", 1, False), ("1", 1, False)])
     (child,) = env.activate_pair(2, 1, 1, "00", 3)
     assert child.content == root.content and child.content is not root.content
-    root.content.append(("00", 2))  # forced past capacity behind the writers' back
+    root.content.append(("00", 2, False))  # forced past capacity behind the writers' back
     with pytest.raises(InvariantViolation, match="trace capacity 2 exceeded on box M2.1:2"):
         env.activate_pair(2, 1, 2, "01", 4)
+
+
+def test_a_spawned_class_decides_inherited_membership_against_its_own_events():
+    layout = small_layout()
+    env = Environment(layout)
+    env.ensure_level(2)
+    root = env.classes[2][()]
+    record = env.enumerate_value(root, "001", 2)
+    assert not record.member and root.content == [("001", 2, False)]
+    (child,) = env.activate_pair(2, 1, 1, "00", 3)  # tests 001 on the child
+    assert child.content == [("001", 2, True)]
+    assert root.content == [("001", 2, False)]
+    assert child.witnesses("00") and child.witnesses("0010")
+    assert not child.witnesses("01") and not root.witnesses("00")
+
+
+def test_values_that_reach_an_initial_box_early_become_members_at_its_test():
+    layout = small_layout()
+    env = Environment(layout)
+    box = env.initial_box(2, 1)
+    records = [env.enumerate_value(box, value, 1) for value in ("00", "0")]
+    assert [r.member for r in records] == [False, False]
+    assert not box.witnesses("00")
+    assert env.add_initial_test(2, 1, 2, 2) is box
+    assert box.content == [("00", 1, True), ("0", 1, False)]
+    assert box.witnesses("0") and not box.witnesses("1")
 
 
 def test_one_object_per_box():
