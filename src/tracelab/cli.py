@@ -126,14 +126,18 @@ def _cmd_costfn(args) -> dict:
     if args.action != "sum":
         # Checked here, so the messages name the flags.
         eps_values = {positive_rational(text, "--eps") for text in args.eps}
-        bound = {}
+        bound, bounded = {}, set()
         if args.action == "check-benign":
             for token in args.bound:
                 eps_text, _, count = token.partition("=")
                 if not count.isdecimal():
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
-                if positive_rational(eps_text, "--bound") not in eps_values:
+                eps = positive_rational(eps_text, "--bound")
+                if eps not in eps_values:
                     raise ScenarioError(f"--bound: threshold {eps_text} is not among --eps")
+                if eps in bounded:
+                    raise ScenarioError(f"--bound: threshold {eps_text} is bounded twice")
+                bounded.add(eps)
                 bound[eps_text] = int(count)
         return run_scenario(
             {

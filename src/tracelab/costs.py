@@ -15,8 +15,9 @@ Only a window's entries are checked, against their neighbours and the row
 before, so a table costs the sum of its windows' sizes to check.
 
 The text parser finds each line's window against the line before it with
-string compares alone: the two lines' common prefix and suffix, snapped to
-the spaces between tokens, and the shared tokens counted by their spaces.
+string compares alone: the two lines' common prefix and suffix, each found
+by bisection and snapped to the spaces between tokens, and the shared tokens
+counted by their spaces.
 Only the window's text is split, and each distinct token is parsed once.  A
 line whose whitespace is irregular (not ASCII, a tab, a unit separator, a
 run of spaces, or a space at either end) is split whole, and so is the line
@@ -198,9 +199,7 @@ def first_difference(a: str, b: str) -> Optional[int]:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i
-    if len(a) != len(b):
-        return min(len(a), len(b))
-    return None
+    return min(len(a), len(b))  # the words differ, so one is a proper prefix of the other
 
 
 def obedience_sum(table: CostTable, rows) -> Fraction:
@@ -394,20 +393,11 @@ def _regular(text: str) -> bool:
     )
 
 
-def _match_length(same: Callable[[int, int], bool], hint: int, limit: int) -> int:
-    """Largest p <= limit such that positions [0, p) match, searching outward
-    from `hint`.  `same(lo, hi)` compares positions [lo, hi) and is only
-    asked once [0, lo) is known to match."""
+def _match_length(same: Callable[[int, int], bool], limit: int) -> int:
+    """Largest p <= limit such that positions [0, p) match, by bisection.
+    `same(lo, hi)` compares positions [lo, hi) and is only asked once
+    [0, lo) is known to match."""
     lo, hi = 0, limit + 1
-    hint = min(hint, limit)
-    if same(0, hint):
-        lo, step = hint, 1
-        while lo + step <= limit and same(lo, lo + step):
-            lo += step
-            step *= 2
-        hi = min(lo + step, limit + 1)
-    else:
-        hi = hint
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if same(lo, mid):
@@ -417,24 +407,23 @@ def _match_length(same: Callable[[int, int], bool], hint: int, limit: int) -> in
     return lo
 
 
-def _line_window(before: str, line: str, hints: tuple[int, int]) -> tuple[int, str, int, tuple]:
-    """(k, window text, m, (p, q)) for two different lines, `before`
-    regular.  When the window text is regular, `line` is `before` with every
-    token but the first k and the last m replaced by the window's tokens.
-    p and q are the lengths in characters of the two lines' common prefix
-    and (not overlapping it) common suffix, found by searching outward from
-    `hints`, the previous line's (p, q); the window is snapped out to the
-    spaces around them."""
+def _line_window(before: str, line: str) -> tuple[int, str, int]:
+    """(k, window text, m) for two different lines, `before` regular.  When
+    the window text is regular, `line` is `before` with every token but the
+    first k and the last m replaced by the window's tokens.  The window is
+    the text between the two lines' common prefix and (not overlapping it)
+    common suffix, each found by bisection, snapped out to the spaces around
+    them."""
     n, b = len(line), len(before)
-    p = _match_length(lambda lo, hi: line.startswith(before[lo:hi], lo), hints[0], min(n, b))
+    p = _match_length(lambda lo, hi: line.startswith(before[lo:hi], lo), min(n, b))
     q = _match_length(
-        lambda lo, hi: line.endswith(before[b - hi : b - lo], 0, n - lo), hints[1], min(n, b) - p
+        lambda lo, hi: line.endswith(before[b - hi : b - lo], 0, n - lo), min(n, b) - p
     )
     start = line.rfind(" ", 0, p) + 1
     stop = line.find(" ", n - q)
     if stop < 0:
-        return line.count(" ", 0, start), line[start:], 0, (p, q)
-    return line.count(" ", 0, start), line[start:stop], line.count(" ", stop), (p, q)
+        return line.count(" ", 0, start), line[start:], 0
+    return line.count(" ", 0, start), line[start:stop], line.count(" ", stop)
 
 
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
@@ -454,16 +443,16 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     if S == 0:
         raise ScenarioError(f"line {head}: cost table needs at least one stage row")
     windows: list[Optional[tuple[int, list[str], int]]] = []
-    before, regular_before, hints, wrong_width = None, False, (0, 0), None
+    before, regular_before, wrong_width = None, False, None
     for i, line in zip(numbers[1:], lines[1:]):
         if line == before:
             windows.append(None)
             continue
         # Outside its window a line repeats a regular `before`, so it is
         # regular when its window is.
-        window = _line_window(before, line, hints) if regular_before else None
+        window = _line_window(before, line) if regular_before else None
         if window is not None and _regular(window[1]):
-            k, middle, m, hints = window
+            k, middle, m = window
             tokens, regular = middle.split(" "), True
         else:
             k, tokens, m = 0, line.split(), 0

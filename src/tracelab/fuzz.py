@@ -93,12 +93,7 @@ def _flip(word: str, position: int) -> str:
     return word[: position] + bit + word[position + 1 :]
 
 
-def synth_approximation(
-    rng: random.Random,
-    horizon: int,
-    flips: list[tuple[int, int]],
-    schedule: dict | None = None,
-) -> str:
+def synth_approximation(rng: random.Random, horizon: int, flips: list[tuple[int, int]]) -> str:
     """Text block for an approximation that starts random and applies the
     given (stage, position) flips."""
     width = horizon
@@ -111,10 +106,7 @@ def synth_approximation(
         for position in flip_map.get(stage, ()):
             word = _flip(word, position)
         rows.append(word)
-    lines = [f"{horizon} {width}"] + rows
-    for (s, x), wall in sorted((schedule or {}).items()):
-        lines.append(f"({s},{x},{'∞' if wall is None else wall})")
-    return "\n".join(lines)
+    return "\n".join([f"{horizon} {width}"] + rows)
 
 
 def listed_cost_block(rng: random.Random, horizon: int, flavor: str | None = None) -> str:

@@ -235,7 +235,7 @@ class PromotionEngine:
 
     def _extend_lengths(self, state, promoted: list[int], stage: int, events) -> None:
         level = state.level
-        incoming = sorted(set(promoted))
+        incoming = sorted(promoted)
         coherent = length_for_level(level, stage, self.markers, self.cost)
         for source, length in [("promoted", ln) for ln in incoming] + [("coherent", coherent)]:
             if length <= (state.top_length() or 0):
@@ -279,8 +279,6 @@ class PromotionEngine:
 
     def _list_candidate(self, state, slot: int, value: str, stage: int, events) -> None:
         candidates = state.slots[slot - 1].candidates
-        if any(c.word == value for c in candidates):
-            return
         candidate = Candidate(value, stage, slot, len(candidates) + 1)
         candidates.append(candidate)
         events["new_candidates"].append(
@@ -357,9 +355,7 @@ class PromotionEngine:
     def _build_witness(self, state, stage: int) -> WitnessAudit:
         level = state.level
         slots = len(state.slots)
-        conflicted = [
-            k for k, e in enumerate(state.slots, start=1) if e.conflict and e.conflict[0] <= stage
-        ]
+        conflicted = [k for k, e in enumerate(state.slots, start=1) if e.conflict]
         chain: dict[int, list[Candidate]] = {slots + 1: []}
         for slot in range(slots, 0, -1):
             current = list(chain[slot + 1])
@@ -423,8 +419,6 @@ class PromotionEngine:
         tops = []
         for level in range(self.overhead, min(stage, self.top_level) + 1):
             top = self.levels[level].top_length()
-            if top is None:
-                continue
             if stage >= level and top < level:
                 raise InvariantViolation(f"level {level} top length below the level at stage {stage}")
             tops.append(top)

@@ -41,12 +41,14 @@ def fraction_str(value: Fraction) -> str:
 
 
 def parse_rational(value, what: str) -> Fraction:
-    """`Fraction(value)`; a value that is not a rational is a
-    `ScenarioError` naming it."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ScenarioError(f"{what}: bad rational {value!r}") from None
+    """`Fraction(value)`; a value that is not a rational, a boolean
+    included, is a `ScenarioError` naming it."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ScenarioError(f"{what}: bad rational {value!r}")
 
 
 def positive_rational(value, what: str) -> Fraction:
@@ -407,13 +409,16 @@ def run_costfn_check(payload: dict) -> dict:
     bound = {}
     for k, v in _typed(payload.get("bound", {}), dict, f"{where} 'bound'").items():
         eps = positive_rational(k, f"{where} 'bound' key")
-        bound[eps] = _integer(v, f"{where} 'bound' entry {k!r}")
-        if bound[eps] < 0:
+        count = _integer(v, f"{where} 'bound' entry {k!r}")
+        if count < 0:
             raise ScenarioError(
                 f"{where} 'bound' entry {k!r}: expected a count of at least 0, got {v!r}"
             )
         if eps not in eps_list:  # a bound on a threshold not scanned would go unchecked
             raise ScenarioError(f"{where} 'bound' key {k!r}: threshold not listed in 'eps'")
+        if eps in bound:  # a second spelling of a threshold would replace its bound
+            raise ScenarioError(f"{where} 'bound' key {k!r}: threshold bounded twice")
+        bound[eps] = count
     entries = {}
     for eps in eps_list:
         seq = costs.marker_sequence(table, eps)

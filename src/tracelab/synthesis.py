@@ -78,6 +78,12 @@ class Requirement:
             raise ScenarioError("requirement cost tables must be in listed form")
         if not self.cost.normalized:
             raise ScenarioError("requirement cost tables must be normalized (bounded by 1)")
+        # Activity terms and checkpoint indices run up to the stage map's last entry.
+        if self.cost.horizon < len(self.stage_map.values):
+            raise ScenarioError(
+                f"requirement cost table has {self.cost.horizon} stages, fewer than its "
+                f"stage map's {len(self.stage_map.values)} entries"
+            )
 
 
 @dataclass
@@ -183,11 +189,9 @@ class SynthesisRun:
             value = req.stage_map.observed(t, stage)
             if value is None or value > frontier:
                 break
-            prev = req.stage_map.observed(t - 1, stage)
-            if prev is None:
-                break
+            # Entries become visible in order, so entry t - 1 is visible too.
             row_now = self.appr.rows[self.speedup[value]]
-            row_before = self.appr.rows[self.speedup[prev]]
+            row_before = self.appr.rows[self.speedup[req.stage_map.values[t - 1]]]
             y = first_difference(row_now, row_before)
             term = req.cost.value(t, y) if y is not None else ZERO
             state.activity += term
@@ -277,9 +281,7 @@ class SynthesisRun:
         for state in self.states[:stage]:
             if not state.checkpoints:
                 continue
-            last = state.checkpoints[-1]
-            if last >= frontier:
-                continue
+            last = state.checkpoints[-1]  # below the frontier, which just grew
             prefix = len(state.checkpoints)  # t^e + 1
             # Largest window [n, frontier] on which the sped-up rows agree on
             # the prefix; then the least observed stage-map value inside it.
@@ -383,17 +385,15 @@ def _verify_persistent(run: SynthesisRun, e: int, t: int, position: int) -> None
     state = run.states[e]
     stage_map = state.requirement.stage_map
     lo, hi = state.checkpoints[t - 1], state.checkpoints[t]
-    frontier = run.frontier
     hits = []
     for x in range(1, len(stage_map.values)):
         value = stage_map.observed(x, run.horizon)
-        prev = stage_map.observed(x - 1, run.horizon)
-        if value is None or prev is None or not (lo < value <= hi):
+        if value is None or not (lo < value <= hi):
             continue
-        if value > frontier or prev > frontier:
-            continue
+        # Entry x - 1 is visible too, and hi is a checkpoint, so both values
+        # lie in the speed-up map's domain.
         row_now = run.appr.rows[run.speedup[value]]
-        row_before = run.appr.rows[run.speedup[prev]]
+        row_before = run.appr.rows[run.speedup[stage_map.values[x - 1]]]
         if row_now[position] != row_before[position]:
             hits.append(x)
     if not hits or min(hits) < t:

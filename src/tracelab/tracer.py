@@ -369,30 +369,24 @@ class RandomPolicy:
     def _candidate_value(self, env: Environment, tested, level: int, slot: int) -> Optional[str]:
         length = tested[(level, slot)]
         members = [v for v, _, member in env.initial_boxes[(level, slot)].content if member]
-        previous = [tested[(level, s)] for s in range(1, slot) if (level, s) in tested]
-        floor = max(previous, default=0)
-        if members and floor < length:
-            # Agree with an existing candidate below the previous tested
-            # length: raw material for a conflict.
-            stem = members[0][:floor]
-        else:
-            stem = ""
+        # Slots are tested in order with growing lengths, all at least 1.
+        floor = tested[(level, slot - 1)] if slot > 1 else 0
+        # Agree with an existing candidate below the previous tested length:
+        # raw material for a conflict.
+        stem = members[0][:floor] if members else ""
         value = stem + random_word(self.rng, length - len(stem))
         if value in members:
-            flipped = value[:-1] + ("1" if value[-1] == "0" else "0") if value else value
-            value = flipped
-        return value if len(value) == length and value not in members else None
+            value = value[:-1] + ("1" if value[-1] == "0" else "0")
+        return value if value not in members else None
 
     def _feed_pair(self, env: Environment, level: int, slot: int, index: int, moves) -> None:
-        sigma = env.pair_sigma.get((level, slot, index))
-        if sigma is None:
-            return
+        sigma = env.pair_sigma[(level, slot, index)]
         for box in env.classes_containing(level, slot, index):
             if box.witnesses(sigma):
                 continue
-            event = next((ev for ev in box.functional.events if ev.base == sigma), None)
-            if event is None:
-                continue
+            # The class, or the ancestor it inherited its events from, was
+            # spawned with an event based at sigma.
+            event = next(ev for ev in box.functional.events if ev.base == sigma)
             for _ in range(8):
                 candidate = sigma + random_word(self.rng, event.depth - len(sigma))
                 if box.functional.member(candidate):  # new, as no member extends sigma

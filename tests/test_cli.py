@@ -17,6 +17,7 @@ from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import CANNED_SCRIPT, canned_scripted_payload, fuzz, synth_payload
 from tracelab.scenarios import (
+    build_synthesis_run,
     load_scenario,
     machine_format,
     parse_script,
@@ -87,6 +88,13 @@ def test_run_scenario_costfn_check():
         assert report["ok"]
         assert report["thresholds"]["1/4"]["count"] == 4
         assert report["thresholds"]["1/4"]["bound"] == 4
+
+
+def test_parse_script_skips_blank_lines_and_comments():
+    text = "# conflict setup\n\n4 I2.2 000  # first\n   \n5 M2.2:1 0000\n"
+    assert parse_script(text) == [(4, "I2.2", "000"), (5, "M2.2:1", "0000")]
+    with pytest.raises(ScenarioError, match="^line 4: "):  # skipped lines keep their numbers
+        parse_script("# header\n\n4 I2.2 000\nbad\n")
 
 
 def test_parse_script_rejects_malformed_lines():
@@ -416,6 +424,32 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             f"synth requirement 0 'cost_table': {block} 5",
         ),
     ]
+    # A requirement table with fewer stages than its stage map has entries
+    # (the run would read past its last row), a threshold bounded twice,
+    # however spelt, and a boolean where a rational belongs.
+    short_requirement = {
+        "cost_table": "2 10\n" + " ".join("0" * 10) + "\n1" + " 0" * 9,
+        "stage_map": [[i, i, i] for i in range(30)],
+    }
+    short_run = {
+        "kind": "synth",
+        "horizon": 30,
+        "approximation": "\n".join(["30 10"] + ["0000000000"] * 5 + ["0100000000"] * 25),
+        "requirements": [short_requirement],
+    }
+    flat = {"kind": "costfn-check", "cost_table": "3 2\n1/2 1/4\n1/2 1/4\n1 1/2", "eps": ["1/4"]}
+    twice = "costfn-check scenario 'bound' key '0.25': threshold bounded twice"
+    cases += [
+        ("synth", short_run, "requirement cost table has 2 stages, fewer than its stage map's 30 entries"),
+        ("boxpromo", dict(flat, bound={"1/4": 0, "0.25": 9}), twice),
+        ("boxpromo", dict(flat, eps=[True]), "costfn-check scenario 'eps': bad rational True"),
+        ("synth", dict(small, eps=[False]), "synth scenario 'eps': bad rational False"),
+        (
+            "boxpromo",
+            dict(check, limit_threshold=True),
+            "costfn-check scenario 'limit_threshold': bad rational True",
+        ),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
@@ -452,6 +486,11 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "--bound: threshold 1/4 is not among --eps",
         ),
     ]
+    flat = tmp_path / "flat.table"
+    flat.write_text("3 2\n1/2 1/4\n1/2 1/4\n1 1/2\n")
+    for second in ("0.25", "1/4"):
+        argv = ["costfn", "check-benign", str(flat), "--eps", "1/4", "--bound", "1/4=0", f"{second}=9"]
+        argvs.append((argv, f"--bound: threshold {second} is bounded twice"))
     for argv, message in argvs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -868,6 +907,13 @@ def test_cli_synth_emits_table_artifacts(tmp_path, capsys):
     lines = (artifacts / "speedup.map").read_text().splitlines()
     assert lines[0] == "0 0" and len(lines) == 19  # one value per active stage
     assert (artifacts / "cover.pairs").read_text() == ""
+    # A requirement's checkpoints go to its own map, one per line.
+    payload = dict(synth_payload_small(), requirements=[REQUIREMENT_20])
+    path = write_json(tmp_path, "req.json", payload)
+    assert main(["synth", "run", path, "--emit-tables", str(artifacts)]) == 0
+    run = build_synthesis_run(payload).run()
+    expected = "".join(f"{i} {v}\n" for i, v in enumerate(run.states[0].checkpoints))
+    assert (artifacts / "checkpoints-0.map").read_text() == expected
 
 
 def test_costfn_check_reports_the_tail_without_enforcing_it():

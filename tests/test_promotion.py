@@ -11,6 +11,7 @@ from tracelab.acceptance import capacity_sweep, promotion_batch, random_monotone
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
+    format_cost_table,
     halving_exponent,
     static_table,
 )
@@ -144,8 +145,6 @@ def two_conflict_payload():
     for spec, values in TWO_CONFLICT_FEEDS:
         for value in values:
             script.append(f"7 {spec} {value}")
-    from tracelab.costs import format_cost_table
-
     return {
         "kind": "boxpromo",
         "horizon": horizon,
@@ -388,9 +387,11 @@ def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
                 check_ledger(engine)
 
 
-def test_membership_flags_match_the_recursive_definition_at_every_stage():
+def engines_stage_by_stage():
+    """(engine, stage) after every stage of the ledger test's payloads and
+    of one horizon-60, top-level-5 random run for each seed 0-2."""
     payloads = []
-    for seed in (0, 1):  # the ledger test's payloads
+    for seed in (0, 1):
         rng = random.Random(seed)
         payloads += [boxpromo_payload(rng, index) for index in range(5)]
     for seed in (0, 1, 2):
@@ -400,10 +401,35 @@ def test_membership_flags_match_the_recursive_definition_at_every_stage():
         engine = build_promotion_engine(payload)
         for stage in range(engine.overhead, engine.horizon):
             engine._stage(stage)
-            for box in engine.env.boxes():
-                for value, _, member in box.content:
-                    expected = oracles.recursive_member(box.functional, value)
-                    assert member == expected, (stage, box.name, value)
+            yield engine, stage
+
+
+def test_membership_flags_match_the_recursive_definition_at_every_stage():
+    for engine, stage in engines_stage_by_stage():
+        for box in engine.env.boxes():
+            for value, _, member in box.content:
+                expected = oracles.recursive_member(box.functional, value)
+                assert member == expected, (stage, box.name, value)
+
+
+def test_slot_candidates_are_the_initial_box_members_at_every_stage():
+    # So a value is never listed twice at a slot.
+    for engine, stage in engines_stage_by_stage():
+        for level, state in engine.levels.items():
+            for k, slot in enumerate(state.slots, start=1):
+                box = engine.env.initial_boxes[(level, k)]
+                members = [v for v, _, member in box.content if member]
+                assert [c.word for c in slot.candidates] == members, (stage, level, k)
+
+
+def test_every_class_holding_a_pair_has_one_event_at_its_word_at_every_stage():
+    # So the random oracle always finds the event it feeds a pair's class from.
+    for engine, stage in engines_stage_by_stage():
+        for (level, k, i), sigma in engine.env.pair_sigma.items():
+            for box in engine.env.classes[level].values():
+                if i in dict(box.pattern).get(k, ()):
+                    based = [ev for ev in box.functional.events if ev.base == sigma]
+                    assert len(based) == 1, (stage, box.name, sigma)
 
 
 def canned_engine_through(last_stage):
@@ -504,6 +530,43 @@ def test_early_trace_values_become_candidates_when_the_test_exists():
     }
     report = run_boxpromo(payload)
     assert report["levels"]["2"]["candidates"]["2"] == ["000"]
+
+
+def test_a_candidate_its_classes_already_witness_succeeds_on_listing():
+    # The root class holds 01101 when 01 is listed at level 2 slot 1 in the
+    # same stage.  The class spawned for the pair tests the length-5
+    # extensions of 01, so the 01101 it inherits is a member that witnesses
+    # 01 at once.
+    payload = {
+        "kind": "boxpromo",
+        "horizon": 14,
+        "overhead": 1,
+        "top_level": 2,
+        "cost_table": format_cost_table(decay(14)),
+        "oracle": {"policy": "scripted", "script": ["5 M2.root 01101", "5 I2.1 01"]},
+    }
+    engine = build_promotion_engine(payload).run()
+    (candidate,) = engine.levels[2].slots[0].candidates
+    assert (candidate.word, candidate.appeared, candidate.since) == ("01", 5, 6)
+    stage_five = next(events for events in engine.stage_log if events["stage"] == 5)
+    assert stage_five["new_successes"] == [{"level": 2, "slot": 1, "index": 1}]
+
+
+def test_extraction_without_an_anchor_stage_is_empty_and_truncated():
+    # At horizon 2 the base slot is added at stage 1 and no later stage is
+    # left to anchor on.
+    payload = {
+        "kind": "boxpromo",
+        "horizon": 2,
+        "overhead": 1,
+        "top_level": 1,
+        "cost_table": format_cost_table(decay(2)),
+        "ground_truth": "01",
+        "oracle": {"policy": "honest", "delay": 0},
+    }
+    extraction = build_promotion_engine(payload).run().extraction
+    assert extraction.anchor_stage == 2
+    assert extraction.steps == [] and extraction.truncated_at == 1
 
 
 def test_witness_with_no_conflicts_is_the_empty_chain():
