@@ -19,6 +19,19 @@ length and every stage from there on (raising where two are credible), and
 each step reads that table, a missing entry as None.
 `Extraction.expensive` counts, per threshold exponent n, the steps that cost
 at least 2^-n.
+
+A stage does work in proportion to what changed.  A level's witness chain
+(its stumps, deficits, canonical pattern and witness box) depends only on the
+level's slot count and its latched conflicts, and both only grow, so the
+chain is kept on `LevelState` and rebuilt only when a slot was added or a
+conflict latched; every audit still re-runs the content checks over the
+witness box's whole content.  `_succeed` is the one writer of `since` and
+files the candidate's slot under its level and that stage: a slot's
+conflict scan can only find a new pair at a stage where one of its
+candidates becomes successful, so `_settle_conflicts` scans just the slots
+filed for the stage.  `CoherentLengths` holds, per level, the sorted union
+of the marker sequences at thresholds 2^-r, r <= level, so a coherent length
+is one bisection.
 """
 from __future__ import annotations
 
@@ -63,34 +76,42 @@ def slack_from_markers(markers: dict[int, MarkerSequence], top_level: int) -> di
     return slack
 
 
-def length_for_level(
-    level: int,
-    stage: int,
-    markers: dict[int, MarkerSequence],
-    cost: CostTable,
-) -> int:
-    """Largest marker at thresholds 2^-r, r <= level, seen by `stage` (at
-    least `level`); the cost at the result is certified below 2^-level.
+class CoherentLengths:
+    """Per level up to `last`: the sorted union of the marker sequences at
+    thresholds 2^-r, r <= level, and the threshold 2^-level."""
 
-    The certificate has one provable exception: when `stage` is itself the
-    newest 2^-level marker, the cost there may still sit at the threshold.
-    Any other failure means the marker table does not belong to the cost
-    table.
-    """
-    best = level
-    for r in range(level + 1):
-        for m in markers[r].markers:
-            if m <= stage and m > best:
-                best = m
-    if not (level <= best <= max(level, stage)):
-        raise InvariantViolation(f"coherent length {best} escaped its bracket at ({level},{stage})")
-    if cost.value(stage, best) >= Fraction(1, 2**level):
-        newest = max((m for m in markers[level].markers if m <= stage), default=0)
-        if stage != newest:
-            raise InvariantViolation(
-                f"marker table inconsistent with the cost table at level {level}, stage {stage}"
-            )
-    return best
+    def __init__(self, cost: CostTable, markers: dict[int, MarkerSequence], last: int):
+        self.cost = cost
+        self.markers = markers
+        self.union: dict[int, list[int]] = {}
+        self.threshold: dict[int, Fraction] = {}
+        seen: set[int] = set()
+        for level in range(last + 1):
+            seen.update(markers[level].markers)
+            self.union[level] = sorted(seen)
+            self.threshold[level] = Fraction(1, 2**level)
+
+    def length(self, level: int, stage: int) -> int:
+        """Largest marker at thresholds 2^-r, r <= level, seen by `stage` (at
+        least `level`); the cost at the result is certified below 2^-level.
+
+        The certificate has one provable exception: when `stage` is itself
+        the newest 2^-level marker, the cost there may still sit at the
+        threshold.  Any other failure means the marker table does not belong
+        to the cost table.
+        """
+        # Every marker sequence starts at 0, so each bisection finds a marker.
+        union = self.union[level]
+        best = max(level, union[bisect_right(union, stage) - 1])
+        if not (level <= best <= max(level, stage)):
+            raise InvariantViolation(f"coherent length {best} escaped its bracket at ({level},{stage})")
+        if self.cost.value(stage, best) >= self.threshold[level]:
+            own = self.markers[level].markers
+            if stage != own[bisect_right(own, stage) - 1]:
+                raise InvariantViolation(
+                    f"marker table inconsistent with the cost table at level {level}, stage {stage}"
+                )
+        return best
 
 
 @dataclass(eq=False)
@@ -117,10 +138,24 @@ class Slot:
 
 
 @dataclass
+class WitnessChain:
+    """A level's witness chain, a function of its slot count and its latched
+    conflicts alone."""
+
+    slots: int
+    conflicted: list[int]
+    members: list[Candidate]  # the antichain at slot 1
+    sizes: list[int]
+    deficits: list[int]
+    box: Box
+
+
+@dataclass
 class LevelState:
     level: int
     slots: list[Slot] = field(default_factory=list)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
+    chain: Optional[WitnessChain] = None  # as of the last witness audit
 
     def top_length(self) -> Optional[int]:
         return self.slots[-1].length if self.slots else None
@@ -183,7 +218,7 @@ class PromotionEngine:
             raise ScenarioError("ground truth must be at least horizon bits long")
         self.cost = cost
         self.horizon = horizon
-        self.markers = markers
+        self.coherent = CoherentLengths(cost, markers, min(layout.top_level, horizon - 1))
         self.layout = layout
         self.env = Environment(self.layout, ground_truth, family_cap=family_cap)
         self.policy = policy
@@ -192,6 +227,9 @@ class PromotionEngine:
         self.levels = {
             n: LevelState(n) for n in range(self.overhead, self.top_level + 1)
         }
+        # (level, stage) -> slots with a candidate successful from that stage;
+        # one map for the engine, so a tall layout builds no dict per level.
+        self.succeeding: dict[tuple[int, int], set[int]] = {}
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
         self.extraction: Optional[Extraction] = None  # set by `run` for honest oracles
@@ -236,7 +274,7 @@ class PromotionEngine:
     def _extend_lengths(self, state, promoted: list[int], stage: int, events) -> None:
         level = state.level
         incoming = sorted(promoted)
-        coherent = length_for_level(level, stage, self.markers, self.cost)
+        coherent = self.coherent.length(level, stage)
         for source, length in [("promoted", ln) for ln in incoming] + [("coherent", coherent)]:
             if length <= (state.top_length() or 0):
                 if source == "promoted":
@@ -272,10 +310,8 @@ class PromotionEngine:
                         if box in candidate.lacking and comparable(record.value, candidate.word):
                             candidate.lacking.remove(box)
                             if not candidate.lacking:
-                                candidate.since = max(stage, candidate.appeared + 1)
-                                events["new_successes"].append(
-                                    {"level": level, "slot": k, "index": i}
-                                )
+                                since = max(stage, candidate.appeared + 1)
+                                self._succeed(state, candidate, since, events)
 
     def _list_candidate(self, state, slot: int, value: str, stage: int, events) -> None:
         candidates = state.slots[slot - 1].candidates
@@ -303,15 +339,24 @@ class PromotionEngine:
                         )
                     other.lacking.add(child)
         if not candidate.lacking:
-            candidate.since = stage + 1
-            events["new_successes"].append(
-                {"level": level, "slot": candidate.slot, "index": candidate.index}
-            )
+            self._succeed(state, candidate, stage + 1, events)
+
+    def _succeed(self, state, candidate: Candidate, since: int, events) -> None:
+        """The one writer of `since`, which is never rewritten: it also files
+        the candidate's slot under that stage for `_settle_conflicts`."""
+        candidate.since = since
+        self.succeeding.setdefault((state.level, since), set()).add(candidate.slot)
+        events["new_successes"].append(
+            {"level": state.level, "slot": candidate.slot, "index": candidate.index}
+        )
 
     def _settle_conflicts(self, state, stage: int, events, promoted_down) -> None:
         level = state.level
         fresh = []
-        for slot, entry in enumerate(state.slots, start=1):
+        # A slot's scan finds a new pair only at a stage where one of its
+        # candidates becomes successful, and every success is filed by then.
+        for slot in sorted(self.succeeding.pop((level, stage), ())):
+            entry = state.slots[slot - 1]
             if entry.conflict is not None:
                 continue
             floor = state.slots[slot - 2].length if slot >= 2 else 0
@@ -341,7 +386,7 @@ class PromotionEngine:
                 f"the promotion budget allows {level - 1}"
             )
         if count >= 1:
-            self.witness_audits.append(self._build_witness(state, stage))
+            self.witness_audits.append(self._audit_witness(state, stage))
         # A conflicted length is offered downward once; the level below only
         # ever grows, so a length it cannot absorb now stays unabsorbable.
         if level > self.overhead and fresh:
@@ -352,7 +397,41 @@ class PromotionEngine:
 
     # ---- audits ------------------------------------------------------------
 
-    def _build_witness(self, state, stage: int) -> WitnessAudit:
+    def _audit_witness(self, state, stage: int) -> WitnessAudit:
+        """The level's witness audit at `stage`.  The chain is rebuilt only
+        when a slot was added or a conflict latched since the last audit; the
+        content checks run over the witness box's whole content every time."""
+        chain = state.chain
+        conflicts = sum(entry.conflict is not None for entry in state.slots)
+        if chain is None or chain.slots != len(state.slots) or len(chain.conflicted) != conflicts:
+            chain = state.chain = self._build_chain(state)
+        box, members, conflicted = chain.box, chain.members, chain.conflicted
+        member_values = [v for v, _, member in box.content if member]
+        for value in member_values:
+            owners = [c for c in members if is_prefix(c.word, value)]
+            if len(owners) != 1:
+                raise InvariantViolation(
+                    f"trace value {value} on witness {box} extends {len(owners)} chain members"
+                )
+        if members:
+            if chain.sizes[0] != chain.deficits[0] + 1:
+                raise InvariantViolation("nonempty witness antichain is not a near-tree")
+            if len(member_values) < chain.sizes[0]:
+                raise InvariantViolation(
+                    f"witness {box} carries {len(member_values)} certified values, "
+                    f"needs {chain.sizes[0]}"
+                )
+        if len(member_values) < len(conflicted) + 1 and conflicted:
+            raise InvariantViolation(
+                f"witness {box} carries {len(member_values)} values for "
+                f"{len(conflicted)} conflicts"
+            )
+        return WitnessAudit(
+            state.level, stage, conflicted, box.name, chain.sizes, chain.deficits,
+            len(member_values), len(box.content),
+        )
+
+    def _build_chain(self, state) -> WitnessChain:
         level = state.level
         slots = len(state.slots)
         conflicted = [k for k, e in enumerate(state.slots, start=1) if e.conflict]
@@ -391,35 +470,13 @@ class PromotionEngine:
             raise InvariantViolation(
                 f"witness class {self.layout.cube_box(level, canon)} was never spawned"
             )
-        member_values = [v for v, _, member in box.content if member]
-        for value in member_values:
-            owners = [c for c in antichain_members if is_prefix(c.word, value)]
-            if len(owners) != 1:
-                raise InvariantViolation(
-                    f"trace value {value} on witness {box} extends {len(owners)} chain members"
-                )
-        if antichain_members:
-            if sizes[0] != deficits[0] + 1:
-                raise InvariantViolation("nonempty witness antichain is not a near-tree")
-            if len(member_values) < sizes[0]:
-                raise InvariantViolation(
-                    f"witness {box} carries {len(member_values)} certified values, "
-                    f"needs {sizes[0]}"
-                )
-        if len(member_values) < len(conflicted) + 1 and conflicted:
-            raise InvariantViolation(
-                f"witness {box} carries {len(member_values)} values for "
-                f"{len(conflicted)} conflicts"
-            )
-        return WitnessAudit(
-            level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(box.content)
-        )
+        return WitnessChain(slots, conflicted, antichain_members, sizes, deficits, box)
 
     def _check_chain(self, stage: int) -> None:
         tops = []
         for level in range(self.overhead, min(stage, self.top_level) + 1):
             top = self.levels[level].top_length()
-            if stage >= level and top < level:
+            if top < level:
                 raise InvariantViolation(f"level {level} top length below the level at stage {stage}")
             tops.append(top)
         for a, b in zip(tops, tops[1:]):

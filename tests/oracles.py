@@ -1,10 +1,11 @@
 """Brute-force reference definitions that the fast paths are tested against."""
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
 from tracelab.costs import marker_sequence
-from tracelab.words import comparable
+from tracelab.promotion import WitnessAudit
+from tracelab.words import comparable, is_prefix, restrict
 
 
 def scan_readable_depth(appr: WordApproximation, stage: int) -> int:
@@ -123,3 +124,76 @@ def marker_table(cost, top_level: int) -> dict:
     """The marker sequence at every threshold 2^-r, r <= top_level, by one
     scan per threshold."""
     return {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(top_level + 1)}
+
+
+def scan_coherent_length(level: int, stage: int, markers: dict) -> int:
+    """Largest marker at thresholds 2^-r, r <= level, seen by `stage`, and at
+    least `level`, by a loop over every marker of every threshold."""
+    best = level
+    for r in range(level + 1):
+        for m in markers[r].markers:
+            if m <= stage and m > best:
+                best = m
+    return best
+
+
+def scan_conflicts(state, stage: int) -> dict:
+    """Per slot of `state`, the first pair (in `combinations` order) of its
+    candidates successful at `stage` that agree below the previous length,
+    by a scan of every slot, latched or not."""
+    found = {}
+    for slot, entry in enumerate(state.slots, start=1):
+        floor = state.slots[slot - 2].length if slot >= 2 else 0
+        pair = next(
+            (
+                (a, b)
+                for a, b in combinations(entry.candidates, 2)
+                if a.successful_at(stage)
+                and b.successful_at(stage)
+                and restrict(a.word, floor) == restrict(b.word, floor)
+            ),
+            None,
+        )
+        if pair is not None:
+            found[slot] = pair
+    return found
+
+
+def rebuild_witness_audit(engine, level: int, stage: int) -> WitnessAudit:
+    """The level's witness audit at `stage`, with its chain, stumps,
+    deficits and witness box built from the level's slots and latched
+    conflicts; asserts every check the engine's audit raises on."""
+    state = engine.levels[level]
+    slots = len(state.slots)
+    conflicted = [k for k, e in enumerate(state.slots, start=1) if e.conflict]
+    chain = {slots + 1: []}
+    for slot in range(slots, 0, -1):
+        current = list(chain[slot + 1])
+        if slot in conflicted:
+            for candidate in state.slots[slot - 1].conflict[1]:
+                if all(not comparable(candidate.word, other.word) for other in current):
+                    current.append(candidate)
+        chain[slot] = current
+    sizes, deficits = [], []
+    for slot in range(1, slots + 2):
+        members = chain[slot]
+        floor = state.slots[slot - 2].length if slot >= 2 else 0
+        sizes.append(len(members))
+        deficits.append(len(members) - len({restrict(c.word, floor) for c in members}))
+    for slot in range(1, slots + 1):
+        assert deficits[slot - 1] >= deficits[slot]
+        assert slot not in conflicted or deficits[slot - 1] > deficits[slot]
+    pattern = {}
+    for c in chain[1]:
+        pattern.setdefault(c.slot, []).append(c.index)
+    canon = engine.layout.canonical_pattern(level, {k: tuple(v) for k, v in pattern.items()})
+    box = engine.env.classes[level][canon]
+    member_values = [v for v, _, member in box.content if member]
+    for value in member_values:
+        assert sum(is_prefix(c.word, value) for c in chain[1]) == 1
+    if chain[1]:
+        assert sizes[0] == deficits[0] + 1 and len(member_values) >= sizes[0]
+    assert not conflicted or len(member_values) >= len(conflicted) + 1
+    return WitnessAudit(
+        level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(box.content)
+    )

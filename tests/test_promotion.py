@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import oracles
+from hypothesis import given, settings, strategies as st
 from oracles import expensive_counts
 
 from tracelab import promotion
@@ -17,7 +18,7 @@ from tracelab.costs import (
 )
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import boxpromo_payload, canned_scripted_payload
-from tracelab.promotion import Candidate, length_for_level, marker_table, slack_from_markers
+from tracelab.promotion import Candidate, CoherentLengths, marker_table, slack_from_markers
 from tracelab.scenarios import build_promotion_engine, run_boxpromo
 from tracelab.words import is_prefix
 
@@ -37,27 +38,27 @@ def zero_cost(horizon):
 
 def test_length_for_level_on_dyadic_decay():
     table = decay(10)
-    markers = marker_table(table, 4)
-    assert length_for_level(2, 5, markers, table) == 3
+    coherent = CoherentLengths(table, marker_table(table, 4), 4)
+    assert coherent.length(2, 5) == 3
     # max over {2}, markers(1)<=5 -> {0,1}, markers(1/2) -> {0,1,2},
     # markers(1/4) -> {0,1,2,3}
 
 
 def test_length_for_level_on_zero_cost_is_the_level():
     table = zero_cost(10)
-    markers = marker_table(table, 4)
+    coherent = CoherentLengths(table, marker_table(table, 4), 4)
     for level in (1, 2, 3):
         for stage in (level, level + 3, 9):
-            assert length_for_level(level, stage, markers, table) == level
+            assert coherent.length(level, stage) == level
 
 
 def test_length_for_level_tolerates_the_marker_boundary():
     table = decay(10)
-    markers = marker_table(table, 4)
+    coherent = CoherentLengths(table, marker_table(table, 4), 4)
     # At stage == level the newest threshold marker is the stage itself and
     # the cost sits exactly at 2^-level; the certificate must not fire.
-    assert length_for_level(2, 2, markers, table) == 2
-    assert length_for_level(3, 3, markers, table) == 3
+    assert coherent.length(2, 2) == 2
+    assert coherent.length(3, 3) == 3
 
 
 def test_marker_table_matches_one_scan_per_threshold():
@@ -87,8 +88,9 @@ def test_slack_from_markers_covers_observed_lengths():
     table = decay(12)
     markers = marker_table(table, 3)
     slack = slack_from_markers(markers, 3)
+    coherent = CoherentLengths(table, markers, 3)
     for level in (1, 2, 3):
-        values = {length_for_level(level, s, markers, table) for s in range(level, 12)}
+        values = {coherent.length(level, s) for s in range(level, 12)}
         assert len(values) <= slack[level]
 
 
@@ -467,6 +469,47 @@ def test_a_latched_conflict_whose_pair_lost_success_is_an_invariant_violation():
         engine._stage(6)
 
 
+def test_a_trace_value_outside_a_reused_chain_is_an_invariant_violation():
+    # Level 2's chain is built at stage 5 and reused at stage 6; a member
+    # value that extends neither member of the pair breaks the ownership check.
+    engine = canned_engine_through(5)
+    chain = engine.levels[2].chain
+    assert chain.box.name == "M2.2:1+2" and [c.word for c in chain.members] == ["000", "001"]
+    chain.box.content.append(("0100", 5, True))
+    message = r"^trace value 0100 on witness M2.2:1\+2 extends 0 chain members$"
+    with pytest.raises(InvariantViolation, match=message):
+        engine._stage(6)
+    assert engine.levels[2].chain is chain
+
+
+def test_a_truncated_witness_box_under_a_reused_chain_is_an_invariant_violation():
+    engine = canned_engine_through(5)
+    chain = engine.levels[2].chain
+    del chain.box.content[1:]
+    message = r"^witness M2.2:1\+2 carries 1 certified values, needs 2$"
+    with pytest.raises(InvariantViolation, match=message):
+        engine._stage(6)
+    assert engine.levels[2].chain is chain
+
+
+def test_a_forged_twin_success_over_the_budget_is_an_invariant_violation():
+    # Level 2 latched its one allowed conflict at slot 2 on stage 5.  List
+    # two twins at the empty slot 1 and forge their success from stage 6
+    # through the success writer: the scan files slot 1 and latches a second
+    # conflict.
+    engine = canned_engine_through(5)
+    state = engine.levels[2]
+    slot = state.slots[0]
+    assert not slot.candidates and state.slots[1].conflict is not None
+    events = {"new_successes": []}
+    for index, word in enumerate(("00", "01"), start=1):
+        slot.candidates.append(Candidate(word, 5, 1, index))
+        engine._succeed(state, slot.candidates[-1], 6, events)
+    message = r"^2 conflicted lengths at level 2, stage 6; the promotion budget allows 1$"
+    with pytest.raises(InvariantViolation, match=message):
+        engine._stage(6)
+
+
 def test_honest_trace_completeness_at_the_final_stage():
     payload = honest_payload(7, horizon=26, delay=1)
     engine = build_promotion_engine(payload)
@@ -572,7 +615,7 @@ def test_extraction_without_an_anchor_stage_is_empty_and_truncated():
 def test_witness_with_no_conflicts_is_the_empty_chain():
     engine = build_promotion_engine(honest_payload(1))
     engine.run()
-    audit = engine._build_witness(engine.levels[2], engine.horizon - 1)
+    audit = engine._audit_witness(engine.levels[2], engine.horizon - 1)
     assert audit.conflicted == []
     assert audit.chain_sizes[0] == 0
     assert audit.box.endswith("root")
@@ -584,3 +627,65 @@ def test_extraction_reports_truncation_on_short_horizons():
     payload = honest_payload(6, horizon=8, top=3, delay=2)
     extraction = build_promotion_engine(payload).run().extraction
     assert extraction.truncated_at is not None or len(extraction.steps) < 2
+
+
+# ---- the output-sensitive stage against its full-scan oracles ----------------------
+
+
+def check_stage_against_oracles(engine, stage, audits_before, latched):
+    """After `engine._stage(stage)`: each coherent length, each latched
+    conflict (and the order of the stage's conflict events) and each audit
+    written this stage equals its oracle.  `latched` carries the oracle's
+    first (stage, pair) per (level, slot)."""
+    levels = range(min(stage, engine.top_level), engine.overhead - 1, -1)
+    expected_audits, expected_events = [], []
+    for level in levels:
+        state = engine.levels[level]
+        coherent = oracles.scan_coherent_length(level, stage, engine.coherent.markers)
+        assert engine.coherent.length(level, stage) == coherent, (level, stage)
+        for k, pair in oracles.scan_conflicts(state, stage).items():
+            if latched.setdefault((level, k), (stage, pair))[0] == stage:
+                expected_events.append({"level": level, "slot": k})
+        for k, slot in enumerate(state.slots, start=1):
+            assert slot.conflict == latched.get((level, k)), (level, k, stage)
+        if any(slot.conflict for slot in state.slots):
+            expected_audits.append(vars(oracles.rebuild_witness_audit(engine, level, stage)))
+    assert engine.stage_log[-1]["new_conflicts"] == expected_events
+    assert [vars(a) for a in engine.witness_audits[audits_before:]] == expected_audits
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    index=st.integers(0, 4),  # honest, honest, random, random, scripted
+    horizon=st.none() | st.integers(14, 40),
+    top_level=st.none() | st.integers(2, 5),
+)
+def test_stage_matches_the_full_scans_at_every_stage(seed, index, horizon, top_level):
+    payload = boxpromo_payload(random.Random(seed), index, horizon)
+    if top_level is not None:
+        payload["top_level"] = top_level
+    run_against_oracles(payload)
+
+
+def run_against_oracles(payload):
+    engine = build_promotion_engine(payload)
+    latched = {}
+    for stage in range(engine.overhead, engine.horizon):
+        before = len(engine.witness_audits)
+        engine._stage(stage)
+        check_stage_against_oracles(engine, stage, before, latched)
+
+
+def test_two_conflicts_latched_at_one_stage_match_the_full_scans():
+    run_against_oracles(two_conflict_payload())
+
+
+def test_coherent_lengths_match_the_marker_scan_on_a_tall_layout():
+    payload = dict(canned_scripted_payload(), top_level=10000, ground_truth="0" * 14)
+    payload["oracle"] = {"policy": "honest"}
+    engine = build_promotion_engine(payload)
+    for stage in range(engine.overhead, engine.horizon):
+        for level in range(engine.overhead, stage + 1):
+            expected = oracles.scan_coherent_length(level, stage, engine.coherent.markers)
+            assert engine.coherent.length(level, stage) == expected, (level, stage)
