@@ -200,7 +200,7 @@ def change_set_dominance(
     `random_instances` random ones against random monotone tables."""
 
     def check(table, rows):
-        cs = change_set(WordApproximation(rows))
+        cs = change_set(rows)
         ok = changeset_obedience(table, cs) <= obedience_sum(table, rows)
         _require(ok, 5, seed, f"change set of {rows} costs more than its rows")
         ok = decode(cs, rows[0]) == rows[-1]

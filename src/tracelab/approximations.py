@@ -12,8 +12,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .costs import CostTable, ZERO, first_difference, ready_depth, ready_prefix
-from .errors import HorizonExhausted, ScenarioError
+from .costs import CostTable, ZERO, change_costs, first_difference, ready_depth, ready_prefix
+from .errors import HorizonExhausted, ScenarioError, decimal
 from .words import check_word
 
 
@@ -133,19 +133,20 @@ def compose_rows(appr: WordApproximation, speedup: Optional[Sequence[int]]) -> l
     return rows
 
 
-def change_set(appr: WordApproximation, speedup: Optional[Sequence[int]] = None) -> ChangeSet:
-    """Change set of the (optionally sped-up) approximation.
+def change_set(rows: Sequence[str]) -> ChangeSet:
+    """Change set of one or more composed rows of equal width (see
+    `compose_rows` for a sped-up approximation's).
 
     A pair (x, n) is enumerated at the first stage by which position x has
-    changed n times; stage indices refer to the composed sequence.
+    changed n times; stage indices refer to the row sequence.
     """
-    rows = compose_rows(appr, speedup)
     pairs: dict[tuple[int, int], int] = {}
-    counts = [0] * appr.width
+    width = len(rows[0])
+    counts = [0] * width
     for s in range(1, len(rows)):
         if rows[s] == rows[s - 1]:
             continue
-        for x in range(appr.width):
+        for x in range(width):
             if rows[s][x] != rows[s - 1][x]:
                 counts[x] += 1
                 pairs[(x, counts[x])] = s
@@ -245,13 +246,7 @@ def obedience_speedup(
         index += 1
 
     speedup = tuple(found[i + 1].stage for i in range(len(found) - 1))
-    costs: list[Fraction] = []
-    for s in range(1, len(speedup)):
-        a, b = target.rows[speedup[s]], target.rows[speedup[s - 1]]
-        if a == b:
-            costs.append(ZERO)
-        else:
-            costs.append(cost.value(s, first_difference(a, b)))
+    costs = change_costs(cost, [target.rows[h] for h in speedup])
     full = sum(costs, ZERO)
     omitted = 0
     tail = full
@@ -273,10 +268,10 @@ def parse_word_approx(text: str) -> WordApproximation:
     if not numbered:
         raise ScenarioError("line 1: empty approximation")
     head, header_line = numbered[0]
-    header = header_line.split()
-    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
+    header = [decimal(tok) for tok in header_line.split()]
+    if len(header) != 2 or None in header:
         raise ScenarioError(f"line {head}: expected header 'S X', got {header_line!r}")
-    S, X = int(header[0]), int(header[1])
+    S, X = header
     if len(numbered) < 1 + S:
         raise ScenarioError(f"line {head}: header promises {S} rows, found {len(numbered) - 1}")
     rows = []

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from . import approximations as appr_mod
 from . import acceptance, costs, fuzz
-from .errors import HorizonExhausted, InvariantViolation, ScenarioError
+from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal
 from .scenarios import (
     fraction_str,
     load_scenario,
@@ -113,8 +113,6 @@ def build_parser() -> _Parser:
 
 
 def _emit(report: dict, args, elapsed: float) -> None:
-    if args.out:
-        Path(args.out).write_text(machine_format(report))
     if args.format == "machine":
         sys.stdout.write(machine_format(report))
     else:
@@ -129,8 +127,9 @@ def _cmd_costfn(args) -> dict:
         bound, bounded = {}, set()
         if args.action == "check-benign":
             for token in args.bound:
-                eps_text, _, count = token.partition("=")
-                if not count.isdecimal():
+                eps_text, _, count_text = token.partition("=")
+                count = decimal(count_text)
+                if count is None:
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
                 eps = positive_rational(eps_text, "--bound")
                 if eps not in eps_values:
@@ -138,7 +137,7 @@ def _cmd_costfn(args) -> dict:
                 if eps in bounded:
                     raise ScenarioError(f"--bound: threshold {eps_text} is bounded twice")
                 bounded.add(eps)
-                bound[eps_text] = int(count)
+                bound[eps_text] = count
         return run_scenario(
             {
                 "kind": "costfn-check",
@@ -179,7 +178,7 @@ def _cmd_approx(args) -> dict:
         block = appr_mod.parse_word_approx(Path(args.approximation).read_text())
         speedup = args.speedup or None
         rows = appr_mod.compose_rows(block, speedup)
-        cs = appr_mod.change_set(block, speedup)
+        cs = appr_mod.change_set(rows)
         decoded = appr_mod.decode(cs, rows[0])
         return {
             "kind": "change-set",
@@ -229,6 +228,8 @@ def main(argv=None) -> int:
             report = _cmd_approx(args)
         else:
             report = acceptance.verify(args.seed)
+        if args.out:
+            Path(args.out).write_text(machine_format(report))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Cost tables with exact rational entries, marker scans, weighted sums,
-obedience sums, and totalization of partial tables.
+per-stage change costs and their obedience sums, and totalization of
+partial tables.
 
 A cost table holds q(s, x) for stages 0 <= s < horizon and positions
 0 <= x < width.  Rows are non-increasing in x, columns non-decreasing in s.
@@ -39,7 +40,7 @@ from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ScenarioError
+from .errors import ScenarioError, decimal
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -202,22 +203,20 @@ def first_difference(a: str, b: str) -> Optional[int]:
     return min(len(a), len(b))  # the words differ, so one is a proper prefix of the other
 
 
-def obedience_sum(table: CostTable, rows) -> Fraction:
-    """Total change cost of the approximation given by `rows` (a sequence of
-    bit words, or any object carrying one as `.rows`).
+def change_costs(table: CostTable, rows: Sequence[str]) -> list[Fraction]:
+    """The change cost of each stage 1 <= s < min(len(rows), horizon) of the
+    bit words `rows`: q(s, x_s) when rows[s] != rows[s-1], where x_s is the
+    least position of disagreement, and 0 at a change-free stage."""
+    return [
+        ZERO if rows[s] == rows[s - 1] else table.value(s, first_difference(rows[s], rows[s - 1]))
+        for s in range(1, min(len(rows), table.horizon))
+    ]
 
-    Stage s >= 1 contributes q(s, x_s) when rows[s] != rows[s-1], where x_s
-    is the least position of disagreement; change-free stages contribute
-    nothing.
-    """
-    rows = getattr(rows, "rows", rows)
-    total = ZERO
-    last = min(len(rows), table.horizon)
-    for s in range(1, last):
-        if rows[s] != rows[s - 1]:
-            x = first_difference(rows[s], rows[s - 1])
-            total += table.value(s, x)
-    return total
+
+def obedience_sum(table: CostTable, rows: Sequence[str]) -> Fraction:
+    """Total change cost of the approximation given by the bit words `rows`
+    (see `change_costs`)."""
+    return sum(change_costs(table, rows), ZERO)
 
 
 BoundFn = Callable[[Fraction], int]
@@ -434,10 +433,10 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     if not lines:
         raise ScenarioError("line 1: empty cost table")
     head = numbers[0]
-    header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
+    header = [decimal(tok) for tok in lines[0].split()]
+    if len(header) != 2 or None in header:
         raise ScenarioError(f"line {head}: expected header 'S X', got {lines[0]!r}")
-    S, X = int(header[0]), int(header[1])
+    S, X = header
     if len(lines) - 1 != S:
         raise ScenarioError(f"line {head}: header promises {S} rows, found {len(lines) - 1}")
     if S == 0:

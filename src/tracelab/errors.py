@@ -1,9 +1,11 @@
-"""Error types shared by the engines and the CLI.
+"""Error types shared by the engines and the CLI, and `decimal`, the one
+reader of the decimal tokens that the text formats and flags hold.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
 """
 from contextlib import contextmanager
+from typing import Optional
 
 
 class ScenarioError(ValueError):
@@ -20,6 +22,18 @@ class InvariantViolation(AssertionError):
 
 class HorizonExhausted(RuntimeError):
     """A finite run ended before a required completion was reached."""
+
+
+def decimal(text: str) -> Optional[int]:
+    """`int(text)` if `text` is a string of decimal digits that `int`
+    converts, else None.  CPython refuses to convert more digits than its
+    limit (4300 by default), so an over-long token reads as malformed."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
 
 
 @contextmanager

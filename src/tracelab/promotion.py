@@ -29,9 +29,10 @@ witness box's whole content.  `_succeed` is the one writer of `since` and
 files the candidate's slot under its level and that stage: a slot's
 conflict scan can only find a new pair at a stage where one of its
 candidates becomes successful, so `_settle_conflicts` scans just the slots
-filed for the stage.  `CoherentLengths` holds, per level, the sorted union
-of the marker sequences at thresholds 2^-r, r <= level, so a coherent length
-is one bisection.
+filed for the stage.  `CoherentLengths` is built once per run and owns the
+cost table's marker sequences at thresholds 2^-r, the layout's slack derived
+from them, and, per level, the sorted union of the sequences at r <= level,
+so a coherent length is one bisection.
 """
 from __future__ import annotations
 
@@ -54,42 +55,36 @@ from .tracer import Box, BoxLayout, Environment, oracle_step
 from .words import comparable, is_prefix, restrict
 
 
-def marker_table(cost: CostTable, top_level: int) -> dict[int, MarkerSequence]:
-    """The marker sequences at thresholds 2^-r, r <= top_level.  Every
-    threshold at or below the table's least positive entry picks out the
-    positive cells, so from there on the thresholds share one sequence."""
-    distinct = [row for s, row in enumerate(cost.rows) if not s or row is not cost.rows[s - 1]]
-    # A row does not increase, so its least positive entry is its last one.
-    positive = [next(v for v in reversed(row) if v) for row in distinct if any(row)]
-    last = min(top_level, halving_exponent(min(positive))) if positive else 0
-    table = {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(last + 1)}
-    return table | dict.fromkeys(range(last + 1, top_level + 1), table[last])
-
-
-def slack_from_markers(markers: dict[int, MarkerSequence], top_level: int) -> dict[int, int]:
-    """Per-level bound on how many distinct coherent lengths can appear:
-    1 plus the marker counts at thresholds 2^-r, r <= n, as a running sum."""
-    slack, running = {}, 1 + markers[0].count
-    for n in range(1, top_level + 1):
-        running += markers[n].count
-        slack[n] = running
-    return slack
-
-
 class CoherentLengths:
-    """Per level up to `last`: the sorted union of the marker sequences at
-    thresholds 2^-r, r <= level, and the threshold 2^-level."""
+    """A cost table's marker structure for one promotion run: `markers[r]`,
+    the marker sequence at threshold 2^-r, r <= top_level (the thresholds at
+    or below the least positive entry pick out the positive cells and share
+    one); `slack[n]`, n >= 1, 1 plus the marker counts at r <= n, a bound on
+    the distinct coherent lengths; and per level below the horizon, `union`,
+    the sorted union of the sequences at r <= level, and `threshold`, 2^-level."""
 
-    def __init__(self, cost: CostTable, markers: dict[int, MarkerSequence], last: int):
+    def __init__(self, cost: CostTable, top_level: int, horizon: int):
         self.cost = cost
-        self.markers = markers
+        distinct = [row for s, row in enumerate(cost.rows) if not s or row is not cost.rows[s - 1]]
+        # A row does not increase, so its least positive entry is its last one.
+        positive = [next(v for v in reversed(row) if v) for row in distinct if any(row)]
+        last = min(top_level, halving_exponent(min(positive))) if positive else 0
+        self.markers: dict[int, MarkerSequence] = {}
+        self.slack: dict[int, int] = {}
         self.union: dict[int, list[int]] = {}
         self.threshold: dict[int, Fraction] = {}
-        seen: set[int] = set()
-        for level in range(last + 1):
-            seen.update(markers[level].markers)
-            self.union[level] = sorted(seen)
-            self.threshold[level] = Fraction(1, 2**level)
+        running, seen = 1, set()
+        for level in range(top_level + 1):
+            if level <= last:  # past `last`, every level shares the sequence at `last`
+                sequence = marker_sequence(cost, Fraction(1, 2**level))
+            self.markers[level] = sequence
+            running += sequence.count
+            if level:
+                self.slack[level] = running
+            if level < horizon:
+                seen.update(sequence.markers)
+                self.union[level] = sorted(seen)
+                self.threshold[level] = Fraction(1, 2**level)
 
     def length(self, level: int, stage: int) -> int:
         """Largest marker at thresholds 2^-r, r <= level, seen by `stage` (at
@@ -202,23 +197,21 @@ class PromotionEngine:
     def __init__(
         self,
         *,
-        cost: CostTable,
-        markers: dict[int, MarkerSequence],
+        coherent: CoherentLengths,
         layout: BoxLayout,
         horizon: int,
         policy,
         ground_truth: Optional[str] = None,
         family_cap: int = 20000,
     ):
-        """`markers` is `marker_table(cost, layout.top_level)`; the layout's
-        slack is usually derived from it."""
-        if cost.horizon < horizon:
+        """`coherent` is built for the layout's top level and `horizon`; the
+        layout's slack is usually its `slack`."""
+        if coherent.cost.horizon < horizon:
             raise ScenarioError("cost table must cover the run horizon")
         if ground_truth is not None and len(ground_truth) < horizon:
             raise ScenarioError("ground truth must be at least horizon bits long")
-        self.cost = cost
         self.horizon = horizon
-        self.coherent = CoherentLengths(cost, markers, min(layout.top_level, horizon - 1))
+        self.coherent = coherent
         self.layout = layout
         self.env = Environment(self.layout, ground_truth, family_cap=family_cap)
         self.policy = policy
@@ -542,7 +535,7 @@ class PromotionEngine:
                 break
             padded = word.ljust(self.horizon, "0")
             change = first_difference(padded, previous_word)
-            cost = self.cost.value(index, change) if change is not None else ZERO
+            cost = self.coherent.cost.value(index, change) if change is not None else ZERO
             steps.append(ExtractionStep(index, stage, word, change, cost))
             previous_word, previous_stage = padded, stage
         # A step is expensive at 2^-n exactly when its cost is positive and

@@ -23,8 +23,8 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import InvariantViolation, ScenarioError
-from .promotion import PromotionEngine, marker_table, slack_from_markers
+from .errors import InvariantViolation, ScenarioError, decimal
+from .promotion import CoherentLengths, PromotionEngine
 from .synthesis import (
     PartialStageMap,
     Requirement,
@@ -36,8 +36,13 @@ from .words import check_word
 
 
 def fraction_str(value: Fraction) -> str:
+    """`value` as its `n/d` text; a rational with more digits than `str`
+    converts is a `ScenarioError`."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ScenarioError("a rational in the report has too many digits to write") from None
 
 
 def parse_rational(value, what: str) -> Fraction:
@@ -125,9 +130,10 @@ def parse_script(text: str) -> list[tuple[int, str, str]]:
         if not body:
             continue
         parts = body.split()
-        if len(parts) != 3 or not parts[0].isdecimal():
+        stage = decimal(parts[0])
+        if len(parts) != 3 or stage is None:
             raise ScenarioError(f"line {lineno}: expected 'stage box value', got {line!r}")
-        entries.append((int(parts[0]), parts[1], parts[2]))
+        entries.append((stage, parts[1], parts[2]))
     return entries
 
 
@@ -136,10 +142,13 @@ def load_scenario(source) -> dict:
         payload = source
     else:
         path = Path(source)
+        text = path.read_text()
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except ValueError:  # an integer literal with more digits than `int` converts
+            raise ScenarioError(f"{path}: an integer literal has too many digits to read") from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ScenarioError("scenario must be an object with a 'kind' field")
     if payload["kind"] not in ("boxpromo", "synth", "costfn-check"):
@@ -203,12 +212,11 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
             )
             for k, v in _typed(payload["slack"], dict, "boxpromo scenario 'slack'").items()
         }
-    markers = marker_table(cost, top_level)
-    layout = BoxLayout(overhead, slack or slack_from_markers(markers, top_level), top_level)
+    coherent = CoherentLengths(cost, top_level, horizon)
+    layout = BoxLayout(overhead, slack or coherent.slack, top_level)
     policy = _build_policy(payload.get("oracle", {"policy": "honest"}), layout, ground_truth)
     return PromotionEngine(
-        cost=cost,
-        markers=markers,
+        coherent=coherent,
         layout=layout,
         horizon=horizon,
         policy=policy,
@@ -350,6 +358,13 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
             raise InvariantViolation(
                 f"benignity bound failed at eps {fraction_str(eps)}: {count} markers, bound {bound}"
             )
+        try:
+            str(bound)
+        except ValueError:
+            raise ScenarioError(
+                f"synth scenario 'budget_exp': the bound at eps {fraction_str(eps)} "
+                "has too many digits to write"
+            ) from None
         benign[fraction_str(eps)] = {"count": count, "bound": bound, "ok": True}
     audits = []
     for e, state in enumerate(run.states):
@@ -378,7 +393,7 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
         "measured": fraction_str(run.measured),
         "speedup": list(run.speedup),
         "checkpoints": [list(s.checkpoints) for s in run.states],
-        "first_seen": [s.first_seen for s in run.states],
+        "first_seen": [s.added_at[0] if s.added_at else None for s in run.states],
         "activity": [fraction_str(s.activity) for s in run.states],
         "doubling_stages": [list(d) for d in run.doubling_stages],
         "worried": [list(w) for w in run.worried_log],

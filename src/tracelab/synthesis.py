@@ -6,14 +6,17 @@ set of the sped-up approximation is the produced enumerable cover.
 `SynthesisRun.run()` returns the run itself, which carries its outputs:
 the cost table, the closed-form bound, the speed-up map, the cover and one
 ledger per requirement (`RequirementState`), holding the requirement with its
-checkpoints, the stages they were added, its activity and its start stage.
+checkpoints, the stages they were added (the first is its start stage) and
+its activity.
 All outputs stay total whatever the input does; a divergent approximation
 just freezes the speed-up and leaves the cost table at its initial shape.
 
 Each stage reads the square readable so far from the approximation's
 readiness frontier (shell ready times, their prefix max, one bisect per
 stage), and books each stage's change charge once, when the bar first
-covers both the stage and its first changed position.
+covers both the stage and its first changed position.  `sped` holds the
+row at each speed-up value and grows with the map; activity, worry,
+checkpoints, the cover and the audit all read it.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .approximations import (
     ChangeSet,
     WordApproximation,
     change_set,
-    compose_rows,
     pair_code,
     readable_depth,
     unpair,
@@ -94,7 +96,6 @@ class RequirementState:
     requirement: Requirement
     checkpoints: list[int] = field(default_factory=list)
     added_at: list[int] = field(default_factory=list)  # stage each checkpoint was added
-    first_seen: Optional[int] = None
     activity: Fraction = ZERO
     next_term: int = 1
 
@@ -144,6 +145,7 @@ class SynthesisRun:
         base = tuple(Fraction(1, 2**z) for z in range(self.width))
         self.rows: list[tuple[Fraction, ...]] = [base, base]
         self.speedup: list[int] = [0]
+        self.sped: list[str] = [approximation.rows[0]]  # appr.rows[speedup[v]] at v
         self.last_change = 0  # index of the last row that differs from its predecessor
         self.halted_at: Optional[int] = None
         self.states = [RequirementState(r) for r in requirements]
@@ -190,9 +192,7 @@ class SynthesisRun:
             if value is None or value > frontier:
                 break
             # Entries become visible in order, so entry t - 1 is visible too.
-            row_now = self.appr.rows[self.speedup[value]]
-            row_before = self.appr.rows[self.speedup[req.stage_map.values[t - 1]]]
-            y = first_difference(row_now, row_before)
+            y = first_difference(self.sped[value], self.sped[req.stage_map.values[t - 1]])
             term = req.cost.value(t, y) if y is not None else ZERO
             state.activity += term
             state.next_term += 1
@@ -207,7 +207,7 @@ class SynthesisRun:
             self._stage(stage)
         self.rows += self.rows[-1:] * (self.horizon + 1 - len(self.rows))
         self.cost_table = CostTable(self.rows, normalized=True)
-        self.cover = change_set(self.appr, self.speedup) if len(self.speedup) > 1 else ChangeSet({})
+        self.cover = change_set(self.sped)
         return self
 
     def _stage(self, stage: int) -> None:
@@ -218,12 +218,11 @@ class SynthesisRun:
             return
         frontier = self.frontier
         for state in self.states:
-            if state.first_seen is None:
+            if not state.checkpoints:
                 start = state.requirement.stage_map.observed(0, stage)
                 if start is not None and start <= frontier:
                     state.checkpoints.append(start)
                     state.added_at.append(stage)
-                    state.first_seen = stage
             self._activity(state, stage)
         if bar <= self.last_change:
             self.rows.append(self.rows[-1])
@@ -248,6 +247,7 @@ class SynthesisRun:
             return
         if bar > self.speedup[-1]:
             self.speedup.append(bar)
+            self.sped.append(self.appr.rows[bar])
             self.rows.append(self.rows[-1])
             self.extension_stages.append(stage)
             self._extend_checkpoints(stage)
@@ -263,10 +263,10 @@ class SynthesisRun:
         for e, state in enumerate(self.states[:frontier]):
             if not state.checkpoints or state.activity > 1:
                 continue
-            if state.first_seen is not None and state.first_seen >= stage:
+            if state.added_at[0] >= stage:
                 continue  # a requirement worries only strictly after its start stage
             t_e = len(state.checkpoints) - 1
-            anchor_row = self.appr.rows[self.speedup[state.checkpoints[-1]]]
+            anchor_row = self.sped[state.checkpoints[-1]]
             bar_row = self.appr.rows[bar]
             share = Fraction(1, 2 ** (e + 1))
             for z in range(min(frontier, self.width, self.appr.width)):
@@ -286,8 +286,8 @@ class SynthesisRun:
             # Largest window [n, frontier] on which the sped-up rows agree on
             # the prefix; then the least observed stage-map value inside it.
             floor = frontier
-            top_row = self.appr.rows[self.speedup[frontier]][:prefix]
-            while floor - 1 > last and self.appr.rows[self.speedup[floor - 1]][:prefix] == top_row:
+            top_row = self.sped[frontier][:prefix]
+            while floor - 1 > last and self.sped[floor - 1][:prefix] == top_row:
                 floor -= 1
             chosen = state.requirement.stage_map.least_observed_above(
                 max(last, floor - 1), stage
@@ -334,7 +334,6 @@ def audit_requirement(run: SynthesisRun, e: int) -> RequirementAudit:
     if state.activity > 1:
         raise ScenarioError("audit precondition failed: activity sum above 1")
     share = Fraction(1, 2 ** (e + 1))
-    rows = compose_rows(run.appr, run.speedup)
     charges: list[ChargeRecord] = []
     persistent = ZERO
     transient = ZERO
@@ -353,12 +352,12 @@ def audit_requirement(run: SynthesisRun, e: int) -> RequirementAudit:
             continue
         position = unpair(code)[0]
         flip = next(
-            (n for n in range(lo + 1, hi + 1) if rows[n][position] != rows[n - 1][position]),
+            (n for n in range(lo + 1, hi + 1) if run.sped[n][position] != run.sped[n - 1][position]),
             None,
         )
         if flip is None:
             raise InvariantViolation(f"charge {t} for requirement {e} has no recorded change")
-        if rows[flip][position] == rows[hi][position]:
+        if run.sped[flip][position] == run.sped[hi][position]:
             _verify_persistent(run, e, t, position)
             persistent += amount
             charges.append(ChargeRecord(t, code, position, amount, 1))
@@ -392,9 +391,7 @@ def _verify_persistent(run: SynthesisRun, e: int, t: int, position: int) -> None
             continue
         # Entry x - 1 is visible too, and hi is a checkpoint, so both values
         # lie in the speed-up map's domain.
-        row_now = run.appr.rows[run.speedup[value]]
-        row_before = run.appr.rows[run.speedup[stage_map.values[x - 1]]]
-        if row_now[position] != row_before[position]:
+        if run.sped[value][position] != run.sped[stage_map.values[x - 1]][position]:
             hits.append(x)
     if not hits or min(hits) < t:
         raise InvariantViolation(

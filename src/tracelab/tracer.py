@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HorizonExhausted, InvariantViolation, ScenarioError
+from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal
 from .words import check_word, comparable, random_word
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
@@ -449,17 +449,17 @@ def parse_box_spec(spec: str, layout: BoxLayout) -> BoxKey:
     """The key of the box `spec` names.  A malformed spec, or a level, slot
     or coordinate outside `layout`, is a `ScenarioError`."""
     kind, (head, dot, rest) = spec[:1], spec[1:].partition(".")
-    if kind not in ("I", "M") or not head.isdecimal():
+    level = decimal(head)
+    if kind not in ("I", "M") or level is None:
         raise ScenarioError(f"bad box spec {spec!r}")
-    level = int(head)
     if not 1 <= level <= layout.top_level:
         raise ScenarioError(
             f"script box {spec!r} is at level {level}, outside 1..{layout.top_level}"
         )
     if kind == "I":
-        if not rest.isdecimal():
+        slot = decimal(rest)
+        if slot is None:
             raise ScenarioError(f"bad initial-box spec {spec!r}")
-        slot = int(rest)
         if not 1 <= slot <= layout.lengths_capacity(level):
             raise ScenarioError(f"slot {slot} outside the initial interval of level {level}")
         return ("I", level, slot)
@@ -468,11 +468,10 @@ def parse_box_spec(spec: str, layout: BoxLayout) -> BoxKey:
     coords = {}
     for part in rest.split("."):
         slot_text, _, idx_text = part.partition(":")
-        tokens = idx_text.split("+")
-        malformed = not slot_text.isdecimal() or not all(tok.isdecimal() for tok in tokens)
-        if malformed or int(slot_text) in coords:  # each coordinate is named once
+        slot, idx = decimal(slot_text), tuple(decimal(tok) for tok in idx_text.split("+"))
+        if slot is None or None in idx or slot in coords:  # each coordinate is named once
             raise ScenarioError(f"bad cube-box spec {spec!r}")
-        coords[int(slot_text)] = tuple(int(tok) for tok in tokens)
+        coords[slot] = idx
     return ("M", level, layout.canonical_pattern(level, coords))
 
 

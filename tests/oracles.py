@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
-from tracelab.costs import marker_sequence
+from tracelab.costs import first_difference, marker_sequence
 from tracelab.promotion import WitnessAudit
 from tracelab.words import comparable, is_prefix, restrict
 
@@ -124,6 +124,20 @@ def marker_table(cost, top_level: int) -> dict:
     """The marker sequence at every threshold 2^-r, r <= top_level, by one
     scan per threshold."""
     return {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(top_level + 1)}
+
+
+def scan_obedience(table, rows) -> list:
+    """The change cost of each stage 1 <= s < min(len(rows), horizon) of the
+    bit words `rows`, by a loop over the stages that compares each row with
+    the one before and prices the least position where they differ."""
+    costs = []
+    for s in range(1, min(len(rows), table.horizon)):
+        a, b = rows[s], rows[s - 1]
+        if a == b:
+            costs.append(Fraction(0))
+        else:
+            costs.append(table.value(s, first_difference(a, b)))
+    return costs
 
 
 def scan_coherent_length(level: int, stage: int, markers: dict) -> int:

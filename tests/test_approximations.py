@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import changeset_word, scan_readable_depth
+from tracelab.acceptance import random_monotone_table, speedup_instance
 from tracelab.approximations import (
     ChangeSet,
     WordApproximation,
@@ -19,8 +21,9 @@ from tracelab.approximations import (
     readable_depth,
     unpair,
 )
-from tracelab.costs import dyadic_decay_row, obedience_sum, static_table
+from tracelab.costs import change_costs, dyadic_decay_row, obedience_sum, static_table
 from tracelab.errors import HorizonExhausted, ScenarioError
+from tracelab.words import random_word
 
 F = Fraction
 
@@ -85,38 +88,38 @@ def test_readable_depth_matches_the_square_scan(block):
 
 
 def test_change_set_of_constant_approximation_is_empty():
-    cs = change_set(WordApproximation(("010", "010", "010")))
+    cs = change_set(("010", "010", "010"))
     assert cs.pairs == {}
 
 
 def test_change_set_counts_flips():
-    cs = change_set(WordApproximation(("000", "100", "000", "100")))
+    cs = change_set(("000", "100", "000", "100"))
     assert cs.pairs == {(0, 1): 1, (0, 2): 2, (0, 3): 3}
 
 
 def test_speedup_erases_transients():
     block = WordApproximation(("000", "100", "000", "100"))
-    cs = change_set(block, speedup=[0, 2])
+    cs = change_set(compose_rows(block, [0, 2]))
     assert cs.pairs == {}
 
 
 def test_speedup_clips_beyond_horizon():
     block = WordApproximation(("000", "100", "000", "100"))
-    cs = change_set(block, speedup=[0, 2, 9])
+    cs = change_set(compose_rows(block, [0, 2, 9]))
     assert cs.pairs == {}
 
 
 def test_speedup_must_increase():
     block = WordApproximation(("000", "100"))
     with pytest.raises(ScenarioError):
-        change_set(block, speedup=[1, 1])
+        change_set(compose_rows(block, [1, 1]))
 
 
 def test_speedup_rejects_a_negative_stage():
     # Python would read a negative stage from the end of the rows.
     block = WordApproximation(("000", "100", "000", "100"))
     with pytest.raises(ScenarioError, match="negative stage -1"):
-        change_set(block, speedup=[-1, 0])
+        change_set(compose_rows(block, [-1, 0]))
 
 
 def test_decode_cases():
@@ -142,8 +145,7 @@ def test_dominance_and_decode_exhaustive_tiny():
     for stages in (2, 3):
         for width in (1, 2):
             for rows in all_tables(stages, width):
-                block = WordApproximation(rows)
-                cs = change_set(block)
+                cs = change_set(rows)
                 code_width = max(
                     (pair_code(x, n) + 1 for (x, n) in cs.pairs), default=1
                 )
@@ -161,8 +163,7 @@ def test_dominance_randomized():
         rows = tuple(
             "".join(rng.choice("01") for _ in range(width)) for _ in range(stages)
         )
-        block = WordApproximation(rows)
-        cs = change_set(block)
+        cs = change_set(rows)
         assert changeset_obedience(table, cs) <= obedience_sum(table, rows)
         assert decode(cs, rows[0]) == rows[-1]
 
@@ -248,6 +249,24 @@ def test_speedup_omits_initial_stages_to_fit_budget():
     result = obedience_speedup(table, table, block, block, budget=F(1, 64))
     assert result.tail_sum <= F(1, 64)
     assert result.omitted + len(result.stage_costs) >= result.omitted
+
+
+def test_change_costs_match_the_stage_scan():
+    rng = random.Random(11)
+    for _ in range(200):
+        horizon, width = rng.randint(1, 8), rng.randint(1, 6)
+        table = random_monotone_table(rng, horizon, width)
+        words = [random_word(rng, rng.randint(1, 8)) for _ in range(rng.randint(1, 10))]
+        stages = oracles.scan_obedience(table, words)
+        assert change_costs(table, words) == stages
+        assert obedience_sum(table, words) == sum(stages, F(0))
+    rng = random.Random(9)  # criterion 6's instances
+    for _ in range(100):
+        cost, witness_cost, target, witness = speedup_instance(rng)
+        for steps in (4, None):
+            result = obedience_speedup(cost, witness_cost, target, witness, steps=steps)
+            sped = [target.rows[h] for h in result.speedup]
+            assert list(result.stage_costs) == oracles.scan_obedience(cost, sped)
 
 
 # ---- formats ---------------------------------------------------------------------

@@ -450,10 +450,40 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
             "costfn-check scenario 'limit_threshold': bad rational True",
         ),
     ]
+    # Digit strings longer than `int` converts, and report numbers longer
+    # than `str` writes, name their line, field or spec.
+    long = "1" * 5000
+    cases += [
+        ("boxpromo", dict(canned, cost_table=f"{long} 14\n"), f"line 1: expected header 'S X', got '{long} 14'"),
+        ("synth", dict(small, approximation=f"{long} 3\n000"), f"line 1: expected header 'S X', got '{long} 3'"),
+        (
+            "boxpromo",
+            dict(canned, oracle=script(f"{long} I2.2 000")),
+            f"line 1: expected 'stage box value', got '{long} I2.2 000'",
+        ),
+        ("boxpromo", dict(canned, oracle=script(f"5 I{long}.2 000")), f"bad box spec 'I{long}.2'"),
+        ("boxpromo", dict(canned, oracle=script(f"5 I2.{long} 000")), f"bad initial-box spec 'I2.{long}'"),
+        ("boxpromo", dict(canned, oracle=script(f"5 M2.{long}:1 0")), f"bad cube-box spec 'M2.{long}:1'"),
+        ("boxpromo", dict(canned, oracle=script(f"5 M2.2:{long} 0")), f"bad cube-box spec 'M2.2:{long}'"),
+        ("synth", dict(small, eps=["1e-4400"]), "a rational in the report has too many digits to write"),
+        (
+            "synth",
+            dict(small, budget_exp=14300),
+            "synth scenario 'budget_exp': the bound at eps 1/2 has too many digits to write",
+        ),
+    ]
     for command, payload, message in cases:
         path = write_json(tmp_path, "bad.json", payload)
         assert main([command, "run", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+    # A bound that still writes runs; an integer literal too long to read is
+    # a parse problem of the scenario file.
+    assert main(["synth", "run", write_json(tmp_path, "wide.json", dict(small, budget_exp=14000))]) == 0
+    capsys.readouterr()
+    literal = tmp_path / "literal.json"
+    literal.write_text('{"kind": "boxpromo", "horizon": %s}' % long)
+    assert main(["boxpromo", "run", str(literal)]) == 1
+    assert capsys.readouterr().err == f"error: {literal}: an integer literal has too many digits to read\n"
     # Thresholds and bounds given on the command line.
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))
@@ -491,9 +521,34 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     for second in ("0.25", "1/4"):
         argv = ["costfn", "check-benign", str(flat), "--eps", "1/4", "--bound", "1/4=0", f"{second}=9"]
         argvs.append((argv, f"--bound: threshold {second} is bounded twice"))
+    long_header = tmp_path / "long.approx"
+    long_header.write_text(f"{long} 3\n000\n")
+    argvs += [
+        (
+            ["costfn", "check-benign", str(table), "--eps", "1/2", "--bound", f"1/2={long}"],
+            f"bad bound entry '1/2={long}', expected eps=count",
+        ),
+        (["approx", "change-set", str(long_header)], f"line 1: expected header 'S X', got '{long} 3'"),
+        (
+            ["costfn", "markers", str(table), "--eps", "1e-4305"],
+            "a rational in the report has too many digits to write",
+        ),
+    ]
     for argv, message in argvs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+    # `costfn sum` keys its thresholds by their text, so a tiny one writes.
+    assert main(["costfn", "sum", str(table), "--eps", "1e-4305"]) == 0
+
+
+def test_cli_unwritable_out_is_exit_one(tmp_path, capsys):
+    table = tmp_path / "c.table"
+    table.write_text(decay_text(8))
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert main(["costfn", "markers", str(table), "--eps", "1/2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # Mutated inputs: a scenario with a field dropped or a value of another type

@@ -18,7 +18,7 @@ from tracelab.costs import (
 )
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import boxpromo_payload, canned_scripted_payload
-from tracelab.promotion import Candidate, CoherentLengths, marker_table, slack_from_markers
+from tracelab.promotion import Candidate, CoherentLengths
 from tracelab.scenarios import build_promotion_engine, run_boxpromo
 from tracelab.words import is_prefix
 
@@ -38,7 +38,7 @@ def zero_cost(horizon):
 
 def test_length_for_level_on_dyadic_decay():
     table = decay(10)
-    coherent = CoherentLengths(table, marker_table(table, 4), 4)
+    coherent = CoherentLengths(table, 4, table.horizon)
     assert coherent.length(2, 5) == 3
     # max over {2}, markers(1)<=5 -> {0,1}, markers(1/2) -> {0,1,2},
     # markers(1/4) -> {0,1,2,3}
@@ -46,7 +46,7 @@ def test_length_for_level_on_dyadic_decay():
 
 def test_length_for_level_on_zero_cost_is_the_level():
     table = zero_cost(10)
-    coherent = CoherentLengths(table, marker_table(table, 4), 4)
+    coherent = CoherentLengths(table, 4, table.horizon)
     for level in (1, 2, 3):
         for stage in (level, level + 3, 9):
             assert coherent.length(level, stage) == level
@@ -54,7 +54,7 @@ def test_length_for_level_on_zero_cost_is_the_level():
 
 def test_length_for_level_tolerates_the_marker_boundary():
     table = decay(10)
-    coherent = CoherentLengths(table, marker_table(table, 4), 4)
+    coherent = CoherentLengths(table, 4, table.horizon)
     # At stage == level the newest threshold marker is the stage itself and
     # the cost sits exactly at 2^-level; the certificate must not fire.
     assert coherent.length(2, 2) == 2
@@ -67,7 +67,7 @@ def test_marker_table_matches_one_scan_per_threshold():
     tables += [random_monotone_table(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
     for table in tables:
         for top in (0, 1, 3, 12):
-            assert marker_table(table, top) == oracles.marker_table(table, top)
+            assert CoherentLengths(table, top, table.horizon).markers == oracles.marker_table(table, top)
 
 
 def test_marker_table_scans_once_per_threshold_above_the_least_entry(monkeypatch):
@@ -77,21 +77,21 @@ def test_marker_table_scans_once_per_threshold_above_the_least_entry(monkeypatch
     least = halving_exponent(F(1, 2**9))  # of the least positive entry of `decay(10)`
     for top in (40, 3):
         calls.clear()
-        marker_table(decay(10), top)
+        CoherentLengths(decay(10), top, 10)
         assert len(calls) == min(top, least) + 1
     calls.clear()
-    marker_table(zero_cost(6), 40)
+    CoherentLengths(zero_cost(6), 40, 6)
     assert len(calls) == 1
 
 
 def test_slack_from_markers_covers_observed_lengths():
     table = decay(12)
-    markers = marker_table(table, 3)
-    slack = slack_from_markers(markers, 3)
-    coherent = CoherentLengths(table, markers, 3)
+    coherent = CoherentLengths(table, 3, 12)
+    counts = [sequence.count for sequence in oracles.marker_table(table, 3).values()]
     for level in (1, 2, 3):
+        assert coherent.slack[level] == 1 + sum(counts[: level + 1])
         values = {coherent.length(level, s) for s in range(level, 12)}
-        assert len(values) <= slack[level]
+        assert len(values) <= coherent.slack[level]
 
 
 # ---- the canned scripted conflict ------------------------------------------------
@@ -297,7 +297,8 @@ def test_a_second_credible_word_is_an_invariant_violation():
 def test_an_extraction_step_over_its_allowance_is_an_invariant_violation():
     engine = promotion_batch(runs=20).runs[5]
     assert engine.extraction.steps  # an honest run with a step to charge
-    engine.cost = CostTable([[1] * engine.cost.width] * engine.cost.horizon)
+    cost = engine.coherent.cost
+    engine.coherent.cost = CostTable([[1] * cost.width] * cost.horizon)
     with pytest.raises(InvariantViolation, match=r"^1 expensive extraction steps at threshold 2\^-0,"):
         engine.extract_approximation()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import observed_values, scan_readable_depth
-from tracelab.approximations import WordApproximation, readable_depth
+from tracelab.approximations import WordApproximation, compose_rows, readable_depth
 from tracelab.costs import CostTable, marker_sequence
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import synth_payload
@@ -216,6 +216,7 @@ def test_measure_matches_the_pending_scan_at_every_stage(args):
         slow._stage(stage)
         assert fast.measured == slow.measured
         assert fast.rows == slow.rows
+        assert fast.sped == compose_rows(block, fast.speedup)
     assert fast.halted_at == slow.halted_at
 
 
