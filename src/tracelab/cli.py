@@ -22,6 +22,7 @@ from .scenarios import (
     machine_format,
     parse_rational,
     positive_rational,
+    read_text,
     run_scenario,
     run_synth,
     table_format,
@@ -141,13 +142,13 @@ def _cmd_costfn(args) -> dict:
         return run_scenario(
             {
                 "kind": "costfn-check",
-                "cost_table": Path(args.table).read_text(),
+                "cost_table": read_text(args.table),
                 "eps": args.eps,
                 "bound": bound,
             }
         )
     tables = [
-        costs.parse_cost_table(Path(p).read_text(), normalized=True) for p in args.tables
+        costs.parse_cost_table(read_text(p), normalized=True) for p in args.tables
     ]
     eps_of = {text: positive_rational(text, "--eps") for text in args.eps}
     parts = [
@@ -175,7 +176,7 @@ def _cmd_costfn(args) -> dict:
 
 def _cmd_approx(args) -> dict:
     if args.action == "change-set":
-        block = appr_mod.parse_word_approx(Path(args.approximation).read_text())
+        block = appr_mod.parse_word_approx(read_text(args.approximation))
         speedup = args.speedup or None
         rows = appr_mod.compose_rows(block, speedup)
         cs = appr_mod.change_set(rows)
@@ -186,10 +187,10 @@ def _cmd_approx(args) -> dict:
             "decoded": decoded,
             "matches_final_row": decoded == rows[-1],
         }
-    cost = costs.parse_cost_table(Path(args.cost).read_text())
-    witness_cost = costs.parse_cost_table(Path(args.witness_cost).read_text())
-    target = appr_mod.parse_word_approx(Path(args.target).read_text())
-    witness = appr_mod.parse_word_approx(Path(args.witness).read_text())
+    cost = costs.parse_cost_table(read_text(args.cost))
+    witness_cost = costs.parse_cost_table(read_text(args.witness_cost))
+    target = appr_mod.parse_word_approx(read_text(args.target))
+    witness = appr_mod.parse_word_approx(read_text(args.witness))
     budget = parse_rational(args.budget, "--budget")
     result = appr_mod.obedience_speedup(
         cost, witness_cost, target, witness, budget=budget, steps=args.steps

@@ -137,18 +137,30 @@ def parse_script(text: str) -> list[tuple[int, str, str]]:
     return entries
 
 
+def read_text(source) -> str:
+    """The text of the file at `source`, the one way every input file is read;
+    a file that is not UTF-8 is a `ScenarioError` that names it."""
+    path = Path(source)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_scenario(source) -> dict:
     if isinstance(source, dict):
         payload = source
     else:
         path = Path(source)
-        text = path.read_text()
+        text = read_text(path)
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
         except ValueError:  # an integer literal with more digits than `int` converts
             raise ScenarioError(f"{path}: an integer literal has too many digits to read") from None
+        except RecursionError:
+            raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ScenarioError("scenario must be an object with a 'kind' field")
     if payload["kind"] not in ("boxpromo", "synth", "costfn-check"):
