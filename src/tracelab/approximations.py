@@ -263,6 +263,12 @@ def obedience_speedup(
 # --- text format: "S X" header, S bit rows, optional "(s,x,wall)" schedule ---
 
 
+def _signed(text: str) -> Optional[int]:
+    """`decimal(text)` after an optional leading '-', negated if it was there."""
+    value = decimal(text.removeprefix("-"))
+    return -value if value is not None and text.startswith("-") else value
+
+
 def parse_word_approx(text: str) -> WordApproximation:
     numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
@@ -286,11 +292,9 @@ def parse_word_approx(text: str) -> WordApproximation:
         parts = [p.strip() for p in line[1:-1].split(",")]
         if len(parts) != 3:
             raise ScenarioError(f"line {i}: expected three fields in {line!r}")
-        try:
-            s, x = int(parts[0]), int(parts[1])
-            wall = None if parts[2] in ("∞", "inf") else int(parts[2])
-        except ValueError:
-            raise ScenarioError(f"line {i}: expected integer fields in {line!r}") from None
+        s, x, wall = (_signed(p) for p in parts)
+        if None in (s, x) or (wall is None and parts[2] not in ("∞", "inf")):
+            raise ScenarioError(f"line {i}: expected integer fields in {line!r}")
         if not (0 <= s < S and 0 <= x < X):
             raise ScenarioError(f"line {i}: schedule entry ({s},{x}) outside the table")
         if wall is not None and wall < s:

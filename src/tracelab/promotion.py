@@ -14,9 +14,9 @@ two successful candidates that agree below the previous length.
 
 An honest run's extraction decides credibility once: its anchor stage is the
 first at which the base level's chain check holds for the truth's prefix,
-`uniqueness_sweep` tabulates the credible word at every level that lists a
-length and every stage from there on (raising where two are credible), and
-each step reads that table, a missing entry as None.
+`uniqueness_sweep` tabulates the credible word at every level and every
+stage from there on (raising where two are credible), and each step reads
+that table.
 `Extraction.expensive` counts, per threshold exponent n, the steps that cost
 at least 2^-n.
 
@@ -26,7 +26,7 @@ level's slot count and its latched conflicts, and both only grow, so the
 chain is kept on `LevelState` and rebuilt only when a slot was added or a
 conflict latched; every audit still re-runs the content checks over the
 witness box's whole content.  `_succeed` is the one writer of `since` and
-files the candidate's slot under its level and that stage: a slot's
+files the candidate's slot under that stage on its level: a slot's
 conflict scan can only find a new pair at a stage where one of its
 candidates becomes successful, so `_settle_conflicts` scans just the slots
 filed for the stage.  `CoherentLengths` is built once per run and owns the
@@ -57,34 +57,26 @@ from .words import comparable, is_prefix, restrict
 
 class CoherentLengths:
     """A cost table's marker structure for one promotion run: `markers[r]`,
-    the marker sequence at threshold 2^-r, r <= top_level (the thresholds at
-    or below the least positive entry pick out the positive cells and share
-    one); `slack[n]`, n >= 1, 1 plus the marker counts at r <= n, a bound on
-    the distinct coherent lengths; and per level below the horizon, `union`,
-    the sorted union of the sequences at r <= level, and `threshold`, 2^-level."""
+    the marker sequence at threshold 2^-r, r <= top_level; `slack[n]`,
+    n >= 1, 1 plus the marker counts at r <= n, a bound on the distinct
+    coherent lengths; and per level, `union`, the sorted union of the
+    sequences at r <= level, and `threshold`, 2^-level."""
 
-    def __init__(self, cost: CostTable, top_level: int, horizon: int):
+    def __init__(self, cost: CostTable, top_level: int):
         self.cost = cost
-        distinct = [row for s, row in enumerate(cost.rows) if not s or row is not cost.rows[s - 1]]
-        # A row does not increase, so its least positive entry is its last one.
-        positive = [next(v for v in reversed(row) if v) for row in distinct if any(row)]
-        last = min(top_level, halving_exponent(min(positive))) if positive else 0
         self.markers: dict[int, MarkerSequence] = {}
         self.slack: dict[int, int] = {}
         self.union: dict[int, list[int]] = {}
         self.threshold: dict[int, Fraction] = {}
         running, seen = 1, set()
         for level in range(top_level + 1):
-            if level <= last:  # past `last`, every level shares the sequence at `last`
-                sequence = marker_sequence(cost, Fraction(1, 2**level))
-            self.markers[level] = sequence
+            threshold = self.threshold[level] = Fraction(1, 2**level)
+            sequence = self.markers[level] = marker_sequence(cost, threshold)
             running += sequence.count
             if level:
                 self.slack[level] = running
-            if level < horizon:
-                seen.update(sequence.markers)
-                self.union[level] = sorted(seen)
-                self.threshold[level] = Fraction(1, 2**level)
+            seen.update(sequence.markers)
+            self.union[level] = sorted(seen)
 
     def length(self, level: int, stage: int) -> int:
         """Largest marker at thresholds 2^-r, r <= level, seen by `stage` (at
@@ -151,6 +143,8 @@ class LevelState:
     slots: list[Slot] = field(default_factory=list)
     dropped_promotions: list[tuple[int, int]] = field(default_factory=list)  # (length, stage)
     chain: Optional[WitnessChain] = None  # as of the last witness audit
+    # stage -> slots with a candidate successful from that stage
+    succeeding: dict[int, set[int]] = field(default_factory=dict)
 
     def top_length(self) -> Optional[int]:
         return self.slots[-1].length if self.slots else None
@@ -204,8 +198,8 @@ class PromotionEngine:
         ground_truth: Optional[str] = None,
         family_cap: int = 20000,
     ):
-        """`coherent` is built for the layout's top level and `horizon`; the
-        layout's slack is usually its `slack`."""
+        """`coherent` is built for the layout's top level; the layout's slack
+        is usually its `slack`."""
         if coherent.cost.horizon < horizon:
             raise ScenarioError("cost table must cover the run horizon")
         if ground_truth is not None and len(ground_truth) < horizon:
@@ -220,9 +214,6 @@ class PromotionEngine:
         self.levels = {
             n: LevelState(n) for n in range(self.overhead, self.top_level + 1)
         }
-        # (level, stage) -> slots with a candidate successful from that stage;
-        # one map for the engine, so a tall layout builds no dict per level.
-        self.succeeding: dict[tuple[int, int], set[int]] = {}
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
         self.extraction: Optional[Extraction] = None  # set by `run` for honest oracles
@@ -338,7 +329,7 @@ class PromotionEngine:
         """The one writer of `since`, which is never rewritten: it also files
         the candidate's slot under that stage for `_settle_conflicts`."""
         candidate.since = since
-        self.succeeding.setdefault((state.level, since), set()).add(candidate.slot)
+        state.succeeding.setdefault(since, set()).add(candidate.slot)
         events["new_successes"].append(
             {"level": state.level, "slot": candidate.slot, "index": candidate.index}
         )
@@ -348,7 +339,7 @@ class PromotionEngine:
         fresh = []
         # A slot's scan finds a new pair only at a stage where one of its
         # candidates becomes successful, and every success is filed by then.
-        for slot in sorted(self.succeeding.pop((level, stage), ())):
+        for slot in sorted(state.succeeding.pop(stage, ())):
             entry = state.slots[slot - 1]
             if entry.conflict is not None:
                 continue
@@ -527,7 +518,7 @@ class PromotionEngine:
         truncated_at = None
         for index in range(self.overhead + 1, self.top_level + 1):
             for stage in range(previous_stage + 1, self.horizon):
-                word = credible.get((index, stage))
+                word = credible[index, stage]
                 if word is not None:
                     break
             else:
@@ -558,13 +549,10 @@ class PromotionEngine:
         return Extraction(anchor, anchor_stage, steps, expensive, truncated_at, total, layered)
 
     def uniqueness_sweep(self, anchor: str, from_stage: int) -> dict[tuple[int, int], str | None]:
-        """The credible word, or None, at every level that lists a length and
-        every stage from `from_stage` on; `believable` raises where two words
-        are credible.  A level without slots has no credible word, so it has
-        no entries."""
+        """The credible word, or None, at every level and every stage from
+        `from_stage` on; `believable` raises where two words are credible."""
         return {
             (level, stage): self.believable(level, stage, anchor)
-            for level, state in self.levels.items()
-            if state.slots
+            for level in self.levels
             for stage in range(from_stage, self.horizon)
         }

@@ -16,6 +16,7 @@ string); nothing writes to a report after it is built.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -106,10 +107,13 @@ def _typed(value, kind: type, what: str):
 
 
 def text_block(value, what: str) -> str:
-    """A string, or a list of lines joined; anything else is a
-    `ScenarioError` naming it."""
+    """A string, or a list of string lines joined; anything else, or a line
+    that is not a string, is a `ScenarioError` naming it."""
     if isinstance(value, list):
-        return "\n".join(str(line) for line in value)
+        for lineno, line in enumerate(value, start=1):
+            if not isinstance(line, str):
+                raise ScenarioError(f"{what}: line {lineno}: expected a string, got {line!r}")
+        return "\n".join(value)
     if isinstance(value, str):
         return value
     raise ScenarioError(f"{what}: expected a text block (string or list of lines), got {value!r}")
@@ -196,7 +200,10 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         raise ScenarioError("boxpromo scenario needs a horizon of at least 2")
     overhead = _integer(payload.get("overhead", 1), "boxpromo scenario 'overhead'")
     top_level = _integer(payload.get("top_level", 3), "boxpromo scenario 'top_level'")
-    BoxLayout.check_levels(overhead, top_level)  # before the marker table reads them
+    BoxLayout.check_levels(overhead, top_level)
+    # Stage s touches only levels up to s, so no level at or above the
+    # horizon ever lists a length: the run holds only the levels it reaches.
+    top_level = min(top_level, max(overhead, horizon - 1))
     what = "boxpromo scenario 'family_cap'"
     family_cap = _integer(payload.get("family_cap", 20000), what)
     if family_cap < 1:  # every class family holds its root class
@@ -224,7 +231,7 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
             )
             for k, v in _typed(payload["slack"], dict, "boxpromo scenario 'slack'").items()
         }
-    coherent = CoherentLengths(cost, top_level, horizon)
+    coherent = CoherentLengths(cost, top_level)
     layout = BoxLayout(overhead, slack or coherent.slack, top_level)
     policy = _build_policy(payload.get("oracle", {"policy": "honest"}), layout, ground_truth)
     return PromotionEngine(
@@ -358,11 +365,24 @@ def write_synth_artifacts(run: SynthesisRun, directory) -> list[str]:
     return written
 
 
+def _unwritable_bound(eps: Fraction) -> ScenarioError:
+    return ScenarioError(
+        f"synth scenario 'budget_exp': the bound at eps {fraction_str(eps)} "
+        "has too many digits to write"
+    )
+
+
 def run_synth(payload: dict, artifacts_dir=None) -> dict:
-    run = build_synthesis_run(payload).run()
+    run = build_synthesis_run(payload)
     what = "synth scenario 'eps'"
     eps_texts = _typed(payload.get("eps", ["1/2", "1/4", "1/8"]), list, what)
     eps_list = [positive_rational(e, what) for e in eps_texts]
+    # Every bound is at least 2^budget_exp; once that alone has more digits
+    # than `str` writes, refuse before the stage loop builds it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if eps_list and limit and run.budget_exp >= (10**limit).bit_length():
+        raise _unwritable_bound(eps_list[0])
+    run.run()
     benign = {}
     for eps in eps_list:
         count, bound = costs.marker_sequence(run.cost_table, eps).count, run.bound(eps)
@@ -373,10 +393,7 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
         try:
             str(bound)
         except ValueError:
-            raise ScenarioError(
-                f"synth scenario 'budget_exp': the bound at eps {fraction_str(eps)} "
-                "has too many digits to write"
-            ) from None
+            raise _unwritable_bound(eps) from None
         benign[fraction_str(eps)] = {"count": count, "bound": bound, "ok": True}
     audits = []
     for e, state in enumerate(run.states):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .approximations import (
@@ -167,6 +168,11 @@ class SynthesisRun:
         self._booked = 0  # every charge due at a bar up to this one is booked
         self.measured = ZERO
 
+    @cached_property
+    def budget(self) -> int:
+        """The halting budget 2^budget_exp, built once, when first read."""
+        return 2**self.budget_exp
+
     @property
     def frontier(self) -> int:
         """Greatest argument of the speed-up map so far."""
@@ -213,7 +219,7 @@ class SynthesisRun:
     def _stage(self, stage: int) -> None:
         bar = readable_depth(self.appr, stage)
         measured = self._measure(bar)
-        if measured > 2**self.budget_exp:
+        if measured > self.budget:
             self.halted_at = stage
             return
         frontier = self.frontier
@@ -369,10 +375,10 @@ def audit_requirement(run: SynthesisRun, e: int) -> RequirementAudit:
         raise InvariantViolation(
             f"persistent charges for requirement {e} total {persistent}, above 1"
         )
-    if transient > Fraction(2**run.budget_exp) / share:
+    ceiling = run.budget / share
+    if transient > ceiling:
         raise InvariantViolation(
-            f"transient charges for requirement {e} total {transient}, "
-            f"above {Fraction(2 ** run.budget_exp) / share}"
+            f"transient charges for requirement {e} total {transient}, above {ceiling}"
         )
     return RequirementAudit(e, charges, persistent, transient)
 

@@ -226,6 +226,14 @@ CASES = [
              f"synth scenario 'approximation': {TEXT_BLOCK} 5"),
     scenario("requirement-table-number", "synth", dict(SMALL, requirements=[{"cost_table": 5, "stage_map": []}]),
              f"synth requirement 0 'cost_table': {TEXT_BLOCK} 5"),
+    # A text block's lines are strings: a number, a list or a boolean line
+    # names its field and line (read as text, the number rows `10` would run).
+    scenario("approximation-number-line", "synth", dict(SMALL, approximation=["20 2"] + [10] * 20),
+             "synth scenario 'approximation': line 2: expected a string, got 10"),
+    scenario("cost-table-list-line", "boxpromo", dict(CANNED, cost_table=["14 14", ["1", "0"]]),
+             "boxpromo scenario 'cost_table': line 2: expected a string, got ['1', '0']"),
+    scenario("script-boolean-line", "boxpromo", script("4 I2.2 000", True),
+             "oracle 'script': line 2: expected a string, got True"),
     # A requirement table with fewer stages than its stage map has entries
     # (the run would read past its last row), a threshold bounded twice,
     # however spelt, and a boolean where a rational belongs.
@@ -261,6 +269,10 @@ CASES = [
              "a rational in the report has too many digits to write"),
     scenario("budget-digits", "synth", dict(SMALL, budget_exp=14300),
              "synth scenario 'budget_exp': the bound at eps 1/2 has too many digits to write"),
+    # 2^budget_exp alone is too long to write, so the run stops before its
+    # stage loop would build it.
+    scenario("budget-huge", "synth", dict(SMALL, budget_exp=10**12),
+             "synth scenario 'budget_exp': the bound at eps 1/2 has too many digits to write"),
     Case("integer-literal-digits", ["boxpromo", "run", "{s.json}"],
          "{s.json}: an integer literal has too many digits to read",
          {"s.json": '{"kind": "boxpromo", "horizon": %s}' % LONG}),
@@ -270,6 +282,9 @@ CASES = [
              "script box 'M3.1:1' is at level 3, outside 1..2"),
     scenario("script-box-below", "boxpromo", script("1 I0.1 0"), "script box 'I0.1' is at level 0, outside 1..2"),
     scenario("script-value-word", "boxpromo", script("1 I2.1 0x"), "script value for 'I2.1': not a 0/1 word: '0x'"),
+    # A layout taller than the horizon is capped at horizon - 1 (here 13).
+    scenario("script-box-above-cap", "boxpromo", dict(script("1 I20.1 0"), top_level=10000),
+             "script box 'I20.1' is at level 20, outside 1..13"),
     # A random oracle whose rate is not a number in [0, 1].
     scenario("rate-bare-table", "boxpromo", {
         "kind": "boxpromo",
@@ -355,6 +370,12 @@ CASES += [
          f"line 1: expected header 'S X', got '{LONG} 3'", {"b.approx": f"{LONG} 3\n000\n"}),
     Case("schedule-text", ["approx", "change-set", "{b.approx}"], "line 5: expected integer fields in '(a,1,2)'",
          {"b.approx": "2 2\n00\n01\n\n(a,1,2)\n"}),
+    # A schedule field is a decimal token after an optional '-', like every
+    # other integer in the text formats: `1_0` and `+1` are refused.
+    Case("schedule-underscore", ["approx", "change-set", "{b.approx}"],
+         "line 4: expected integer fields in '(1,1,1_0)'", {"b.approx": "2 2\n00\n01\n(1,1,1_0)\n"}),
+    Case("schedule-plus", ["approx", "change-set", "{b.approx}"],
+         "line 4: expected integer fields in '(+1,1,2)'", {"b.approx": "2 2\n00\n01\n(+1,1,2)\n"}),
     Case("schedule-outside", ["approx", "change-set", "{b.approx}"], "line 4: schedule entry (1,2) outside the table",
          {"b.approx": "2 2\n00\n01\n(1,2,3)\n"}),
     Case("schedule-twice", ["approx", "change-set", "{b.approx}"], "line 5: schedule entry (0,1) listed twice",

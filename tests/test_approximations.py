@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -300,6 +301,11 @@ def test_word_approx_parse_errors_carry_line_numbers():
         parse_word_approx("1 2\n01\n(a,1,2)\n")
     with pytest.raises(ScenarioError, match=r"^line 4: expected integer fields in '\(0,0,x\)'$"):
         parse_word_approx("1 2\n01\n\n(0,0,x)\n")
+    # A field is a decimal token after an optional '-', as elsewhere in the
+    # text formats; `int` would read these two.
+    for triple in ("(0,0,1_0)", "(+0,0,2)"):
+        with pytest.raises(ScenarioError, match=f"^line 3: expected integer fields in '{re.escape(triple)}'$"):
+            parse_word_approx(f"1 2\n01\n{triple}\n")
     with pytest.raises(ScenarioError, match=r"^line 3: schedule entry \(0,2\) outside the table$"):
         parse_word_approx("1 2\n01\n(0,2,5)\n")
     with pytest.raises(ScenarioError, match=r"^line 3: schedule entry \(-1,0\) outside the table$"):

@@ -329,15 +329,18 @@ def test_cli_report_to_a_closed_pipe_ends_quietly(tmp_path):
 
 
 def test_cli_runs_a_layout_three_thousand_levels_tall(tmp_path, capsys):
-    # The layout holds per-level capacities only, and thresholds below the
-    # table's least positive entry share one marker scan, so a tall layout
-    # stays cheap.
-    for top_level in (3000, 10000):
+    # No level at or above the horizon lists a length, so the engine caps
+    # the top level at horizon - 1: a taller layout reports the capped one.
+    reports = {}
+    for top_level in (13, 14, 3000, 10000, 10**6):
         payload = dict(canned_scripted_payload(), top_level=top_level, ground_truth="0" * 14)
         payload["oracle"] = {"policy": "honest"}
         path = write_json(tmp_path, "tall.json", payload)
-        assert main(["boxpromo", "run", path]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["boxpromo", "run", path, "--format", "machine"]) == 0
+        reports[top_level], err = capsys.readouterr()
+        assert err == ""
+    assert json.loads(reports[13])["parameters"]["top_level"] == 13
+    assert all(report == reports[13] for report in reports.values())
 
 
 def test_cli_script_value_listed_twice_counts_once(tmp_path, capsys):

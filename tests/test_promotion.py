@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,13 +6,11 @@ import oracles
 from hypothesis import given, settings, strategies as st
 from oracles import expensive_counts
 
-from tracelab import promotion
 from tracelab.acceptance import capacity_sweep, promotion_batch, random_monotone_table
 from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
     format_cost_table,
-    halving_exponent,
     static_table,
 )
 from tracelab.errors import InvariantViolation, ScenarioError
@@ -38,7 +35,7 @@ def zero_cost(horizon):
 
 def test_length_for_level_on_dyadic_decay():
     table = decay(10)
-    coherent = CoherentLengths(table, 4, table.horizon)
+    coherent = CoherentLengths(table, 4)
     assert coherent.length(2, 5) == 3
     # max over {2}, markers(1)<=5 -> {0,1}, markers(1/2) -> {0,1,2},
     # markers(1/4) -> {0,1,2,3}
@@ -46,7 +43,7 @@ def test_length_for_level_on_dyadic_decay():
 
 def test_length_for_level_on_zero_cost_is_the_level():
     table = zero_cost(10)
-    coherent = CoherentLengths(table, 4, table.horizon)
+    coherent = CoherentLengths(table, 4)
     for level in (1, 2, 3):
         for stage in (level, level + 3, 9):
             assert coherent.length(level, stage) == level
@@ -54,7 +51,7 @@ def test_length_for_level_on_zero_cost_is_the_level():
 
 def test_length_for_level_tolerates_the_marker_boundary():
     table = decay(10)
-    coherent = CoherentLengths(table, 4, table.horizon)
+    coherent = CoherentLengths(table, 4)
     # At stage == level the newest threshold marker is the stage itself and
     # the cost sits exactly at 2^-level; the certificate must not fire.
     assert coherent.length(2, 2) == 2
@@ -67,26 +64,12 @@ def test_marker_table_matches_one_scan_per_threshold():
     tables += [random_monotone_table(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
     for table in tables:
         for top in (0, 1, 3, 12):
-            assert CoherentLengths(table, top, table.horizon).markers == oracles.marker_table(table, top)
-
-
-def test_marker_table_scans_once_per_threshold_above_the_least_entry(monkeypatch):
-    calls = []
-    scan = promotion.marker_sequence
-    monkeypatch.setattr(promotion, "marker_sequence", lambda *a: calls.append(a) or scan(*a))
-    least = halving_exponent(F(1, 2**9))  # of the least positive entry of `decay(10)`
-    for top in (40, 3):
-        calls.clear()
-        CoherentLengths(decay(10), top, 10)
-        assert len(calls) == min(top, least) + 1
-    calls.clear()
-    CoherentLengths(zero_cost(6), 40, 6)
-    assert len(calls) == 1
+            assert CoherentLengths(table, top).markers == oracles.marker_table(table, top)
 
 
 def test_slack_from_markers_covers_observed_lengths():
     table = decay(12)
-    coherent = CoherentLengths(table, 3, 12)
+    coherent = CoherentLengths(table, 3)
     counts = [sequence.count for sequence in oracles.marker_table(table, 3).values()]
     for level in (1, 2, 3):
         assert coherent.slack[level] == 1 + sum(counts[: level + 1])
@@ -250,23 +233,23 @@ def test_uniqueness_sweep_passes_on_honest_runs():
         assert credible[step.index, step.stage] == step.word
 
 
-def test_uniqueness_sweep_skips_levels_without_slots(monkeypatch):
-    # A horizon-14 honest run on a layout 10000 levels tall lists lengths on
-    # a handful of levels; only those are swept.
-    calls = Counter()
-    believable = promotion.PromotionEngine.believable
-
-    def counted(self, level, stage, anchor):
-        calls[level] += 1
-        return believable(self, level, stage, anchor)
-
-    monkeypatch.setattr(promotion.PromotionEngine, "believable", counted)
-    payload = dict(canned_scripted_payload(), top_level=10000, ground_truth="0" * 14)
-    payload["oracle"] = {"policy": "honest"}
-    engine = build_promotion_engine(payload).run()
-    listed = [n for n, state in engine.levels.items() if state.slots]
-    assert engine.extraction.steps and set(calls) <= set(listed)
-    assert 0 < sum(calls.values()) <= len(listed) * engine.horizon
+def test_every_level_of_a_run_lists_a_length():
+    # Level n lists its coherent length at stage n, and the top level is
+    # capped below the horizon, so the uniqueness sweep has no empty level
+    # to skip.
+    payloads = [
+        boxpromo_payload(random.Random(seed), index, horizon)
+        for seed in range(3)
+        for index in range(10)
+        for horizon in (None, 3)  # at horizon 3 the cap binds
+    ]
+    tall = dict(canned_scripted_payload(), top_level=10000, ground_truth="0" * 14)
+    payloads.append(dict(tall, oracle={"policy": "honest"}))
+    for payload in payloads:
+        engine = build_promotion_engine(payload).run()
+        assert engine.top_level < engine.horizon
+        assert all(state.slots for state in engine.levels.values())
+    assert engine.top_level == 13 and engine.extraction.steps
 
 
 def test_expensive_counts_match_the_per_threshold_comparison():
