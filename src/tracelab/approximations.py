@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .costs import CostTable, ZERO, change_costs, first_difference, ready_depth, ready_prefix
-from .errors import HorizonExhausted, ScenarioError, decimal
+from .errors import HorizonExhausted, ScenarioError, decimal, signed
 from .words import check_word
 
 
@@ -263,12 +263,6 @@ def obedience_speedup(
 # --- text format: "S X" header, S bit rows, optional "(s,x,wall)" schedule ---
 
 
-def _signed(text: str) -> Optional[int]:
-    """`decimal(text)` after an optional leading '-', negated if it was there."""
-    value = decimal(text.removeprefix("-"))
-    return -value if value is not None and text.startswith("-") else value
-
-
 def parse_word_approx(text: str) -> WordApproximation:
     numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not numbered:
@@ -292,7 +286,7 @@ def parse_word_approx(text: str) -> WordApproximation:
         parts = [p.strip() for p in line[1:-1].split(",")]
         if len(parts) != 3:
             raise ScenarioError(f"line {i}: expected three fields in {line!r}")
-        s, x, wall = (_signed(p) for p in parts)
+        s, x, wall = (signed(p) for p in parts)
         if None in (s, x) or (wall is None and parts[2] not in ("∞", "inf")):
             raise ScenarioError(f"line {i}: expected integer fields in {line!r}")
         if not (0 <= s < S and 0 <= x < X):

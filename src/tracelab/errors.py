@@ -1,5 +1,6 @@
-"""Error types shared by the engines and the CLI, and `decimal`, the one
-reader of the decimal tokens that the text formats and flags hold.
+"""Error types shared by the engines and the CLI, and `decimal` and
+`signed`, the one reader of the decimal tokens that the text formats, the
+flags and the scenarios' integer strings hold.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
@@ -34,6 +35,12 @@ def decimal(text: str) -> Optional[int]:
         except ValueError:
             pass
     return None
+
+
+def signed(text: str) -> Optional[int]:
+    """`decimal(text)` after an optional leading '-', negated if it was there."""
+    value = decimal(text.removeprefix("-"))
+    return -value if value is not None and text.startswith("-") else value
 
 
 @contextmanager

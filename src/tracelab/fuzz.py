@@ -197,9 +197,10 @@ def boxpromo_engines(seed: int, count: int, horizon: int | None = None):
     """The finished engine of each `boxpromo_payload(rng, index, horizon)`,
     run under `fuzz_case`: `boxpromo fuzz` tallies them, and acceptance
     criteria 1-4 read them."""
-    if horizon is not None and horizon < 2:
-        # Checked here: below 2 the cost-table generator fails before the engine.
-        raise ScenarioError(f"boxpromo fuzz needs a horizon of at least 2, got {horizon}")
+    if horizon is not None and horizon < 3:
+        # Checked here: every generated overhead (1 or 2) and the canned
+        # script's level-2 boxes need a horizon of at least 3.
+        raise ScenarioError(f"boxpromo fuzz needs a horizon of at least 3, got {horizon}")
     rng = random.Random(seed)
     for index in range(count):
         payload = boxpromo_payload(rng, index, horizon=horizon)

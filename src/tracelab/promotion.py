@@ -502,11 +502,11 @@ class PromotionEngine:
     def extract_approximation(self) -> Extraction:
         if self.env.ground_truth is None:
             raise ScenarioError("extraction needs a ground-truth word")
+        # Stage `overhead` runs and lists a base-level length.  From the stage
+        # the last base slot was added on, the chain check covers every base slot.
         base = self.levels[self.overhead]
-        anchor = self.env.ground_truth[: base.top_length() or 0]
-        # From the stage the last base slot was added on, the chain check
-        # covers every base slot.
-        first = max(self.overhead + 1, base.slots[-1].added) if base.slots else self.horizon
+        anchor = self.env.ground_truth[: base.top_length()]
+        first = max(self.overhead + 1, base.slots[-1].added)
         for anchor_stage in range(first, self.horizon):
             if self._believable_chain_ok(anchor, self.overhead, anchor_stage):
                 break

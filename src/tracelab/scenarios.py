@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import InvariantViolation, ScenarioError, decimal
+from .errors import InvariantViolation, ScenarioError, decimal, signed
 from .promotion import CoherentLengths, PromotionEngine
 from .synthesis import (
     PartialStageMap,
@@ -67,12 +67,14 @@ def positive_rational(value, what: str) -> Fraction:
 
 
 def _integer(value, what: str) -> int:
-    """`int(value)`; a boolean, a non-integral number or a value `int`
-    rejects is a `ScenarioError` naming it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """`int(value)`, a string read by `signed` like every integer token in
+    the text formats; a boolean, a non-integral number or a value `int` or
+    `signed` rejects is a `ScenarioError` naming it."""
+    number = signed(value) if isinstance(value, str) else value
+    if isinstance(number, bool) or (isinstance(number, float) and not number.is_integer()):
         raise ScenarioError(f"{what}: expected an integer, got {value!r}")
     try:
-        return int(value)
+        return int(number)
     except (TypeError, ValueError):
         raise ScenarioError(f"{what}: expected an integer, got {value!r}") from None
 
@@ -201,9 +203,14 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     overhead = _integer(payload.get("overhead", 1), "boxpromo scenario 'overhead'")
     top_level = _integer(payload.get("top_level", 3), "boxpromo scenario 'top_level'")
     BoxLayout.check_levels(overhead, top_level)
-    # Stage s touches only levels up to s, so no level at or above the
-    # horizon ever lists a length: the run holds only the levels it reaches.
-    top_level = min(top_level, max(overhead, horizon - 1))
+    # The stages run from the overhead to horizon - 1, and stage s touches
+    # only levels up to s: the run holds only the levels its stages reach.
+    if overhead >= horizon:
+        raise ScenarioError(
+            f"boxpromo scenario needs a horizon above its overhead, "
+            f"got overhead {overhead} at horizon {horizon}"
+        )
+    top_level = min(top_level, horizon - 1)
     what = "boxpromo scenario 'family_cap'"
     family_cap = _integer(payload.get("family_cap", 20000), what)
     if family_cap < 1:  # every class family holds its root class
@@ -223,16 +230,8 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
         text = text_block(payload["approximation"], f"{where} 'approximation'")
         block = appr_mod.parse_word_approx(text)
         ground_truth = block.rows[-1]
-    slack = None
-    if "slack" in payload:
-        slack = {
-            _integer(k, "boxpromo scenario 'slack' key"): _integer(
-                v, f"boxpromo scenario 'slack' entry {k!r}"
-            )
-            for k, v in _typed(payload["slack"], dict, "boxpromo scenario 'slack'").items()
-        }
     coherent = CoherentLengths(cost, top_level)
-    layout = BoxLayout(overhead, slack or coherent.slack, top_level)
+    layout = BoxLayout(overhead, coherent.slack, top_level)
     policy = _build_policy(payload.get("oracle", {"policy": "honest"}), layout, ground_truth)
     return PromotionEngine(
         coherent=coherent,
@@ -378,7 +377,8 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
     eps_texts = _typed(payload.get("eps", ["1/2", "1/4", "1/8"]), list, what)
     eps_list = [positive_rational(e, what) for e in eps_texts]
     # Every bound is at least 2^budget_exp; once that alone has more digits
-    # than `str` writes, refuse before the stage loop builds it.
+    # than `str` writes, refuse before the benignity check builds a bound.
+    # With no threshold no bound is built, and the run compares exponents only.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if eps_list and limit and run.budget_exp >= (10**limit).bit_length():
         raise _unwritable_bound(eps_list[0])

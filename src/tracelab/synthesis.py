@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional
 
 from .approximations import (
@@ -34,7 +33,7 @@ from .approximations import (
     readable_depth,
     unpair,
 )
-from .costs import CostTable, ZERO, first_difference
+from .costs import CostTable, ZERO, first_difference, halving_exponent
 from .errors import InvariantViolation, ScenarioError
 
 
@@ -168,11 +167,6 @@ class SynthesisRun:
         self._booked = 0  # every charge due at a bar up to this one is booked
         self.measured = ZERO
 
-    @cached_property
-    def budget(self) -> int:
-        """The halting budget 2^budget_exp, built once, when first read."""
-        return 2**self.budget_exp
-
     @property
     def frontier(self) -> int:
         """Greatest argument of the speed-up map so far."""
@@ -219,7 +213,8 @@ class SynthesisRun:
     def _stage(self, stage: int) -> None:
         bar = readable_depth(self.appr, stage)
         measured = self._measure(bar)
-        if measured > self.budget:
+        # measured > 2^budget_exp, without building the power
+        if measured and self.budget_exp < halving_exponent(1 / measured):
             self.halted_at = stage
             return
         frontier = self.frontier
@@ -375,10 +370,10 @@ def audit_requirement(run: SynthesisRun, e: int) -> RequirementAudit:
         raise InvariantViolation(
             f"persistent charges for requirement {e} total {persistent}, above 1"
         )
-    ceiling = run.budget / share
-    if transient > ceiling:
+    ceiling = run.budget_exp + e + 1  # 2^budget_exp / share = 2^ceiling
+    if transient and ceiling < halving_exponent(1 / transient):
         raise InvariantViolation(
-            f"transient charges for requirement {e} total {transient}, above {ceiling}"
+            f"transient charges for requirement {e} total {transient}, above {2**ceiling}"
         )
     return RequirementAudit(e, charges, persistent, transient)
 

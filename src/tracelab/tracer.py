@@ -63,18 +63,18 @@ class Box:
 
 
 class BoxLayout:
-    """Per-level capacities of a layout of levels up to `top_level`: how
+    """Per-level capacities of a layout of levels `overhead..top_level`: how
     many lengths a level lists, one initial-testing box each, and how many
     values a box's trace component holds.  The layout makes the hypercube
     boxes and puts their coordinates in canonical form."""
 
     def __init__(self, overhead: int, slack: dict[int, int], top_level: int):
         BoxLayout.check_levels(overhead, top_level)
-        for n in range(1, top_level + 1):
+        for n in range(overhead, top_level + 1):
             if slack.get(n, 0) < 1:
                 raise ScenarioError(f"slack table must be >= 1 at level {n}")
         self.overhead = overhead
-        self.slack = dict(slack)
+        self.slack = {n: slack[n] for n in range(overhead, top_level + 1)}
         self.top_level = top_level
 
     @staticmethod
@@ -90,7 +90,7 @@ class BoxLayout:
         return level + self.slack[level]
 
     def trace_capacity(self, level: int) -> int:
-        return max(level, self.overhead)
+        return level
 
     def cube_box(self, level: int, pattern) -> Box:
         return Box("M", level, pattern=self.canonical_pattern(level, pattern))
@@ -452,9 +452,10 @@ def parse_box_spec(spec: str, layout: BoxLayout) -> BoxKey:
     level = decimal(head)
     if kind not in ("I", "M") or level is None:
         raise ScenarioError(f"bad box spec {spec!r}")
-    if not 1 <= level <= layout.top_level:
+    if not layout.overhead <= level <= layout.top_level:
         raise ScenarioError(
-            f"script box {spec!r} is at level {level}, outside 1..{layout.top_level}"
+            f"script box {spec!r} is at level {level}, "
+            f"outside {layout.overhead}..{layout.top_level}"
         )
     if kind == "I":
         slot = decimal(rest)

@@ -141,12 +141,6 @@ CASES = [
              "costfn-check scenario 'limit_threshold': bad rational 'tiny'"),
     scenario("oracle-text", "boxpromo", dict(CANNED, oracle="honest"),
              "boxpromo scenario 'oracle': expected an object, got 'honest'"),
-    scenario("slack-list", "boxpromo", dict(CANNED, slack=[1, 2]),
-             "boxpromo scenario 'slack': expected an object, got [1, 2]"),
-    scenario("slack-key", "boxpromo", dict(CANNED, slack={"a": 2}),
-             f"boxpromo scenario 'slack' key: {INTEGER} 'a'"),
-    scenario("slack-text", "boxpromo", dict(CANNED, slack={"1": "wide"}),
-             f"boxpromo scenario 'slack' entry '1': {INTEGER} 'wide'"),
     scenario("width-text", "synth", dict(SMALL, width="x"), f"synth scenario 'width': {INTEGER} 'x'"),
     scenario("width-list", "synth", dict(SMALL, width=[1]), f"synth scenario 'width': {INTEGER} [1]"),
     scenario("width-negative", "synth", dict(SMALL, width=-3), "width must be at least 1, got -3"),
@@ -161,8 +155,6 @@ CASES = [
              f"boxpromo scenario 'horizon': {INTEGER} True"),
     scenario("top-level-fraction", "boxpromo", dict(CANNED, top_level=2.5),
              f"boxpromo scenario 'top_level': {INTEGER} 2.5"),
-    scenario("slack-fraction", "boxpromo", dict(CANNED, slack={"1": 2.5}),
-             f"boxpromo scenario 'slack' entry '1': {INTEGER} 2.5"),
     scenario("seed-fraction", "boxpromo", dict(CANNED, oracle={"policy": "random", "seed": 1.5}),
              f"oracle 'seed': {INTEGER} 1.5"),
     scenario("delay-boolean", "boxpromo",
@@ -175,6 +167,16 @@ CASES = [
              "costfn-check scenario 'limit_threshold': bad rational inf"),
     scenario("stage-map-fraction", "synth", requirement([[0, 0.5, 0]]),
              f"synth requirement 0 stage_map entry 0: {INTEGER} 0.5"),
+    # An integer string is a decimal token after an optional '-', as in the
+    # text formats: `int` would read each of these as 14.
+    scenario("horizon-underscore", "boxpromo", dict(CANNED, horizon="1_4"),
+             f"boxpromo scenario 'horizon': {INTEGER} '1_4'"),
+    scenario("horizon-plus", "boxpromo", dict(CANNED, horizon="+14"),
+             f"boxpromo scenario 'horizon': {INTEGER} '+14'"),
+    scenario("horizon-spaces", "boxpromo", dict(CANNED, horizon=" 14 "),
+             f"boxpromo scenario 'horizon': {INTEGER} ' 14 '"),
+    scenario("stage-map-plus", "synth", requirement([[0, "+0", 0]]),
+             f"synth requirement 0 stage_map entry 0: {INTEGER} '+0'"),
     # Fields of the wrong container type, a digit that `str.isdigit` accepts
     # and `int` rejects, a bad cube-box index.
     scenario("synth-eps-none", "synth", dict(SMALL, eps=None), "synth scenario 'eps': expected a list, got None"),
@@ -200,6 +202,12 @@ CASES = [
     scenario("cube-index-empty", "boxpromo", script("5 M2..1:1 0000"), "bad cube-box spec 'M2..1:1'"),
     scenario("top-level-below-overhead", "boxpromo", dict(CANNED, top_level=-1),
              "top level below the overhead constant"),
+    # The stages run from the overhead to horizon - 1, so an overhead at or
+    # above the horizon leaves no stage to run.
+    scenario("overhead-at-horizon", "boxpromo", dict(CANNED, overhead=14, top_level=14),
+             "boxpromo scenario needs a horizon above its overhead, got overhead 14 at horizon 14"),
+    scenario("overhead-huge", "boxpromo", dict(CANNED, overhead=10**6, top_level=10**6),
+             "boxpromo scenario needs a horizon above its overhead, got overhead 1000000 at horizon 14"),
     # A threshold at or below 0 names its field and value.
     scenario("synth-eps-zero", "synth", dict(SMALL, eps=["0"]), f"synth scenario 'eps': {POSITIVE} '0'"),
     scenario("check-eps-negative", "boxpromo", dict(CHECK, eps=["-1/4"]),
@@ -281,6 +289,9 @@ CASES = [
     scenario("script-cube-above", "boxpromo", script("1 M3.1:1 0"),
              "script box 'M3.1:1' is at level 3, outside 1..2"),
     scenario("script-box-below", "boxpromo", script("1 I0.1 0"), "script box 'I0.1' is at level 0, outside 1..2"),
+    # The layout holds the levels from the overhead up: no stage reads a box below it.
+    scenario("script-box-below-overhead", "boxpromo", dict(script("3 I1.1 0", "3 I1.1 1"), overhead=2, top_level=3),
+             "script box 'I1.1' is at level 1, outside 2..3"),
     scenario("script-value-word", "boxpromo", script("1 I2.1 0x"), "script value for 'I2.1': not a 0/1 word: '0x'"),
     # A layout taller than the horizon is capped at horizon - 1 (here 13).
     scenario("script-box-above-cap", "boxpromo", dict(script("1 I20.1 0"), top_level=10000),
@@ -385,7 +396,10 @@ CASES += [
     # budget.
     Case("fuzz-count", ["boxpromo", "fuzz", "--count", "0"], "fuzz batch needs a positive count"),
     Case("boxpromo-fuzz-horizon", ["boxpromo", "fuzz", "--count", "1", "--horizon", "0"],
-         "boxpromo fuzz needs a horizon of at least 2, got 0"),
+         "boxpromo fuzz needs a horizon of at least 3, got 0"),
+    # The fifth case is the canned script, whose boxes sit at level 2.
+    Case("boxpromo-fuzz-horizon2", ["boxpromo", "fuzz", "--count", "5", "--seed", "0", "--horizon", "2"],
+         "boxpromo fuzz needs a horizon of at least 3, got 2"),
     Case("speedup-map-negative", ["approx", "change-set", "{b.approx}", "--speedup", "-1", "0"],
          "speed-up map has a negative stage -1", {"b.approx": FOUR_ROWS}),
     Case("speedup-map-past-horizon", ["approx", "change-set", "{b.approx}", "--speedup", "9"],

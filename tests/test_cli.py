@@ -224,11 +224,7 @@ MUTATION_BASES = [
         oracle={"policy": "honest", "delay": 1},
         family_cap=4,  # the run's largest family, so the cap is tight
     ),
-    dict(
-        canned_scripted_payload(),
-        slack={"1": 2, "2": 3},
-        oracle={"policy": "random", "seed": 3, "feed_rate": 0.9},
-    ),
+    dict(canned_scripted_payload(), oracle={"policy": "random", "seed": 3, "feed_rate": 0.9}),
     dict(synth_payload_small(), requirements=[REQUIREMENT_20]),
     {"kind": "costfn-check", "cost_table": decay_text(6), "eps": ["1/4"], "bound": {"1/4": 4}},
 ]

@@ -11,12 +11,14 @@ from tracelab.costs import (
     CostTable,
     dyadic_decay_row,
     format_cost_table,
+    parse_cost_table,
     static_table,
 )
 from tracelab.errors import InvariantViolation, ScenarioError
-from tracelab.fuzz import boxpromo_payload, canned_scripted_payload
-from tracelab.promotion import Candidate, CoherentLengths
-from tracelab.scenarios import build_promotion_engine, run_boxpromo
+from tracelab.fuzz import CANNED_SCRIPT, boxpromo_payload, canned_scripted_payload
+from tracelab.promotion import Candidate, CoherentLengths, PromotionEngine
+from tracelab.scenarios import build_promotion_engine, machine_format, parse_script, run_boxpromo
+from tracelab.tracer import BoxLayout, ScriptedPolicy
 from tracelab.words import is_prefix
 
 F = Fraction
@@ -95,6 +97,14 @@ def test_scripted_conflict_promotes_and_certifies():
     assert first_audit["deficits"] == [1, 1, 0]
     assert first_audit["trace_members"] == 2
     assert report["tallies"]["conflicts"] == 1
+
+
+def test_a_slack_field_is_ignored():
+    # Each level's length capacity comes from the cost table's marker counts,
+    # so a `slack` field, here tighter than those counts, changes nothing.
+    payload = canned_scripted_payload()
+    report = machine_format(run_boxpromo(payload))
+    assert machine_format(run_boxpromo(dict(payload, slack={"1": 1, "2": 1}))) == report
 
 
 TWO_CONFLICT_FEEDS = [
@@ -492,6 +502,22 @@ def test_a_forged_twin_success_over_the_budget_is_an_invariant_violation():
     message = r"^2 conflicted lengths at level 2, stage 6; the promotion budget allows 1$"
     with pytest.raises(InvariantViolation, match=message):
         engine._stage(6)
+
+
+def test_a_length_past_the_layout_capacity_is_an_invariant_violation():
+    # A scenario's layout takes its capacities from the cost table, so only a
+    # layout built by hand can be too small: the canned run lists a third
+    # length at level 1 on stage 5.
+    cost = parse_cost_table(canned_scripted_payload()["cost_table"])
+    layout = BoxLayout(1, {1: 1, 2: 1}, 2)
+    engine = PromotionEngine(
+        coherent=CoherentLengths(cost, 2),
+        layout=layout,
+        horizon=14,
+        policy=ScriptedPolicy(parse_script("\n".join(CANNED_SCRIPT)), layout),
+    )
+    with pytest.raises(InvariantViolation, match=r"^level 1 exceeded its length capacity 2 at stage 5$"):
+        engine.run()
 
 
 def test_honest_trace_completeness_at_the_final_stage():

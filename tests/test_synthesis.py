@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import observed_values, scan_readable_depth
 from tracelab.approximations import WordApproximation, compose_rows, readable_depth
-from tracelab.costs import CostTable, marker_sequence
+from tracelab.costs import CostTable, halving_exponent, marker_sequence
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import synth_payload
 from tracelab import scenarios
@@ -351,6 +351,23 @@ def test_run_synth_always_runs_the_final_accounting():
     report = run_synth(dict(payload, audit=False))  # no key turns the audits off
     assert report["audits"] and all("charges" in audit for audit in report["audits"])
     assert machine_format(report) == machine_format(run_synth(payload))
+
+
+def test_a_huge_budget_without_thresholds_compares_exponents_only():
+    # With no `eps` no bound is built; the halting check and the audit's
+    # transient ceiling compare exponents, never building 2^budget_exp.
+    payload = dict(synth_payload(random.Random(1), 0, horizon=30), eps=[])
+    huge = run_synth(dict(payload, budget_exp=10**12))
+    modest = run_synth(dict(payload, budget_exp=64))
+    assert huge["parameters"].pop("budget_exp") == 10**12
+    del modest["parameters"]["budget_exp"]
+    assert huge == modest and huge["halted_at"] is None
+    assert all("charges" in audit for audit in huge["audits"])
+    # The comparison the halting check makes: measured > 2^budget_exp.
+    for measured in (F(0), F(1, 3), F(1), F(2), F(3), F(4), F(9, 2)):
+        for budget_exp in range(4):
+            halts = bool(measured) and budget_exp < halving_exponent(1 / measured)
+            assert halts == (measured > 2**budget_exp)
 
 
 def test_run_returns_itself_and_runs_can_share_requirements(monkeypatch):

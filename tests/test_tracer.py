@@ -46,9 +46,10 @@ def test_layout_checks_its_levels_and_holds_their_capacities():
             BoxLayout(overhead, {n: 3 for n in range(1, 4)}, top)
     with pytest.raises(ScenarioError):
         BoxLayout(1, {1: 3, 2: 0}, 2)
+    BoxLayout(2, {2: 1, 3: 1}, 3)  # the held levels start at the overhead
     layout = small_layout(overhead=2)
-    assert [layout.lengths_capacity(n) for n in (1, 2, 3)] == [4, 5, 6]
-    assert [layout.trace_capacity(n) for n in (1, 2, 3)] == [2, 2, 3]
+    assert [layout.lengths_capacity(n) for n in (2, 3)] == [5, 6]
+    assert [layout.trace_capacity(n) for n in (2, 3)] == [2, 3]
 
 
 def test_cube_box_rejects_oversized_coordinate_values():
