@@ -26,10 +26,12 @@ class HorizonExhausted(RuntimeError):
 
 
 def decimal(text: str) -> Optional[int]:
-    """`int(text)` if `text` is a string of decimal digits that `int`
-    converts, else None.  CPython refuses to convert more digits than its
-    limit (4300 by default), so an over-long token reads as malformed."""
-    if text.isdecimal():
+    """`int(text)` if `text` is a string of ASCII decimal digits that `int`
+    converts, else None.  `int` also reads other scripts' digits ('١٤'),
+    which are no decimal token here.  CPython refuses to convert more digits
+    than its limit (4300 by default), so an over-long token reads as
+    malformed."""
+    if text.isascii() and text.isdecimal():
         try:
             return int(text)
         except ValueError:

@@ -200,6 +200,7 @@ class PromotionEngine:
     ):
         """`coherent` is built for the layout's top level; the layout's slack
         is usually its `slack`."""
+        PromotionEngine.check_horizon(layout.overhead, horizon)
         if coherent.cost.horizon < horizon:
             raise ScenarioError("cost table must cover the run horizon")
         if ground_truth is not None and len(ground_truth) < horizon:
@@ -217,6 +218,16 @@ class PromotionEngine:
         self.witness_audits: list[WitnessAudit] = []
         self.stage_log: list[dict] = []
         self.extraction: Optional[Extraction] = None  # set by `run` for honest oracles
+
+    @staticmethod
+    def check_horizon(overhead: int, horizon: int) -> None:
+        """Reject a horizon at or below the overhead: the stages run from the
+        overhead to horizon - 1, so such a run has no stage."""
+        if overhead >= horizon:
+            raise ScenarioError(
+                f"boxpromo scenario needs a horizon above its overhead, "
+                f"got overhead {overhead} at horizon {horizon}"
+            )
 
     def conflict_count(self) -> int:
         """Latched conflicts over every level."""

@@ -7,7 +7,10 @@ never enter machine reports, only the human-readable table output.
 `machine_format` writes the text `json.dumps(report, sort_keys=True,
 indent=2)` gives, byte for byte, with its own writer: `json.dumps` runs the
 pure-Python encoder whenever it indents, and that encoder took about a
-quarter of a small promotion scenario's time.
+quarter of a small promotion scenario's time.  Writing a promotion report
+costs what its witness chains change, not how many audits there are: a
+level's chain fields are rendered once, and again only when an audit at that
+level carries a chain other than the previous one's.
 
 Witness audits, extraction steps and final-accounting charges are reported
 as their engine records' fields (`vars`, each `Fraction` as its `n/d`
@@ -16,6 +19,7 @@ string); nothing writes to a report after it is built.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -203,13 +207,10 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     overhead = _integer(payload.get("overhead", 1), "boxpromo scenario 'overhead'")
     top_level = _integer(payload.get("top_level", 3), "boxpromo scenario 'top_level'")
     BoxLayout.check_levels(overhead, top_level)
-    # The stages run from the overhead to horizon - 1, and stage s touches
-    # only levels up to s: the run holds only the levels its stages reach.
-    if overhead >= horizon:
-        raise ScenarioError(
-            f"boxpromo scenario needs a horizon above its overhead, "
-            f"got overhead {overhead} at horizon {horizon}"
-        )
+    # Refused before the marker scans, which run to the top level.  Stage s
+    # touches only levels up to s: the run holds only the levels its stages
+    # reach.
+    PromotionEngine.check_horizon(overhead, horizon)
     top_level = min(top_level, horizon - 1)
     what = "boxpromo scenario 'family_cap'"
     family_cap = _integer(payload.get("family_cap", 20000), what)
@@ -500,7 +501,8 @@ def run_scenario(source) -> dict:
 
 def machine_format(report: dict) -> str:
     """`json.dumps(report, sort_keys=True, indent=2) + "\n"`, written by
-    `_write_json`."""
+    `_write_json`; a `witness_audits` list goes through `_write_audits`,
+    which renders each level's chain fields once per chain."""
     out: list[str] = []
     _write_json(report, 0, out.append)
     out.append("\n")
@@ -551,7 +553,10 @@ def _write_json(value, depth: int, out) -> None:
                 out(head + _LITERALS[item])
             else:
                 out(head)
-                _write_json(item, depth + 1, out)
+                if kind is list and key == "witness_audits":
+                    _write_audits(item, depth + 1, out)
+                else:
+                    _write_json(item, depth + 1, out)
             sep = "," + inner
         out(_pad(depth) + "}")
     elif isinstance(value, (list, tuple)):
@@ -577,6 +582,58 @@ def _write_json(value, depth: int, out) -> None:
         out(_json_str(value))
     else:
         out(json.dumps(value))
+
+
+# A witness audit's fields that its level's chain fixes, in the order they
+# sort, which is ahead of the audit's own `stage`, `trace_members` and
+# `trace_size`.
+_CHAIN_FIELDS = ("box", "chain_sizes", "conflicted", "deficits", "level")
+_AUDIT_FIELDS = frozenset(_CHAIN_FIELDS + ("stage", "trace_members", "trace_size"))
+
+
+def _write_audits(audits: list, depth: int, out) -> None:
+    """`_write_json(audits, depth, out)` for a list of witness audits.  The
+    engine hands every audit of an unchanged chain that chain's own `box`,
+    `chain_sizes`, `conflicted` and `deficits` objects, so an audit whose
+    chain fields are the very objects the previous audit at its level had
+    writes that audit's chain text again, and only its own three ints are
+    new.  Sameness is identity, not equality: `[True]` equals `[1]` but is
+    written `[true]`.  An entry that is not a dict of exactly the audit
+    fields, with int `level`, `stage`, `trace_members` and `trace_size`, is
+    written by `_write_json`."""
+    if not audits:
+        out("[]")
+        return
+    item, field = _pad(depth + 1), "," + _pad(depth + 2)
+    sep = "[" + item
+    last: dict[int, tuple] = {}  # level -> (chain fields, their text) at its last audit
+    for audit in audits:
+        out(sep)
+        sep = "," + item
+        if not (
+            type(audit) is dict
+            and audit.keys() == _AUDIT_FIELDS
+            and type(audit["level"]) is type(audit["stage"]) is int
+            and type(audit["trace_members"]) is type(audit["trace_size"]) is int
+        ):
+            _write_json(audit, depth + 1, out)
+            continue
+        level = audit["level"]
+        chain = (audit["box"], audit["chain_sizes"], audit["conflicted"], audit["deficits"])
+        seen = last.get(level)
+        if seen is None or not all(map(operator.is_, chain, seen[0])):
+            parts = ["{" + _pad(depth + 2)]
+            for name in _CHAIN_FIELDS:
+                parts.append(f'"{name}": ')
+                _write_json(audit[name], depth + 2, parts.append)
+                parts.append(field)
+            parts.append('"stage": ')
+            seen = last[level] = (chain, "".join(parts))
+        out(
+            f'{seen[1]}{audit["stage"]}{field}"trace_members": {audit["trace_members"]}'
+            f'{field}"trace_size": {audit["trace_size"]}{item}}}'
+        )
+    out(_pad(depth) + "]")
 
 
 def table_format(report: dict) -> str:

@@ -197,6 +197,14 @@ CASES = [
              "line 1: expected header 'S X', got '1² 14'"),
     scenario("script-stage-superscript", "boxpromo", script("² I2.2 000"),
              "line 1: expected 'stage box value', got '² I2.2 000'"),
+    # Digits of other scripts are no decimal tokens, though `int` reads them.
+    scenario("horizon-arabic-indic", "boxpromo", dict(CANNED, horizon="١٤"),
+             f"boxpromo scenario 'horizon': {INTEGER} '١٤'"),
+    scenario("header-arabic-indic", "boxpromo", dict(CANNED, cost_table="١٤ ١٤\n"),
+             "line 1: expected header 'S X', got '١٤ ١٤'"),
+    scenario("script-stage-arabic-indic", "boxpromo", script("٥ I2.2 000"),
+             "line 1: expected 'stage box value', got '٥ I2.2 000'"),
+    scenario("box-level-arabic-indic", "boxpromo", script("5 I٢.2 000"), "bad box spec 'I٢.2'"),
     scenario("cube-index-text", "boxpromo", script("1 M2.1:x2 0"), "bad cube-box spec 'M2.1:x2'"),
     scenario("cube-index-twice", "boxpromo", script("5 M2.2:1.2:2 0000"), "bad cube-box spec 'M2.2:1.2:2'"),
     scenario("cube-index-empty", "boxpromo", script("5 M2..1:1 0000"), "bad cube-box spec 'M2..1:1'"),

@@ -15,7 +15,7 @@ from tracelab import acceptance, synthesis
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
 from tracelab.errors import ScenarioError
-from tracelab.fuzz import canned_scripted_payload, fuzz, synth_payload
+from tracelab.fuzz import boxpromo_payload, canned_scripted_payload, fuzz, synth_payload
 from tracelab.scenarios import (
     build_synthesis_run,
     load_scenario,
@@ -174,6 +174,68 @@ def test_machine_format_rejects_what_json_rejects():
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             machine_format(bad)
+
+
+def _random_oracle_report(seed, top_level, horizon):
+    payload = boxpromo_payload(random.Random(seed), 2, horizon=horizon)  # index 2: random oracle
+    return run_scenario(dict(payload, top_level=top_level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.integers(2, 5), st.integers(16, 40))
+def test_machine_format_writes_promotion_reports_as_json_dumps(seed, top_level, horizon):
+    # A level's audits share its chain's objects until the chain changes, and
+    # the levels' audits interleave within a stage.
+    report = _random_oracle_report(seed, top_level, horizon)
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _audits_sharing_a_chain():
+    """A random-oracle report whose audits interleave levels 2, 3 and 4, and
+    the index of an audit that follows one at another level and whose chain
+    fields are the previous same-level audit's."""
+    report = _random_oracle_report(5, 4, 30)
+    audits = report["witness_audits"]
+    assert {audit["level"] for audit in audits} == {2, 3, 4}
+    for later, audit in enumerate(audits[1:], start=1):
+        earlier = [a for a in audits[:later] if a["level"] == audit["level"]]
+        if (
+            audits[later - 1]["level"] != audit["level"]
+            and earlier
+            and all(earlier[-1][name] is audit[name] for name in ("box", "chain_sizes", "conflicted", "deficits"))
+        ):
+            return report, later
+    raise AssertionError("no audit shares its level's chain")
+
+
+@pytest.mark.parametrize("edit", [
+    {"deficits": lambda old: old[:-1] + [old[-1] + 1]},
+    {"conflicted": lambda old: old + [99]},
+    {"box": lambda old: old + "x"},
+    {"deficits": lambda old: [bool(d) if d in (0, 1) else d for d in old]},  # equal to old, written apart
+    {"level": lambda old: old + 1},
+    {"stage": lambda old: float(old)},
+    {"extra": lambda old: 1},
+    {"box": None},  # a missing key
+])
+def test_machine_format_writes_hand_edited_audits_as_json_dumps(edit):
+    report, index = _audits_sharing_a_chain()
+    (name, change), = edit.items()
+    audit = report["witness_audits"][index] = dict(report["witness_audits"][index])
+    if change is None:
+        del audit[name]
+    else:
+        audit[name] = change(audit.get(name))
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_machine_format_writes_each_levels_audits_with_their_level():
+    # Audits at two levels may carry the very same chain objects; each level
+    # keeps its own text.
+    chain = {"box": "M2.root", "chain_sizes": [2, 1], "conflicted": [1], "deficits": [1, 0]}
+    audits = [dict(chain, level=level, stage=5, trace_members=2, trace_size=3) for level in (2, 3, 2, 3)]
+    report = {"kind": "boxpromo", "witness_audits": audits}
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_usage_error_is_exit_one(capsys):

@@ -18,7 +18,7 @@ from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import CANNED_SCRIPT, boxpromo_payload, canned_scripted_payload
 from tracelab.promotion import Candidate, CoherentLengths, PromotionEngine
 from tracelab.scenarios import build_promotion_engine, machine_format, parse_script, run_boxpromo
-from tracelab.tracer import BoxLayout, ScriptedPolicy
+from tracelab.tracer import BoxLayout, HonestPolicy, ScriptedPolicy
 from tracelab.words import is_prefix
 
 F = Fraction
@@ -518,6 +518,22 @@ def test_a_length_past_the_layout_capacity_is_an_invariant_violation():
     )
     with pytest.raises(InvariantViolation, match=r"^level 1 exceeded its length capacity 2 at stage 5$"):
         engine.run()
+
+
+def test_a_hand_built_engine_without_a_stage_is_refused():
+    # The stages run from the overhead to horizon - 1: at overhead 14 and
+    # horizon 14 an honest run would stage nothing and then extract nothing.
+    cost = parse_cost_table(canned_scripted_payload()["cost_table"])
+    coherent = CoherentLengths(cost, 14)
+    message = r"^boxpromo scenario needs a horizon above its overhead, got overhead 14 at horizon 14$"
+    with pytest.raises(ScenarioError, match=message):
+        PromotionEngine(
+            coherent=coherent,
+            layout=BoxLayout(14, coherent.slack, 14),
+            horizon=14,
+            policy=HonestPolicy(),
+            ground_truth="0" * 14,
+        )
 
 
 def test_honest_trace_completeness_at_the_final_stage():
