@@ -40,7 +40,7 @@ from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ScenarioError, decimal
+from .errors import ScenarioError, decimal, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -372,13 +372,6 @@ def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
     return [i for i, _ in numbered], [ln for _, ln in numbered]
 
 
-def _parse_fraction(token: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(f"line {lineno}: bad rational {token!r}") from exc
-
-
 def _regular(text: str) -> bool:
     """True when `text` is tokens joined by single spaces (ASCII, no tab or
     unit separator), so that `text.split()` is `text.split(" ")`."""
@@ -462,14 +455,11 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         windows.append((k, tokens, m))
         before, regular_before = line, regular
     distinct = dict.fromkeys(chain.from_iterable(w[1] for w in windows if w is not None))
-    try:
-        exact = {tok: Fraction(tok) for tok in distinct}
-    except (ValueError, ZeroDivisionError):
-        for i, window in zip(numbers[1:], windows):  # name the first bad token's line
-            if window is not None:
-                for tok in window[1]:
-                    _parse_fraction(tok, i)
-        raise
+    exact = {tok: rational(tok) for tok in distinct}  # in reading order
+    bad = next((tok for tok, value in exact.items() if value is None), None)
+    if bad is not None:
+        i = next(i for i, w in zip(numbers[1:], windows) if w is not None and bad in w[1])
+        raise ScenarioError(f"line {i}: bad rational {bad!r}")
     if wrong_width is not None:
         raise ScenarioError(f"line {wrong_width[0]}: expected {X} values, found {wrong_width[1]}")
     table = CostTable.__new__(CostTable)

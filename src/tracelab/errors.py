@@ -1,11 +1,13 @@
-"""Error types shared by the engines and the CLI, and `decimal` and
-`signed`, the one reader of the decimal tokens that the text formats, the
-flags and the scenarios' integer strings hold.
+"""Error types shared by the engines and the CLI; `decimal` and `signed`,
+the one reader of the decimal tokens that the text formats, the flags and
+the scenarios' integer strings hold; and `rational`, the one reader of their
+rational tokens.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
 """
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Optional
 
 
@@ -43,6 +45,19 @@ def signed(text: str) -> Optional[int]:
     """`decimal(text)` after an optional leading '-', negated if it was there."""
     value = decimal(text.removeprefix("-"))
     return -value if value is not None and text.startswith("-") else value
+
+
+def rational(text: str) -> Optional[Fraction]:
+    """`Fraction(text)` if `text` is a rational token (`p/q`, `-p/q`, `0.25`)
+    that `Fraction` reads, else None.  `Fraction` also reads other scripts'
+    digits, '_' between digits, a leading '+' and surrounding whitespace,
+    none of which a token holds here."""
+    if text.isascii() and "_" not in text and not text.startswith("+") and text == text.strip():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
 
 
 @contextmanager

@@ -5,12 +5,11 @@ extracted approximation with its exact cost ledger.
 Each level keeps a list of `Slot`s, one per candidate length, in the order
 the lengths were added.  A slot holds its length, the stage it was added and
 its `Candidate`s, the certified strings of that length in listing order.  A
-candidate carries the one success ledger: `lacking` is the set of spawned
-classes that contain it and still lack a witness for it, and `since` is the
-first stage it counts as successful, set when `lacking` empties.  A member
-value enumerated into a class settles the candidates it witnesses in the
-class's pattern order.  A slot's `conflict` is the stage it latched and the
-two successful candidates that agree below the previous length.
+candidate's `since` is its first successful stage, set when the environment's
+success ledger (`Environment.lacking`) empties its pair's entry: at spawn,
+or when an enumeration record lists the pair.  A slot's `conflict` is the
+stage it latched and the two successful candidates that agree below the
+previous length.
 
 An honest run's extraction decides credibility once: its anchor stage is the
 first at which the base level's chain check holds for the truth's prefix,
@@ -110,7 +109,6 @@ class Candidate:
     slot: int
     index: int
     since: Optional[int] = None  # first successful stage
-    lacking: set[Box] = field(default_factory=set)  # spawned classes without a witness for it
 
     def successful_at(self, stage: int) -> bool:
         return self.since is not None and self.since <= stage
@@ -298,15 +296,9 @@ class PromotionEngine:
                 continue  # a non-member counts toward capacity only
             if box.kind == "I":
                 self._list_candidate(state, box.slot, record.value, stage, events)
-            else:
-                for k, indices in box.pattern:
-                    for i in indices:
-                        candidate = state.slots[k - 1].candidates[i - 1]
-                        if box in candidate.lacking and comparable(record.value, candidate.word):
-                            candidate.lacking.remove(box)
-                            if not candidate.lacking:
-                                since = max(stage, candidate.appeared + 1)
-                                self._succeed(state, candidate, since, events)
+            for _, k, i in record.emptied:
+                candidate = state.slots[k - 1].candidates[i - 1]
+                self._succeed(state, candidate, max(stage, candidate.appeared + 1), events)
 
     def _list_candidate(self, state, slot: int, value: str, stage: int, events) -> None:
         candidates = state.slots[slot - 1].candidates
@@ -318,22 +310,16 @@ class PromotionEngine:
         self._activate(state, candidate, stage, events)
 
     def _activate(self, state, candidate: Candidate, stage: int, events) -> None:
-        level = state.level
+        level, lacking = state.level, self.env.lacking
         spawned = self.env.activate_pair(
             level, candidate.slot, candidate.index, candidate.word, stage
         )
         for child in spawned:
-            for k, indices in child.pattern:
-                for i in indices:
-                    other = state.slots[k - 1].candidates[i - 1]
-                    if child.witnesses(other.word):
-                        continue
-                    if other is not candidate and other.since is not None:
-                        raise InvariantViolation(
-                            f"successful pair {(level, k, i)} lost its witness on spawn"
-                        )
-                    other.lacking.add(child)
-        if not candidate.lacking:
+            for pair in child.pairs:
+                other = state.slots[pair[1] - 1].candidates[pair[2] - 1]
+                if other is not candidate and other.since is not None and child in lacking[pair]:
+                    raise InvariantViolation(f"successful pair {pair} lost its witness on spawn")
+        if not lacking[level, candidate.slot, candidate.index]:
             self._succeed(state, candidate, stage + 1, events)
 
     def _succeed(self, state, candidate: Candidate, since: int, events) -> None:

@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import InvariantViolation, ScenarioError, decimal, signed
+from .errors import InvariantViolation, ScenarioError, decimal, rational, signed
 from .promotion import CoherentLengths, PromotionEngine
 from .synthesis import (
     PartialStageMap,
@@ -51,9 +51,14 @@ def fraction_str(value: Fraction) -> str:
 
 
 def parse_rational(value, what: str) -> Fraction:
-    """`Fraction(value)`; a value that is not a rational, a boolean
+    """`Fraction(value)`, a string read by `rational` like every rational
+    token in the text formats; a value that is not a rational, a boolean
     included, is a `ScenarioError` naming it."""
-    if not isinstance(value, bool):
+    if isinstance(value, str):
+        number = rational(value)
+        if number is not None:
+            return number
+    elif not isinstance(value, bool):
         try:
             return Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):

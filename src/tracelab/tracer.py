@@ -24,6 +24,15 @@ Each content entry also carries whether its value is in the box's tested
 set.  A class gets all its events at spawn and an initial box its one at its
 test, so the flag is decided when a value is enumerated, when a spawned class
 inherits it, and when an initial box is tested, and never changes after.
+
+The success ledger `lacking` maps each pair (level, slot, index) to the
+classes containing it with no member value comparable to its word, in spawn
+(family) order: `activate_pair` files each child under the pairs it does not
+witness, and `enumerate_value` files a class off and lists, in pattern
+order, the pairs whose entry emptied.  An entry empties when the oracle's
+values are written, before the engine absorbs them; in between only new
+candidates spawn classes, and a child, whose events start with its parent's,
+witnesses every pair its parent does, so no emptied entry refills.
 """
 from __future__ import annotations
 
@@ -43,13 +52,14 @@ class Box:
     `M<level>.<pattern>`, with its tested set and its trace component, whose
     entries carry their membership flags (decided as the module says)."""
 
-    __slots__ = ("kind", "level", "slot", "pattern", "name", "functional", "content")
+    __slots__ = ("kind", "level", "slot", "pattern", "pairs", "name", "functional", "content")
 
     def __init__(self, kind: str, level: int, slot: int = 0, pattern: Pattern = ()):
         self.kind = kind  # "I" (initial testing) or "M" (hypercube class)
         self.level = level
         self.slot = slot  # length index, for I-boxes
         self.pattern = pattern  # pairs (k, (i, ...)), for M-boxes
+        self.pairs = tuple((level, k, i) for k, indices in pattern for i in indices)  # pattern order
         self.name = box_name((kind, level, slot if kind == "I" else pattern))
         self.functional = Functional()
         self.content: list[tuple[str, int, bool]] = []  # (value, stage, member), in order
@@ -158,6 +168,7 @@ class EnumRecord:
     box: Box
     value: str
     member: bool
+    emptied: list[tuple[int, int, int]]  # pairs whose ledger entry this value emptied
 
 
 class Environment:
@@ -176,6 +187,7 @@ class Environment:
         self.classes: dict[int, dict[Pattern, Box]] = {}
         self.initial_boxes: dict[tuple[int, int], Box] = {}  # (n, slot) -> box, tested or not
         self.pair_sigma: dict[tuple[int, int, int], str] = {}  # (n, k, i) -> candidate string
+        self.lacking: dict[tuple[int, int, int], dict[Box, None]] = {}  # the success ledger
 
     # ---- structure -------------------------------------------------------
 
@@ -212,12 +224,14 @@ class Environment:
 
     def activate_pair(self, level: int, slot: int, index: int, sigma: str, stage: int) -> list[Box]:
         """Record candidate `sigma` for (slot, index) and spawn every class
-        containing the new pair, inheriting parent content."""
+        containing the new pair, inheriting parent content; file each child
+        under every pair of its pattern it holds no witness for."""
         self.ensure_level(level)
         key = (level, slot, index)
         if key in self.pair_sigma:
             raise InvariantViolation(f"pair {key} activated twice")
         self.pair_sigma[key] = sigma
+        self.lacking[key] = {}
         family = self.classes[level]
         capacity = self.layout.trace_capacity(level)
         spawned: list[Box] = []
@@ -245,18 +259,10 @@ class Environment:
             spawned.append(child)
         for child in spawned:
             family[child.pattern] = child
+            for pair in child.pairs:
+                if not child.witnesses(self.pair_sigma[pair]):
+                    self.lacking[pair][child] = None
         return spawned
-
-    def classes_containing(self, level: int, slot: int, index: int) -> list[Box]:
-        self.ensure_level(level)
-        out = []
-        for box in self.classes[level].values():
-            for k, idx in box.pattern:  # at most one entry per slot
-                if k == slot:
-                    if index in idx:
-                        out.append(box)
-                    break
-        return out
 
     # ---- trace content ---------------------------------------------------
 
@@ -276,7 +282,14 @@ class Environment:
             )
         member = box.functional.member(value)
         bucket.append((value, stage, member))
-        return EnumRecord(box, value, member)
+        emptied = []
+        for pair in box.pairs if member else ():
+            lacking = self.lacking[pair]
+            if box in lacking and comparable(value, self.pair_sigma[pair]):
+                del lacking[box]
+                if not lacking:
+                    emptied.append(pair)
+        return EnumRecord(box, value, member, emptied)
 
     # ---- honest bookkeeping ----------------------------------------------
 
@@ -381,9 +394,7 @@ class RandomPolicy:
 
     def _feed_pair(self, env: Environment, level: int, slot: int, index: int, moves) -> None:
         sigma = env.pair_sigma[(level, slot, index)]
-        for box in env.classes_containing(level, slot, index):
-            if box.witnesses(sigma):
-                continue
+        for box in env.lacking[level, slot, index]:
             # The class, or the ancestor it inherited its events from, was
             # spawned with an event based at sigma.
             event = next(ev for ev in box.functional.events if ev.base == sigma)

@@ -205,6 +205,16 @@ CASES = [
     scenario("script-stage-arabic-indic", "boxpromo", script("٥ I2.2 000"),
              "line 1: expected 'stage box value', got '٥ I2.2 000'"),
     scenario("box-level-arabic-indic", "boxpromo", script("5 I٢.2 000"), "bad box spec 'I٢.2'"),
+    # A rational string is a rational token, as in the cost tables: `Fraction`
+    # would read each of these as 1/4.
+    scenario("check-eps-arabic-indic", "boxpromo", dict(CHECK, eps=["١/٤"]),
+             "costfn-check scenario 'eps': bad rational '١/٤'"),
+    scenario("check-eps-spaces", "boxpromo", dict(CHECK, eps=[" 1/4 "]),
+             "costfn-check scenario 'eps': bad rational ' 1/4 '"),
+    scenario("check-eps-underscore", "boxpromo", dict(CHECK, eps=["1_0/40"]),
+             "costfn-check scenario 'eps': bad rational '1_0/40'"),
+    scenario("check-eps-plus", "boxpromo", dict(CHECK, eps=["+1/4"]),
+             "costfn-check scenario 'eps': bad rational '+1/4'"),
     scenario("cube-index-text", "boxpromo", script("1 M2.1:x2 0"), "bad cube-box spec 'M2.1:x2'"),
     scenario("cube-index-twice", "boxpromo", script("5 M2.2:1.2:2 0000"), "bad cube-box spec 'M2.2:1.2:2'"),
     scenario("cube-index-empty", "boxpromo", script("5 M2..1:1 0000"), "bad cube-box spec 'M2..1:1'"),
@@ -377,6 +387,15 @@ FOUR_ROWS = "4 3\n000\n100\n000\n100\n"
 CASES += [
     Case("table-header-digits", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
          f"line 1: expected header 'S X', got '{LONG} 2'", {"c.table": f"{LONG} 2\n"}),
+    # A table entry is a rational token: `Fraction` would read each of these
+    # as 1/2.  The first bad token names its line.
+    Case("table-token-underscore", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
+         "line 2: bad rational '1_0/20'", {"c.table": "2 2\n1_0/20 1/4\n1/2 1/4\n"}),
+    Case("table-token-plus", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
+         "line 3: bad rational '+1/2'", {"c.table": "2 2\n1/2 1/4\n+1/2 1/4\n"}),
+    Case("table-token-arabic-indic", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
+         "line 2: bad rational '١/٢'", {"c.table": "2 2\n١/٢ 1/4\n1/2 1/4\n"}),
+    Case("eps-plus", ["costfn", "markers", "{c.table}", "--eps", "+1/2"], "--eps: bad rational '+1/2'", TABLE),
     # A table check names the text line, blank lines counted.
     Case("table-decreases", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
          "line 3: column 0 decreases at stage 1", {"c.table": "2 2\n1/2 1/4\n1/4 1/4\n"}),

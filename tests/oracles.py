@@ -70,18 +70,18 @@ def extensions_avoiding(word: str, length: int, blocked) -> list[str]:
     return [w for w in extensions if not any(w.startswith(b) for b in blocked)]
 
 
-def lacking_classes(env, level: int, candidate) -> set:
-    """The classes at `level` whose pattern names `candidate` and whose
-    content holds no member value comparable to its word, by a scan of every
-    class."""
-    return {
+def lacking_classes(env, pair) -> list:
+    """The classes at the pair's level whose pattern names the pair (level,
+    slot, index) and whose content holds no member value comparable to its
+    word, by a scan of every class in family order."""
+    level, slot, index = pair
+    word = env.pair_sigma[pair]
+    return [
         box
         for box in env.classes.get(level, {}).values()
-        if candidate.index in dict(box.pattern).get(candidate.slot, ())
-        and not any(
-            box.functional.member(v) and comparable(v, candidate.word) for v, _, _ in box.content
-        )
-    }
+        if index in dict(box.pattern).get(slot, ())
+        and not any(box.functional.member(v) and comparable(v, word) for v, _, _ in box.content)
+    ]
 
 
 def changeset_word(cs: ChangeSet, stage: int, width: int) -> str:

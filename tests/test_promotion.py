@@ -356,21 +356,24 @@ def test_success_needs_the_stage_after_testing():
 
 
 def check_ledger(engine):
-    """Every candidate's success ledger is the set of classes that lack it,
-    and agrees with the environment's record of the pair."""
+    """Every candidate's pair has an entry in the environment's success
+    ledger: the classes that lack a witness for it, as a set and in family
+    order; the candidate is successful exactly when that entry is empty."""
     listed = []
     for level, state in engine.levels.items():
         for k, slot in enumerate(state.slots, start=1):
             for i, candidate in enumerate(slot.candidates, start=1):
+                pair = (level, k, i)
                 assert (candidate.slot, candidate.index) == (k, i)
                 assert len(candidate.word) == slot.length
-                assert candidate.lacking == oracles.lacking_classes(engine.env, level, candidate)
-                assert (candidate.since is not None) == (not candidate.lacking)
+                assert engine.env.pair_sigma[pair] == candidate.word
+                lacking, scan = engine.env.lacking[pair], oracles.lacking_classes(engine.env, pair)
+                assert set(lacking) == set(scan) and list(lacking) == scan
+                assert (candidate.since is not None) == (not lacking)
                 if candidate.since is not None:
                     assert candidate.since > candidate.appeared
-                assert engine.env.pair_sigma[(level, k, i)] == candidate.word
-                listed.append((level, k, i))
-    assert sorted(listed) == sorted(engine.env.pair_sigma)
+                listed.append(pair)
+    assert sorted(listed) == sorted(engine.env.pair_sigma) == sorted(engine.env.lacking)
 
 
 def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
@@ -444,7 +447,7 @@ def test_a_successful_pair_that_a_new_class_lacks_is_an_invariant_violation():
     state = engine.levels[2]
     assert [slot.length for slot in state.slots] == [2, 3] and not state.slots[0].candidates
     first = state.slots[1].candidates[0]
-    assert first.word == "000" and first.lacking and first.since is None
+    assert first.word == "000" and engine.env.lacking[2, 2, 1] and first.since is None
     first.since = 4
     events = {"new_candidates": [], "new_successes": []}
     message = r"^successful pair \(2, 2, 1\) lost its witness on spawn$"

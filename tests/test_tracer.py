@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import covers, materialize, recursive_member
 from tracelab.acceptance import capacity_sweep
-from tracelab.errors import InvariantViolation, ScenarioError
+from tracelab.errors import HorizonExhausted, InvariantViolation, ScenarioError
 from tracelab.tracer import (
     BoxLayout,
     Environment,
@@ -218,7 +218,8 @@ def test_a_spawned_class_never_inherits_more_than_the_capacity():
     (child,) = env.activate_pair(2, 1, 1, "00", 3)
     assert child.content == root.content and child.content is not root.content
     root.content.append(("00", 2, False))  # forced past capacity behind the writers' back
-    with pytest.raises(InvariantViolation, match="trace capacity 2 exceeded on box M2.1:2"):
+    message = r"^trace capacity 2 exceeded on box M2\.1:2 at stage 4: 3 values inherited from M2\.root$"
+    with pytest.raises(InvariantViolation, match=message):
         env.activate_pair(2, 1, 2, "01", 4)
 
 
@@ -261,7 +262,6 @@ def test_one_object_per_box():
     assert resolve_box(env, ("M", 3, ())) is env.classes[3][()]
     pair = resolve_box(env, ("M", 3, ((1, (1, 2)),)))
     assert pair is env.classes[3][((1, (1, 2)),)]
-    assert pair in env.classes_containing(3, 1, 2)
     assert {box.name for box in env.classes[3].values()} == {"M3.root", "M3.1:1", "M3.1:2", "M3.1:1+2"}
 
 
@@ -270,8 +270,53 @@ def test_activation_rejects_duplicate_pairs():
     env = Environment(layout)
     env.ensure_level(2)
     env.activate_pair(2, 1, 1, "00", 3)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"^pair \(2, 1, 1\) activated twice$"):
         env.activate_pair(2, 1, 1, "00", 4)
+
+
+def test_an_initial_box_tested_twice_is_an_invariant_violation():
+    env = Environment(small_layout())
+    env.add_initial_test(2, 1, 2, 1)
+    with pytest.raises(InvariantViolation, match=r"^initial box I2\.1 tested twice$"):
+        env.add_initial_test(2, 1, 3, 2)
+
+
+def test_a_class_spawned_twice_is_an_invariant_violation():
+    # The child the first pair spawns from the root is already in the family.
+    env = Environment(small_layout())
+    env.ensure_level(2)
+    pattern = ((1, (1,)),)
+    env.classes[2][pattern] = env.layout.cube_box(2, pattern)
+    with pytest.raises(InvariantViolation, match=r"^class \(\(1, \(1,\)\),\) spawned twice$"):
+        env.activate_pair(2, 1, 1, "00", 3)
+
+
+def test_a_class_family_past_its_cap_exhausts_the_horizon():
+    # The root and M2.1:1 fill a cap of 2, so the second pair spawns none.
+    env = Environment(small_layout(), family_cap=2)
+    env.ensure_level(2)
+    env.activate_pair(2, 1, 1, "00", 3)
+    with pytest.raises(HorizonExhausted, match=r"^class family at level 2 exceeded the cap 2$"):
+        env.activate_pair(2, 1, 2, "01", 4)
+    assert len(env.classes[2]) == 2
+
+
+def test_a_witness_enumerated_into_a_class_empties_its_pairs_ledger_entries():
+    env = Environment(small_layout())  # trace capacity 2 at level 2
+    env.ensure_level(2)
+    (first,) = env.activate_pair(2, 1, 1, "0", 2)
+    second, both = env.activate_pair(2, 2, 1, "01", 3)
+    assert both.pattern == ((1, (1,)), (2, (1,)))
+    assert list(env.lacking[2, 1, 1]) == [first, both]
+    assert list(env.lacking[2, 2, 1]) == [second, both]
+    assert env.enumerate_value(first, "00", 4).emptied == []
+    assert env.enumerate_value(second, "010", 4).emptied == []
+    assert list(env.lacking[2, 1, 1]) == list(env.lacking[2, 2, 1]) == [both]
+    record = env.enumerate_value(both, "011", 5)  # tested at 01 by the event at 0: no member
+    assert not record.member and record.emptied == []
+    record = env.enumerate_value(both, "01", 5)  # a member comparable to both words
+    assert record.member and record.emptied == [(2, 1, 1), (2, 2, 1)]
+    assert env.lacking == {(2, 1, 1): {}, (2, 2, 1): {}}
 
 
 # ---- oracle policies -----------------------------------------------------------------
