@@ -107,8 +107,10 @@ def closed_form_bound(budget_exp: int) -> Callable[[Fraction], int]:
         eps = Fraction(eps)
         if eps <= 0:
             raise ScenarioError("threshold must be positive")
-        sharp = 0
-        while Fraction(1, 2**sharp) >= eps / 2:
+        # The least j with 2^-j < eps/2: the least j with 2^-j <= eps/2,
+        # one more when 2^-j equals eps/2.
+        sharp = halving_exponent(eps / 2)
+        if Fraction(1, 2**sharp) == eps / 2:
             sharp += 1
         wide = 2 ** (budget_exp + sharp)
         return 2 + wide + sharp * sharp * (1 + 2**sharp + wide)
@@ -261,6 +263,7 @@ class SynthesisRun:
         frontier = self.frontier
         out = []
         row = self.rows[-1]
+        bar_row = self.appr.rows[bar]
         for e, state in enumerate(self.states[:frontier]):
             if not state.checkpoints or state.activity > 1:
                 continue
@@ -268,7 +271,8 @@ class SynthesisRun:
                 continue  # a requirement worries only strictly after its start stage
             t_e = len(state.checkpoints) - 1
             anchor_row = self.sped[state.checkpoints[-1]]
-            bar_row = self.appr.rows[bar]
+            if bar_row == anchor_row:
+                continue  # rows that agree everywhere worry at no position
             share = Fraction(1, 2 ** (e + 1))
             for z in range(min(frontier, self.width, self.appr.width)):
                 if bar_row[z] == anchor_row[z]:
@@ -294,7 +298,7 @@ class SynthesisRun:
                 max(last, floor - 1), stage
             )
             if chosen is not None and chosen <= frontier:
-                if chosen <= last or chosen > frontier:
+                if chosen <= last:
                     raise InvariantViolation(
                         "checkpoint left the observed-range/speed-up-domain corridor"
                     )

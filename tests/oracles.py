@@ -27,6 +27,17 @@ def readable(appr: WordApproximation, stage: int, position: int, wall: int) -> b
     return ready is not None and ready <= wall
 
 
+def stepping_bound(budget_exp: int, eps) -> int:
+    """The closed-form marker bound at threshold `eps`, its exponent found by
+    stepping j = 0, 1, 2, ... up to the least j with 2^-j < eps/2."""
+    eps = Fraction(eps)
+    sharp = 0
+    while Fraction(1, 2**sharp) >= eps / 2:
+        sharp += 1
+    wide = 2 ** (budget_exp + sharp)
+    return 2 + wide + sharp * sharp * (1 + 2**sharp + wide)
+
+
 def observed_values(stage_map, stage: int) -> list[int]:
     """Values of the stage map's entries visible by `stage`, in argument
     order, by a scan of every entry."""

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,6 +267,20 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))
     assert main(["costfn", "sum", str(table), "--eps", "1e-4305"]) == 0
+
+
+def test_a_tiny_synth_threshold_is_refused_quickly(tmp_path, capsys):
+    """The closed-form bound finds its exponent in closed form, so a
+    threshold of 1e-16000 (about 53000 halvings) is refused at once."""
+    path = write_json(tmp_path, "s.json", dict(synth_payload_small(), eps=["1e-16000"]))
+    start = time.perf_counter()
+    status = main(["synth", "run", path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (
+        1, "", "error: a rational in the report has too many digits to write\n"
+    )
+    assert elapsed < 0.5
 
 
 # Mutated inputs: a scenario with a field dropped or a value of another type

@@ -1,13 +1,14 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import observed_values, scan_readable_depth
+from oracles import observed_values, scan_readable_depth, stepping_bound
 from tracelab.approximations import WordApproximation, compose_rows, readable_depth
 from tracelab.costs import CostTable, halving_exponent, marker_sequence
-from tracelab.errors import ScenarioError
+from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import synth_payload
 from tracelab import scenarios
 from tracelab.scenarios import build_synthesis_run, machine_format, run_synth
@@ -16,6 +17,7 @@ from tracelab.synthesis import (
     Requirement,
     SynthesisRun,
     audit_requirement,
+    closed_form_bound,
 )
 
 F = Fraction
@@ -147,9 +149,11 @@ def test_incremental_readable_depth_matches_reference():
 
 
 class PendingScanRun(SynthesisRun):
-    """The stage loop with the reference charge booking: every stage re-walks
-    each readable stage u <= bar and scans rows u - 1 and u up to the bar for
-    their first difference."""
+    """The stage loop by the reference definitions.  Charge booking re-walks
+    each readable stage u <= bar at every stage and scans rows u - 1 and u up
+    to the bar for their first difference.  The worry scan compares the
+    bar's row with each anchor row at every position below the frontier and
+    both widths."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -167,17 +171,45 @@ class PendingScanRun(SynthesisRun):
                     break
         return self.measured
 
+    def _worried_pairs(self, stage, bar):
+        frontier = self.frontier
+        out = []
+        row = self.rows[-1]
+        for e, state in enumerate(self.states[:frontier]):
+            if not state.checkpoints or state.activity > 1 or state.added_at[0] >= stage:
+                continue
+            t_e = len(state.checkpoints) - 1
+            anchor_row = self.sped[state.checkpoints[-1]]
+            bar_row = self.appr.rows[bar]
+            share = F(1, 2 ** (e + 1))
+            for z in range(min(frontier, self.width, self.appr.width)):
+                if bar_row[z] != anchor_row[z] and row[z] < share * state.requirement.cost.value(t_e, z):
+                    out.append((e, z))
+        return out
+
 
 @st.composite
 def measured_runs(draw):
     """Run arguments: a flipping approximation with a random schedule, a run
     horizon and cost width that may be smaller or larger than the
     approximation's, a budget that some flip sets exceed, and at most one
-    delayed requirement, whose worry doubles costs."""
-    appr_horizon, appr_width = draw(st.integers(2, 40)), draw(st.integers(2, 12))
+    delayed requirement.  The bar never passes the approximation's width, so
+    only a wide approximation lets it reach flips late enough to worry the
+    requirement, whose worry doubles costs.  Some flips are undone a few
+    stages later: transient changes."""
+    appr_horizon = draw(st.integers(2, 40))
+    appr_width = draw(st.sampled_from([appr_horizon, draw(st.integers(2, 12))]))
     stages, positions = st.integers(1, appr_horizon - 1), st.integers(0, appr_width - 1)
     cheap = st.integers(0, min(3, appr_width - 1))  # flips here cost most
     flips = draw(st.lists(st.tuples(stages, st.one_of(cheap, positions)), max_size=12))
+    # A flip worries a flat requirement once the requirement has more
+    # checkpoints than the flipped position, and costs little enough to be
+    # doubled at positions 2 and up.
+    delay = draw(st.integers(0, 20))
+    late = st.integers(min(delay + 8, appr_horizon - 1), appr_horizon - 1)
+    worrying = st.integers(min(2, appr_width - 1), min(6, appr_width - 1))
+    undone = draw(st.lists(st.tuples(late, worrying, st.integers(1, 4)), max_size=2))
+    flips += [(s, x) for s, x, _ in undone] + [(s + d, x) for s, x, d in undone if s + d < appr_horizon]
     cells = st.tuples(st.integers(0, appr_horizon - 1), positions)
     walls = draw(st.lists(st.tuples(cells, st.integers(0, 12)), max_size=3))
     schedule = {(u, x): u + d for (u, x), d in walls}
@@ -186,8 +218,7 @@ def measured_runs(draw):
     block = WordApproximation(flipping_block(appr_horizon, flips, appr_width).rows, schedule)
     horizon = max(2, appr_horizon + draw(st.integers(-4, 4)))
     width = draw(st.sampled_from([None, appr_width, max(1, appr_width - 3), appr_width + 3]))
-    delay = draw(st.integers(0, 20))
-    requirements = [flat_requirement(horizon, delay=delay)] * draw(st.integers(0, 1))
+    requirements = [flat_requirement(horizon, delay=delay)] * draw(st.sampled_from([0, 1, 1]))
     return block, draw(st.integers(0, 2)), requirements, horizon, width
 
 
@@ -205,6 +236,10 @@ def alternating_block(horizon):
 # The stage-37 change is charged at stage 37's cost, before that stage's doubling.
 @example((flipping_block(60, [(36, 3), (37, 4)]), 0, [flat_requirement(60, delay=20)], 60, None))
 @example((flipping_block(70, [(40, 1), (43, 1)]), 0, [flat_requirement(70, 18, F(1, 2))], 70, 80))
+# Two positions worried at stage 37, one of them undone at stage 38.
+@example((flipping_block(60, [(30, 4), (36, 3), (38, 3), (44, 5)]), 2, [flat_requirement(60, 12)], 60, None))
+# Position 4 undone while position 5 is still worried.
+@example((flipping_block(60, [(30, 4), (31, 5), (34, 4), (44, 5)]), 2, [flat_requirement(60, 12)], 60, None))
 def test_measure_matches_the_pending_scan_at_every_stage(args):
     block, budget_exp, requirements, horizon, width = args
     fast = SynthesisRun(block, budget_exp, requirements, horizon, width)
@@ -215,6 +250,9 @@ def test_measure_matches_the_pending_scan_at_every_stage(args):
         fast._stage(stage)
         slow._stage(stage)
         assert fast.measured == slow.measured
+        assert fast.halted_at == slow.halted_at
+        assert fast.worried_log == slow.worried_log
+        assert fast.doubling_stages == slow.doubling_stages
         assert fast.rows == slow.rows
         assert fast.sped == compose_rows(block, fast.speedup)
     assert fast.halted_at == slow.halted_at
@@ -247,6 +285,69 @@ def test_worry_doubles_the_cost_until_the_share_is_met():
     final = table.rows[-1]
     share = F(1, 2)
     assert final[flip_pos] >= share * 1 or out.halted_at is not None
+
+
+def test_a_doubling_past_one_is_an_invariant_violation():
+    # A worried entry lies below its share of a normalized cost, at most 1/2,
+    # so its double stays within 1.  With the cost scaled to 4 after the
+    # requirement's checks, the entry 3/4 at the flipped position is worried
+    # and doubles to 3/2.
+    horizon = 60
+    block = flipping_block(horizon, [(36, 3)])
+    requirement = flat_requirement(horizon, delay=20)
+    first = SynthesisRun(block, 0, [requirement], horizon).run().worried_log[0][0]
+    run = SynthesisRun(block, 0, [requirement], horizon)
+    for stage in range(1, first):
+        run._stage(stage)
+    requirement.cost = CostTable([[4 * v for v in row] for row in requirement.cost.rows], listed_form=True)
+    run.rows[-1] = run.rows[-1][:3] + (F(3, 4),) + run.rows[-1][4:]
+    with pytest.raises(InvariantViolation, match=rf"^cost doubling escaped the unit bound at stage {first}$"):
+        run._stage(first)
+
+
+class AtOrAboveStageMap(PartialStageMap):
+    """A stage map whose `least_observed_above` is off by one: it answers the
+    least observed value at or above its bound."""
+
+    def least_observed_above(self, bound, stage):
+        visible = bisect_right(self.visible_at, stage)
+        k = bisect_left(self.values, bound, 0, visible)
+        return self.values[k] if k < visible else None
+
+
+def test_a_checkpoint_at_its_predecessor_is_an_invariant_violation():
+    # A stage map's answer lies above the bound it is asked for, which is at
+    # least the last checkpoint, whatever its values.  An off-by-one map
+    # answers the last checkpoint itself once the sped-up rows agree.
+    horizon = 20
+    requirement = flat_requirement(horizon)
+    requirement.stage_map = AtOrAboveStageMap([(i, i, i) for i in range(horizon)])
+    run = SynthesisRun(constant_block(horizon), 0, [requirement], horizon)
+    with pytest.raises(InvariantViolation, match="^checkpoint left the observed-range/speed-up-domain corridor$"):
+        run.run()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(lambda k: F(2) ** -k, st.integers(-3, 70)),  # powers of two, 8 down to 2^-70
+        st.builds(lambda n, k: F(n, 2**k), st.integers(1, 10**4), st.integers(0, 60)),  # dyadic
+        st.builds(F, st.integers(1, 10**9), st.integers(1, 10**9)),  # any, above 2 included
+    ),
+    st.integers(0, 3),
+)
+@example(F(2), 0)  # eps/2 is 2^0 exactly
+@example(F(5, 2), 1)
+@example(F(1, 3), 0)
+@example(F(1, 10**30), 2)
+def test_closed_form_bound_matches_the_stepping_loop(eps, budget_exp):
+    assert closed_form_bound(budget_exp)(eps) == stepping_bound(budget_exp, eps)
+
+
+def test_closed_form_bound_refuses_a_nonpositive_threshold():
+    for eps in (0, F(-1, 2)):
+        with pytest.raises(ScenarioError, match="^threshold must be positive$"):
+            closed_form_bound(0)(eps)
 
 
 def test_checkpoints_stall_while_a_change_sits_inside_every_window():
