@@ -105,8 +105,6 @@ def closed_form_bound(budget_exp: int) -> Callable[[Fraction], int]:
 
     def bound(eps) -> int:
         eps = Fraction(eps)
-        if eps <= 0:
-            raise ScenarioError("threshold must be positive")
         # The least j with 2^-j < eps/2: the least j with 2^-j <= eps/2,
         # one more when 2^-j equals eps/2.
         sharp = halving_exponent(eps / 2)
@@ -195,8 +193,8 @@ class SynthesisRun:
                 break
             # Entries become visible in order, so entry t - 1 is visible too.
             y = first_difference(self.sped[value], self.sped[req.stage_map.values[t - 1]])
-            term = req.cost.value(t, y) if y is not None else ZERO
-            state.activity += term
+            if y is not None:
+                state.activity += req.cost.value(t, y)
             state.next_term += 1
         return state.activity
 

@@ -1,10 +1,12 @@
 """Brute-force reference definitions that the fast paths are tested against."""
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
 from tracelab.costs import first_difference, marker_sequence
 from tracelab.promotion import WitnessAudit
+from tracelab.scenarios import build_promotion_engine, machine_format, run_boxpromo
 from tracelab.words import comparable, is_prefix, restrict
 
 
@@ -222,3 +224,82 @@ def rebuild_witness_audit(engine, level: int, stage: int) -> WitnessAudit:
     return WitnessAudit(
         level, stage, conflicted, box.name, sizes, deficits, len(member_values), len(box.content)
     )
+
+
+def check_stage(engine, stage: int, audits_before: int, latched: dict, members: dict) -> None:
+    """After `engine._stage(stage)`, every fact the stage leaves behind equals
+    its reference:
+    - the ledger has one entry per activated pair, in activation order,
+      listing its lacking classes as the family scan does, as a set and in
+      family order, and the pair's candidate is successful exactly when
+      that entry is empty;
+    - each membership flag is `recursive_member`'s answer;
+    - each slot lists its initial box's members as its candidates, so no
+      value is listed twice at a slot;
+    - each class holding a pair has one event at the pair's word, the event
+      the random oracle feeds the class from;
+    - each coherent length, latched conflict, conflict event and audit
+      written this stage is what its scan gives.
+    `latched` carries the conflict scan's first (stage, pair) per (level,
+    slot) across stages.  `members` memoizes `recursive_member` per (box,
+    event count, value), which is exact because a box's events only append."""
+    env = engine.env
+    listed = []
+    for level, state in engine.levels.items():
+        for k, slot in enumerate(state.slots, start=1):
+            initial = env.initial_boxes[(level, k)]
+            assert [c.word for c in slot.candidates] == [
+                v for v, _, member in initial.content if member
+            ], (stage, level, k)
+            for i, candidate in enumerate(slot.candidates, start=1):
+                pair = (level, k, i)
+                assert (candidate.slot, candidate.index) == (k, i), (stage, pair)
+                assert len(candidate.word) == slot.length, (stage, pair)
+                assert env.pair_sigma[pair] == candidate.word, (stage, pair)
+                lacking, scan = env.lacking[pair], lacking_classes(env, pair)
+                assert set(lacking) == set(scan) and list(lacking) == scan, (stage, pair)
+                assert (candidate.since is not None) == (not lacking), (stage, pair)
+                assert candidate.since is None or candidate.since > candidate.appeared, (stage, pair)
+                listed.append(pair)
+    assert sorted(listed) == sorted(env.pair_sigma), stage
+    assert list(env.lacking) == list(env.pair_sigma), stage  # in activation order
+    for box in env.boxes():
+        events = box.functional.events
+        for value, _, member in box.content:
+            key = (box, len(events), value)
+            if key not in members:
+                members[key] = recursive_member(box.functional, value)
+            assert member == members[key], (stage, box.name, value)
+    for (level, k, i), sigma in env.pair_sigma.items():
+        for box in env.classes[level].values():
+            if i in dict(box.pattern).get(k, ()):
+                based = sum(ev.base == sigma for ev in box.functional.events)
+                assert based == 1, (stage, box.name, sigma)
+    expected_audits, expected_events = [], []
+    for level in range(min(stage, engine.top_level), engine.overhead - 1, -1):
+        state = engine.levels[level]
+        coherent = scan_coherent_length(level, stage, engine.coherent.markers)
+        assert engine.coherent.length(level, stage) == coherent, (stage, level)
+        for k, pair in scan_conflicts(state, stage).items():
+            if latched.setdefault((level, k), (stage, pair))[0] == stage:
+                expected_events.append({"level": level, "slot": k})
+        for k, slot in enumerate(state.slots, start=1):
+            assert slot.conflict == latched.get((level, k)), (stage, level, k)
+        if any(slot.conflict for slot in state.slots):
+            expected_audits.append(vars(rebuild_witness_audit(engine, level, stage)))
+    assert engine.stage_log[-1]["new_conflicts"] == expected_events, stage
+    assert [vars(a) for a in engine.witness_audits[audits_before:]] == expected_audits, stage
+
+
+def check_promotion_run(payload: dict) -> None:
+    """Run the promotion scenario `payload` stage by stage through
+    `check_stage`, then check that `machine_format` writes its report as
+    `json.dumps(report, sort_keys=True, indent=2)` does."""
+    engine = build_promotion_engine(payload)
+    latched, members = {}, {}
+    for stage in range(engine.overhead, engine.horizon):
+        before = len(engine.witness_audits)
+        engine._stage(stage)
+        check_stage(engine, stage, before, latched, members)
+    report = run_boxpromo(payload)
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"

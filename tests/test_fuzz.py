@@ -173,6 +173,27 @@ def test_fuzz_failure_names_its_case_and_seed(monkeypatch, capsys):
     assert seen[-1] == failed
 
 
+def test_synth_fuzz_counts_a_halted_case(monkeypatch):
+    # The first bit flips at every stage, so the run measures two changes
+    # at stage 3, above its budget 2^0, and halts; no generated case at
+    # horizon 40 halts.
+    rows = ["0" * 10 if s % 2 == 0 else "1" + "0" * 9 for s in range(10)]
+    halting = {
+        "kind": "synth",
+        "horizon": 10,
+        "budget_exp": 0,
+        "approximation": "\n".join(["10 10"] + rows),
+        "requirements": [],
+        "eps": ["1/2"],
+    }
+    real = fuzz_mod.synth_payload
+    monkeypatch.setattr(
+        fuzz_mod, "synth_payload", lambda rng, index, **params: halting if index == 1 else real(rng, index, **params)
+    )
+    report = fuzz("synth", 3, 0, horizon=40)
+    assert report["runs"] == 3 and report["tallies"]["halted"] == 1
+
+
 def tallied_from_reports(count, seed, horizon=None):
     """The boxpromo batch report tallied from each payload's machine report."""
     rng = random.Random(seed)

@@ -355,82 +355,6 @@ def test_success_needs_the_stage_after_testing():
                 assert candidate.since > candidate.appeared
 
 
-def check_ledger(engine):
-    """Every candidate's pair has an entry in the environment's success
-    ledger: the classes that lack a witness for it, as a set and in family
-    order; the candidate is successful exactly when that entry is empty."""
-    listed = []
-    for level, state in engine.levels.items():
-        for k, slot in enumerate(state.slots, start=1):
-            for i, candidate in enumerate(slot.candidates, start=1):
-                pair = (level, k, i)
-                assert (candidate.slot, candidate.index) == (k, i)
-                assert len(candidate.word) == slot.length
-                assert engine.env.pair_sigma[pair] == candidate.word
-                lacking, scan = engine.env.lacking[pair], oracles.lacking_classes(engine.env, pair)
-                assert set(lacking) == set(scan) and list(lacking) == scan
-                assert (candidate.since is not None) == (not lacking)
-                if candidate.since is not None:
-                    assert candidate.since > candidate.appeared
-                listed.append(pair)
-    assert sorted(listed) == sorted(engine.env.pair_sigma) == sorted(engine.env.lacking)
-
-
-def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
-    for seed in (0, 1):
-        rng = random.Random(seed)
-        for index in range(5):  # honest, honest, random, random, scripted
-            engine = build_promotion_engine(boxpromo_payload(rng, index))
-            for stage in range(engine.overhead, engine.horizon):
-                engine._stage(stage)
-                check_ledger(engine)
-
-
-def engines_stage_by_stage():
-    """(engine, stage) after every stage of the ledger test's payloads and
-    of one horizon-60, top-level-5 random run for each seed 0-2."""
-    payloads = []
-    for seed in (0, 1):
-        rng = random.Random(seed)
-        payloads += [boxpromo_payload(rng, index) for index in range(5)]
-    for seed in (0, 1, 2):
-        oracle = {"policy": "random", "seed": seed}
-        payloads.append(dict(canned_scripted_payload(60), top_level=5, oracle=oracle))
-    for payload in payloads:
-        engine = build_promotion_engine(payload)
-        for stage in range(engine.overhead, engine.horizon):
-            engine._stage(stage)
-            yield engine, stage
-
-
-def test_membership_flags_match_the_recursive_definition_at_every_stage():
-    for engine, stage in engines_stage_by_stage():
-        for box in engine.env.boxes():
-            for value, _, member in box.content:
-                expected = oracles.recursive_member(box.functional, value)
-                assert member == expected, (stage, box.name, value)
-
-
-def test_slot_candidates_are_the_initial_box_members_at_every_stage():
-    # So a value is never listed twice at a slot.
-    for engine, stage in engines_stage_by_stage():
-        for level, state in engine.levels.items():
-            for k, slot in enumerate(state.slots, start=1):
-                box = engine.env.initial_boxes[(level, k)]
-                members = [v for v, _, member in box.content if member]
-                assert [c.word for c in slot.candidates] == members, (stage, level, k)
-
-
-def test_every_class_holding_a_pair_has_one_event_at_its_word_at_every_stage():
-    # So the random oracle always finds the event it feeds a pair's class from.
-    for engine, stage in engines_stage_by_stage():
-        for (level, k, i), sigma in engine.env.pair_sigma.items():
-            for box in engine.env.classes[level].values():
-                if i in dict(box.pattern).get(k, ()):
-                    based = [ev for ev in box.functional.events if ev.base == sigma]
-                    assert len(based) == 1, (stage, box.name, sigma)
-
-
 def canned_engine_through(last_stage):
     """The canned scripted engine after its stages up to `last_stage`."""
     engine = build_promotion_engine(canned_scripted_payload())
@@ -585,22 +509,22 @@ def test_conflict_query_latches_per_stage():
     assert second.successful_at(5)
 
 
-def test_early_trace_values_become_candidates_when_the_test_exists():
-    # A value of the right length enumerated before its slot is tested must
-    # surface as a candidate the moment the test is placed.
-    horizon = 14
-    from tracelab.costs import format_cost_table
-
-    payload = {
+def early_trace_payload():
+    return {
         "kind": "boxpromo",
-        "horizon": horizon,
+        "horizon": 14,
         "overhead": 1,
         "top_level": 2,
-        "cost_table": format_cost_table(decay(horizon)),
+        "cost_table": format_cost_table(decay(14)),
         # Level 2 tests length 3 in slot 2 at stage 3; enumerate at stage 2.
         "oracle": {"policy": "scripted", "script": ["2 I2.2 000"]},
     }
-    report = run_boxpromo(payload)
+
+
+def test_early_trace_values_become_candidates_when_the_test_exists():
+    # A value of the right length enumerated before its slot is tested must
+    # surface as a candidate the moment the test is placed.
+    report = run_boxpromo(early_trace_payload())
     assert report["levels"]["2"]["candidates"]["2"] == ["000"]
 
 
@@ -658,34 +582,32 @@ def test_extraction_reports_truncation_on_short_horizons():
     assert extraction.truncated_at is not None or len(extraction.steps) < 2
 
 
-# ---- the output-sensitive stage against its full-scan oracles ----------------------
+# ---- every stage against its references ------------------------------------------
 
 
-def check_stage_against_oracles(engine, stage, audits_before, latched):
-    """After `engine._stage(stage)`: each coherent length, each latched
-    conflict (and the order of the stage's conflict events) and each audit
-    written this stage equals its oracle.  `latched` carries the oracle's
-    first (stage, pair) per (level, slot)."""
-    levels = range(min(stage, engine.top_level), engine.overhead - 1, -1)
-    expected_audits, expected_events = [], []
-    for level in levels:
-        state = engine.levels[level]
-        coherent = oracles.scan_coherent_length(level, stage, engine.coherent.markers)
-        assert engine.coherent.length(level, stage) == coherent, (level, stage)
-        for k, pair in oracles.scan_conflicts(state, stage).items():
-            if latched.setdefault((level, k), (stage, pair))[0] == stage:
-                expected_events.append({"level": level, "slot": k})
-        for k, slot in enumerate(state.slots, start=1):
-            assert slot.conflict == latched.get((level, k)), (level, k, stage)
-        if any(slot.conflict for slot in state.slots):
-            expected_audits.append(vars(oracles.rebuild_witness_audit(engine, level, stage)))
-    assert engine.stage_log[-1]["new_conflicts"] == expected_events
-    assert [vars(a) for a in engine.witness_audits[audits_before:]] == expected_audits
+def fixed_payloads():
+    """Each fuzz index (honest, honest, random, random, scripted) at seeds 0
+    and 1, a horizon-60 random run at top level 5 for each seed 0-3 (at seed
+    3 level 5 latches a second conflict without adding a slot), the
+    two-conflict script and the early-trace script."""
+    payloads = []
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        payloads += [boxpromo_payload(rng, index) for index in range(5)]
+    for seed in range(4):
+        oracle = {"policy": "random", "seed": seed}
+        payloads.append(dict(canned_scripted_payload(60), top_level=5, oracle=oracle))
+    return payloads + [two_conflict_payload(), early_trace_payload()]
+
+
+def test_every_stage_matches_its_references_on_fixed_payloads():
+    for payload in fixed_payloads():
+        oracles.check_promotion_run(payload)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    seed=st.integers(0, 2**20),
+    seed=st.integers(0, 2**30),
     index=st.integers(0, 4),  # honest, honest, random, random, scripted
     horizon=st.none() | st.integers(14, 40),
     top_level=st.none() | st.integers(2, 5),
@@ -694,20 +616,7 @@ def test_stage_matches_the_full_scans_at_every_stage(seed, index, horizon, top_l
     payload = boxpromo_payload(random.Random(seed), index, horizon)
     if top_level is not None:
         payload["top_level"] = top_level
-    run_against_oracles(payload)
-
-
-def run_against_oracles(payload):
-    engine = build_promotion_engine(payload)
-    latched = {}
-    for stage in range(engine.overhead, engine.horizon):
-        before = len(engine.witness_audits)
-        engine._stage(stage)
-        check_stage_against_oracles(engine, stage, before, latched)
-
-
-def test_two_conflicts_latched_at_one_stage_match_the_full_scans():
-    run_against_oracles(two_conflict_payload())
+    oracles.check_promotion_run(payload)
 
 
 def test_coherent_lengths_match_the_marker_scan_on_a_tall_layout():

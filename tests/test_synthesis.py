@@ -447,6 +447,16 @@ def test_run_synth_reports_benignity_against_the_closed_form():
     assert report["cost_table_shape"] == [51, 50]
 
 
+def test_run_synth_skips_the_final_accounting_above_unit_activity():
+    # Flat costs and flips from position 2 on drive the one requirement's
+    # activity above 1, where the final accounting has no bound to hold.
+    payload = synth_payload(
+        random.Random(3), 0, horizon=40, min_flip_position=2, max_flips=3, requirement_flavor="flat"
+    )
+    assert [state.activity > 1 for state in build_synthesis_run(payload).run().states] == [True]
+    assert run_synth(payload)["audits"] == [{"requirement": 0, "skipped": "activity sum above 1"}]
+
+
 def test_run_synth_always_runs_the_final_accounting():
     payload = synth_payload(random.Random(1), 0, horizon=50)
     report = run_synth(dict(payload, audit=False))  # no key turns the audits off
