@@ -226,31 +226,15 @@ def rebuild_witness_audit(engine, level: int, stage: int) -> WitnessAudit:
     )
 
 
-def check_stage(engine, stage: int, audits_before: int, latched: dict, members: dict) -> None:
-    """After `engine._stage(stage)`, every fact the stage leaves behind equals
-    its reference:
-    - the ledger has one entry per activated pair, in activation order,
-      listing its lacking classes as the family scan does, as a set and in
-      family order, and the pair's candidate is successful exactly when
-      that entry is empty;
-    - each membership flag is `recursive_member`'s answer;
-    - each slot lists its initial box's members as its candidates, so no
-      value is listed twice at a slot;
-    - each class holding a pair has one event at the pair's word, the event
-      the random oracle feeds the class from;
-    - each coherent length, latched conflict, conflict event and audit
-      written this stage is what its scan gives.
-    `latched` carries the conflict scan's first (stage, pair) per (level,
-    slot) across stages.  `members` memoizes `recursive_member` per (box,
-    event count, value), which is exact because a box's events only append."""
+def check_ledger(engine, stage: int) -> None:
+    """The success ledger has one entry per activated pair, in activation
+    order, listing its lacking classes as the family scan does, as a set and
+    in family order; the pair's candidate is successful exactly when that
+    entry is empty."""
     env = engine.env
     listed = []
     for level, state in engine.levels.items():
         for k, slot in enumerate(state.slots, start=1):
-            initial = env.initial_boxes[(level, k)]
-            assert [c.word for c in slot.candidates] == [
-                v for v, _, member in initial.content if member
-            ], (stage, level, k)
             for i, candidate in enumerate(slot.candidates, start=1):
                 pair = (level, k, i)
                 assert (candidate.slot, candidate.index) == (k, i), (stage, pair)
@@ -263,18 +247,47 @@ def check_stage(engine, stage: int, audits_before: int, latched: dict, members: 
                 listed.append(pair)
     assert sorted(listed) == sorted(env.pair_sigma), stage
     assert list(env.lacking) == list(env.pair_sigma), stage  # in activation order
-    for box in env.boxes():
+
+
+def check_slot_candidates(engine, stage: int) -> None:
+    """Each slot lists its initial box's members as its candidates, so no
+    value is listed twice at a slot."""
+    for level, state in engine.levels.items():
+        for k, slot in enumerate(state.slots, start=1):
+            initial = engine.env.initial_boxes[(level, k)]
+            assert [c.word for c in slot.candidates] == [
+                v for v, _, member in initial.content if member
+            ], (stage, level, k)
+
+
+def check_membership(engine, stage: int, members: dict) -> None:
+    """Each membership flag is `recursive_member`'s answer.  `members`
+    memoizes it per (box, event count, value), which is exact because a
+    box's events only append."""
+    for box in engine.env.boxes():
         events = box.functional.events
         for value, _, member in box.content:
             key = (box, len(events), value)
             if key not in members:
                 members[key] = recursive_member(box.functional, value)
             assert member == members[key], (stage, box.name, value)
+
+
+def check_class_events(engine, stage: int) -> None:
+    """Each class holding a pair has one event at the pair's word, the event
+    the random oracle feeds the class from."""
+    env = engine.env
     for (level, k, i), sigma in env.pair_sigma.items():
         for box in env.classes[level].values():
             if i in dict(box.pattern).get(k, ()):
                 based = sum(ev.base == sigma for ev in box.functional.events)
                 assert based == 1, (stage, box.name, sigma)
+
+
+def check_scans(engine, stage: int, audits_before: int, latched: dict) -> None:
+    """Each coherent length, latched conflict, conflict event and audit
+    written this stage is what its scan gives.  `latched` carries the
+    conflict scan's first (stage, pair) per (level, slot) across stages."""
     expected_audits, expected_events = [], []
     for level in range(min(stage, engine.top_level), engine.overhead - 1, -1):
         state = engine.levels[level]
@@ -291,15 +304,33 @@ def check_stage(engine, stage: int, audits_before: int, latched: dict, members: 
     assert [vars(a) for a in engine.witness_audits[audits_before:]] == expected_audits, stage
 
 
+def check_stage(engine, stage: int, audits_before: int, latched: dict, members: dict) -> None:
+    """After `engine._stage(stage)`, every fact the stage leaves behind equals
+    its reference: the ledger, slot candidates, membership flags, class
+    events and scans, each as its check above states."""
+    check_ledger(engine, stage)
+    check_slot_candidates(engine, stage)
+    check_membership(engine, stage, members)
+    check_class_events(engine, stage)
+    check_scans(engine, stage, audits_before, latched)
+
+
+def promotion_stages(payload: dict):
+    """Build the promotion scenario `payload` and yield (engine, stage,
+    audits before the stage) after each of its stages."""
+    engine = build_promotion_engine(payload)
+    for stage in range(engine.overhead, engine.horizon):
+        before = len(engine.witness_audits)
+        engine._stage(stage)
+        yield engine, stage, before
+
+
 def check_promotion_run(payload: dict) -> None:
     """Run the promotion scenario `payload` stage by stage through
     `check_stage`, then check that `machine_format` writes its report as
     `json.dumps(report, sort_keys=True, indent=2)` does."""
-    engine = build_promotion_engine(payload)
     latched, members = {}, {}
-    for stage in range(engine.overhead, engine.horizon):
-        before = len(engine.witness_audits)
-        engine._stage(stage)
+    for engine, stage, before in promotion_stages(payload):
         check_stage(engine, stage, before, latched, members)
     report = run_boxpromo(payload)
     assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -177,12 +177,25 @@ def test_machine_format_rejects_what_json_rejects():
             machine_format(bad)
 
 
+def _random_oracle_report(seed, top_level, horizon):
+    payload = boxpromo_payload(random.Random(seed), 2, horizon=horizon)  # index 2: random oracle
+    return run_scenario(dict(payload, top_level=top_level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.integers(2, 5), st.integers(16, 40))
+def test_machine_format_writes_promotion_reports_as_json_dumps(seed, top_level, horizon):
+    # A level's audits share its chain's objects until the chain changes, and
+    # the levels' audits interleave within a stage.
+    report = _random_oracle_report(seed, top_level, horizon)
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def _audits_sharing_a_chain():
     """A random-oracle report whose audits interleave levels 2, 3 and 4, and
     the index of an audit that follows one at another level and whose chain
     fields are the previous same-level audit's."""
-    payload = boxpromo_payload(random.Random(5), 2, horizon=30)  # index 2: random oracle
-    report = run_scenario(dict(payload, top_level=4))
+    report = _random_oracle_report(5, 4, 30)
     audits = report["witness_audits"]
     assert {audit["level"] for audit in audits} == {2, 3, 4}
     for later, audit in enumerate(audits[1:], start=1):

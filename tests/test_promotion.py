@@ -600,9 +600,41 @@ def fixed_payloads():
     return payloads + [two_conflict_payload(), early_trace_payload()]
 
 
-def test_every_stage_matches_its_references_on_fixed_payloads():
+def stages_of_fixed_payloads():
     for payload in fixed_payloads():
-        oracles.check_promotion_run(payload)
+        yield from oracles.promotion_stages(payload)
+
+
+def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
+    for engine, stage, _ in stages_of_fixed_payloads():
+        oracles.check_ledger(engine, stage)
+
+
+def test_membership_flags_match_the_recursive_definition_at_every_stage():
+    members = {}
+    for engine, stage, _ in stages_of_fixed_payloads():
+        oracles.check_membership(engine, stage, members)
+
+
+def test_slot_candidates_are_the_initial_box_members_at_every_stage():
+    for engine, stage, _ in stages_of_fixed_payloads():
+        oracles.check_slot_candidates(engine, stage)
+
+
+def test_every_class_holding_a_pair_has_one_event_at_its_word_at_every_stage():
+    for engine, stage, _ in stages_of_fixed_payloads():
+        oracles.check_class_events(engine, stage)
+
+
+def test_coherent_lengths_conflicts_and_audits_match_the_full_scans_on_fixed_payloads():
+    for payload in fixed_payloads():
+        latched = {}
+        for engine, stage, before in oracles.promotion_stages(payload):
+            oracles.check_scans(engine, stage, before, latched)
+
+
+def test_two_conflicts_latched_at_one_stage_match_the_full_scans():
+    oracles.check_promotion_run(two_conflict_payload())
 
 
 @settings(max_examples=100, deadline=None)
