@@ -38,7 +38,7 @@ from .errors import HorizonExhausted, InvariantViolation, prefixed
 from .fuzz import boxpromo_engines, synth_payload
 from .scenarios import build_synthesis_run
 from .synthesis import audit_requirement, closed_form_bound
-from .words import is_prefix, random_word
+from .words import flip, is_prefix, random_word
 
 F = Fraction
 
@@ -80,9 +80,7 @@ def speedup_instance(rng: random.Random, horizon: int = 20, width: int = 12):
         # Walk backwards so the sequence provably settles on `final`.
         rows = [final] * horizon
         for stage, pos in flips:
-            for s in range(stage):
-                bit = "1" if rows[s][pos] == "0" else "0"
-                rows[s] = rows[s][:pos] + bit + rows[s][pos + 1 :]
+            rows[:stage] = [flip(row, pos) for row in rows[:stage]]
         return WordApproximation(tuple(rows))
 
     witness = path(rng.randint(0, 2))
@@ -238,7 +236,7 @@ def speedup_budget(*, seed: int = 9, speedups: int = 100) -> dict:
     zero = static_table([F(0)] * 12, 20)
     cost, _, target, witness = speedup_instance(rng)
     flipped = list(target.rows)
-    flipped[5] = flipped[5][:1] + ("1" if flipped[5][1] == "0" else "0") + flipped[5][2:]
+    flipped[5] = flip(flipped[5], 1)
     flipped[6:] = [flipped[5]] * (len(flipped) - 6)
     noisy = WordApproximation(tuple(flipped))
     try:
@@ -246,6 +244,16 @@ def speedup_budget(*, seed: int = 9, speedups: int = 100) -> dict:
     except HorizonExhausted:
         return {"speedups": checked}
     _require(False, 6, seed, "a speed-up against an all-zero witness cost did not exhaust")
+
+
+def stepping_bound(budget_exp: int, eps: Fraction) -> int:
+    """The closed-form marker bound at threshold `eps`, its exponent found by
+    stepping j = 0, 1, 2, ... up to the least j with 2^-j < eps/2."""
+    sharp = 0
+    while F(1, 2**sharp) >= eps / 2:
+        sharp += 1
+    wide = 2 ** (budget_exp + sharp)
+    return 2 + wide + sharp * sharp * (1 + 2**sharp + wide)
 
 
 def synth_benignity(*, seed: int = 77, runs: int = 50) -> dict:
@@ -267,11 +275,7 @@ def synth_benignity(*, seed: int = 77, runs: int = 50) -> dict:
         capped = all(v <= 1 for row in out.cost_table.rows for v in row)
         _require(capped, 7, seed, f"run {index} synthesizes an entry above 1")
         for eps in (F(1, 2), F(1, 4), F(1, 8)):
-            sharp = 0
-            while F(1, 2**sharp) >= eps / 2:
-                sharp += 1
-            wide = 2 ** (out.budget_exp + sharp)
-            bound = 2 + wide + sharp * sharp * (1 + 2**sharp + wide)
+            bound = stepping_bound(out.budget_exp, eps)
             ok = marker_sequence(out.cost_table, eps).count <= bound == out.bound(eps)
             _require(ok, 7, seed, f"run {index} breaks the closed-form bound at eps {eps}")
         checked += 1

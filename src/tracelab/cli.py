@@ -15,9 +15,8 @@ from pathlib import Path
 from . import __version__
 from . import approximations as appr_mod
 from . import acceptance, costs, fuzz
-from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal
+from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal, fraction_str
 from .scenarios import (
-    fraction_str,
     load_scenario,
     machine_format,
     parse_rational,
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
             report = acceptance.verify(args.seed)
         if args.out:
             Path(args.out).write_text(machine_format(report))
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
@@ -240,9 +239,6 @@ def main(argv=None) -> int:
     except HorizonExhausted as exc:
         print(f"horizon exhausted: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         _emit(report, args, time.monotonic() - started)
         sys.stdout.flush()

@@ -40,7 +40,7 @@ from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ScenarioError, decimal, rational
+from .errors import ScenarioError, decimal, fraction_str, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -360,7 +360,7 @@ def format_cost_table(table: CostTable) -> str:
     before = None
     for row in table.rows:
         if row is not before:
-            line = " ".join([f"{v.numerator}/{v.denominator}" for v in row])
+            line = " ".join(map(fraction_str, row))
             before = row
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -486,4 +486,5 @@ def static_table(base_row: Sequence, horizon: int, normalized: bool = False) -> 
 
 
 def dyadic_decay_row(width: int, shift: int = 0, scale=ONE) -> tuple[Fraction, ...]:
-    return tuple(Fraction(scale) * Fraction(1, 2 ** (x + shift)) for x in range(width))
+    p, q = Fraction(scale).as_integer_ratio()
+    return tuple(Fraction(p, q << (x + shift)) for x in range(width))

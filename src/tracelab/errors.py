@@ -1,7 +1,7 @@
 """Error types shared by the engines and the CLI; `decimal` and `signed`,
 the one reader of the decimal tokens that the text formats, the flags and
-the scenarios' integer strings hold; and `rational`, the one reader of their
-rational tokens.
+the scenarios' integer strings hold; `rational`, the one reader of their
+rational tokens; and `fraction_str`, the one writer of the `p/q` token.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
@@ -58,6 +58,14 @@ def rational(text: str) -> Optional[Fraction]:
         except (ValueError, ZeroDivisionError):
             pass
     return None
+
+
+def fraction_str(value) -> str:
+    """`value` as its `p/q` token; more digits than `str` converts is a `ScenarioError`."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ScenarioError("a rational in the report has too many digits to write") from None
 
 
 @contextmanager

@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 
 from . import costs
-from .errors import ScenarioError, prefixed
+from .errors import ScenarioError, fraction_str, prefixed
 from .scenarios import build_promotion_engine, run_synth
-from .words import random_word
+from .words import flip, random_word
 
 
 def fuzz_cost_table(rng: random.Random, horizon: int) -> costs.CostTable:
@@ -88,11 +88,6 @@ def boxpromo_payload(rng: random.Random, index: int, horizon: int | None = None)
     return payload
 
 
-def _flip(word: str, position: int) -> str:
-    bit = "1" if word[position] == "0" else "0"
-    return word[: position] + bit + word[position + 1 :]
-
-
 def synth_approximation(rng: random.Random, horizon: int, flips: list[tuple[int, int]]) -> str:
     """Text block for an approximation that starts random and applies the
     given (stage, position) flips."""
@@ -104,7 +99,7 @@ def synth_approximation(rng: random.Random, horizon: int, flips: list[tuple[int,
         flip_map.setdefault(stage, []).append(position)
     for stage in range(1, horizon):
         for position in flip_map.get(stage, ()):
-            word = _flip(word, position)
+            word = flip(word, position)
         rows.append(word)
     return "\n".join([f"{horizon} {width}"] + rows)
 
@@ -122,7 +117,7 @@ def listed_cost_block(rng: random.Random, horizon: int, flavor: str | None = Non
         base = costs.dyadic_decay_row(horizon, shift=rng.randint(1, 3))
     # Stage s keeps the first s entries of `base` and zeroes the rest; the
     # text is written directly, in `costs.format_cost_table`'s format.
-    texts = [f"{v.numerator}/{v.denominator}" for v in base]
+    texts = [fraction_str(v) for v in base]
     zeros = ["0/1"] * horizon
     lines = [f"{horizon} {horizon}", *(" ".join(texts[:s] + zeros[s:]) for s in range(horizon))]
     return "\n".join(lines) + "\n"

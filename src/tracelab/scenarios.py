@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import InvariantViolation, ScenarioError, decimal, rational, signed
+from .errors import InvariantViolation, ScenarioError, decimal, fraction_str, rational, signed
 from .promotion import CoherentLengths, PromotionEngine
 from .synthesis import (
     PartialStageMap,
@@ -38,16 +38,6 @@ from .synthesis import (
 )
 from .tracer import BoxLayout, HonestPolicy, RandomPolicy, ScriptedPolicy
 from .words import check_word
-
-
-def fraction_str(value: Fraction) -> str:
-    """`value` as its `n/d` text; a rational with more digits than `str`
-    converts is a `ScenarioError`."""
-    value = Fraction(value)
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:
-        raise ScenarioError("a rational in the report has too many digits to write") from None
 
 
 def parse_rational(value, what: str) -> Fraction:
@@ -249,8 +239,7 @@ def build_promotion_engine(payload: dict) -> PromotionEngine:
     )
 
 
-def run_boxpromo(payload: dict) -> dict:
-    engine = build_promotion_engine(payload).run()
+def boxpromo_report(engine: PromotionEngine) -> dict:
     report = {
         "kind": "boxpromo",
         "parameters": {
@@ -498,7 +487,7 @@ def run_costfn_check(payload: dict) -> dict:
 def run_scenario(source) -> dict:
     payload = load_scenario(source)
     if payload["kind"] == "boxpromo":
-        return run_boxpromo(payload)
+        return boxpromo_report(build_promotion_engine(payload).run())
     if payload["kind"] == "synth":
         return run_synth(payload)
     return run_costfn_check(payload)

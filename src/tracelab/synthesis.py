@@ -33,7 +33,7 @@ from .approximations import (
     readable_depth,
     unpair,
 )
-from .costs import CostTable, ZERO, first_difference, halving_exponent
+from .costs import CostTable, ZERO, dyadic_decay_row, first_difference, halving_exponent
 from .errors import InvariantViolation, ScenarioError
 
 
@@ -142,7 +142,7 @@ class SynthesisRun:
         # Per stage, the cost row it reads; a stage that changes nothing
         # shares its predecessor's row object.  No stage defines the index-1
         # row; it is identified with the initial one.
-        base = tuple(Fraction(1, 2**z) for z in range(self.width))
+        base = dyadic_decay_row(self.width)
         self.rows: list[tuple[Fraction, ...]] = [base, base]
         self.speedup: list[int] = [0]
         self.sped: list[str] = [approximation.rows[0]]  # appr.rows[speedup[v]] at v

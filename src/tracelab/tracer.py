@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal
-from .words import check_word, comparable, random_word
+from .words import check_word, comparable, flip, random_word
 
 Pattern = tuple[tuple[int, tuple[int, ...]], ...]
 BoxKey = tuple[str, int, "int | Pattern"]  # ("I", level, slot) or ("M", level, pattern)
@@ -389,7 +389,7 @@ class RandomPolicy:
         stem = members[0][:floor] if members else ""
         value = stem + random_word(self.rng, length - len(stem))
         if value in members:
-            value = value[:-1] + ("1" if value[-1] == "0" else "0")
+            value = flip(value, len(value) - 1)
         return value if value not in members else None
 
     def _feed_pair(self, env: Environment, level: int, slot: int, index: int, moves) -> None:

@@ -1,4 +1,4 @@
-"""Finite 0/1 words: validation, prefixes, comparability and random draws.
+"""Finite 0/1 words: validation, prefixes, comparability, flips and random draws.
 
 Words are plain Python strings over the alphabet {'0', '1'}; the empty word is
 allowed.  All operations but `random_word`, which draws from the generator it
@@ -24,6 +24,12 @@ def restrict(word: str, length: int) -> str:
     if length < 0 or length > len(word):
         raise ValueError(f"cannot restrict a word of length {len(word)} to {length}")
     return word[:length]
+
+
+def flip(word: str, position: int) -> str:
+    """`word` with its bit at `position` (0 <= position < len(word)) flipped."""
+    bit = "1" if word[position] == "0" else "0"
+    return word[:position] + bit + word[position + 1 :]
 
 
 def is_prefix(shorter: str, longer: str) -> bool:

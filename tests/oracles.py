@@ -6,7 +6,7 @@ from itertools import combinations, product
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
 from tracelab.costs import first_difference, marker_sequence
 from tracelab.promotion import WitnessAudit
-from tracelab.scenarios import build_promotion_engine, machine_format, run_boxpromo
+from tracelab.scenarios import boxpromo_report, build_promotion_engine, machine_format
 from tracelab.words import comparable, is_prefix, restrict
 
 
@@ -27,17 +27,6 @@ def readable(appr: WordApproximation, stage: int, position: int, wall: int) -> b
         return False
     ready = appr.schedule.get((stage, position), stage)
     return ready is not None and ready <= wall
-
-
-def stepping_bound(budget_exp: int, eps) -> int:
-    """The closed-form marker bound at threshold `eps`, its exponent found by
-    stepping j = 0, 1, 2, ... up to the least j with 2^-j < eps/2."""
-    eps = Fraction(eps)
-    sharp = 0
-    while Fraction(1, 2**sharp) >= eps / 2:
-        sharp += 1
-    wide = 2 ** (budget_exp + sharp)
-    return 2 + wide + sharp * sharp * (1 + 2**sharp + wide)
 
 
 def observed_values(stage_map, stage: int) -> list[int]:
@@ -326,11 +315,17 @@ def promotion_stages(payload: dict):
 
 
 def check_promotion_run(payload: dict) -> None:
-    """Run the promotion scenario `payload` stage by stage through
-    `check_stage`, then check that `machine_format` writes its report as
-    `json.dumps(report, sort_keys=True, indent=2)` does."""
-    latched, members = {}, {}
-    for engine, stage, before in promotion_stages(payload):
+    """Run the promotion scenario `payload` once, through `run()`, with
+    `check_stage` after each of its stages, then check that `machine_format`
+    writes its report as `json.dumps(report, sort_keys=True, indent=2)` does."""
+    engine = build_promotion_engine(payload)
+    run_stage, latched, members = engine._stage, {}, {}
+
+    def checked_stage(stage: int) -> None:
+        before = len(engine.witness_audits)
+        run_stage(stage)
         check_stage(engine, stage, before, latched, members)
-    report = run_boxpromo(payload)
+
+    engine._stage = checked_stage
+    report = boxpromo_report(engine.run())
     assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"

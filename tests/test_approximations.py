@@ -24,7 +24,7 @@ from tracelab.approximations import (
 )
 from tracelab.costs import change_costs, dyadic_decay_row, obedience_sum, static_table
 from tracelab.errors import HorizonExhausted, ScenarioError
-from tracelab.words import random_word
+from tracelab.words import flip, random_word
 
 F = Fraction
 
@@ -178,8 +178,7 @@ def stabilizing_block(rng, horizon, width, flips):
     for s in range(1, horizon):
         for stage, position in flips:
             if stage == s:
-                bit = "1" if word[position] == "0" else "0"
-                word = word[:position] + bit + word[position + 1 :]
+                word = flip(word, position)
         rows.append(word)
     return WordApproximation(tuple(rows))
 

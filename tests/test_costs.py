@@ -255,6 +255,12 @@ def test_cost_table_round_trip():
     assert again.rows == table.rows
 
 
+def test_a_cost_table_entry_too_long_to_write_is_a_scenario_error():
+    table = CostTable([[F(1, 2**15000)]])
+    with pytest.raises(ScenarioError, match="^a rational in the report has too many digits to write$"):
+        format_cost_table(table)
+
+
 def test_parse_cost_table_reports_line_numbers():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_cost_table("nonsense\n")

@@ -23,7 +23,7 @@ from tracelab.fuzz import (
     listed_cost_block,
     synth_payload,
 )
-from tracelab.scenarios import machine_format, run_boxpromo, run_scenario
+from tracelab.scenarios import machine_format, run_scenario
 
 
 def test_payload_generation_is_deterministic():
@@ -201,7 +201,7 @@ def tallied_from_reports(count, seed, horizon=None):
     oracles = {}
     for index in range(count):
         payload = boxpromo_payload(rng, index, horizon=horizon)
-        report = run_boxpromo(payload)
+        report = run_scenario(payload)
         policy = payload["oracle"]["policy"]
         oracles[policy] = oracles.get(policy, 0) + 1
         conflicts += report["tallies"]["conflicts"]

@@ -17,9 +17,9 @@ from tracelab.costs import (
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import CANNED_SCRIPT, boxpromo_payload, canned_scripted_payload
 from tracelab.promotion import Candidate, CoherentLengths, PromotionEngine
-from tracelab.scenarios import build_promotion_engine, machine_format, parse_script, run_boxpromo
+from tracelab.scenarios import build_promotion_engine, machine_format, parse_script, run_scenario
 from tracelab.tracer import BoxLayout, HonestPolicy, ScriptedPolicy
-from tracelab.words import is_prefix
+from tracelab.words import flip, is_prefix
 
 F = Fraction
 
@@ -83,7 +83,7 @@ def test_slack_from_markers_covers_observed_lengths():
 
 
 def test_scripted_conflict_promotes_and_certifies():
-    report = run_boxpromo(canned_scripted_payload())
+    report = run_scenario(canned_scripted_payload())
     level2 = report["levels"]["2"]
     assert level2["lengths"] == [2, 3]
     assert level2["conflicts"] == {"2": {"stage": 5, "pair": [1, 2]}}
@@ -103,8 +103,8 @@ def test_a_slack_field_is_ignored():
     # Each level's length capacity comes from the cost table's marker counts,
     # so a `slack` field, here tighter than those counts, changes nothing.
     payload = canned_scripted_payload()
-    report = machine_format(run_boxpromo(payload))
-    assert machine_format(run_boxpromo(dict(payload, slack={"1": 1, "2": 1}))) == report
+    report = machine_format(run_scenario(payload))
+    assert machine_format(run_scenario(dict(payload, slack={"1": 1, "2": 1}))) == report
 
 
 TWO_CONFLICT_FEEDS = [
@@ -151,7 +151,7 @@ def two_conflict_payload():
 
 
 def test_two_stacked_conflicts_build_a_three_element_witness():
-    report = run_boxpromo(two_conflict_payload())
+    report = run_scenario(two_conflict_payload())
     level3 = report["levels"]["3"]
     assert level3["lengths"] == [3, 4]
     assert set(level3["conflicts"]) == {"1", "2"}
@@ -188,14 +188,14 @@ def honest_payload(seed, horizon=24, overhead=1, top=3, delay=1):
 
 def test_honest_oracle_never_conflicts():
     for seed in range(6):
-        report = run_boxpromo(honest_payload(seed))
+        report = run_scenario(honest_payload(seed))
         assert report["tallies"]["conflicts"] == 0
         assert report["witness_audits"] == []
 
 
 def test_honest_extraction_tracks_the_ground_truth():
     payload = honest_payload(3)
-    report = run_boxpromo(payload)
+    report = run_scenario(payload)
     truth = payload["ground_truth"]
     extraction = report["extraction"]
     assert extraction["truncated_at"] is None
@@ -277,7 +277,7 @@ def test_a_second_credible_word_is_an_invariant_violation():
     engine = build_promotion_engine(honest_payload(4)).run()
     anchor = engine.extraction.anchor
     word = next(s.word for s in engine.extraction.steps if len(s.word) > len(anchor))
-    twin = word[:-1] + ("1" if word[-1] == "0" else "0")  # extends the anchor too
+    twin = flip(word, len(word) - 1)  # extends the anchor too
     for state in engine.levels.values():
         for slot in state.slots:
             for c in [c for c in slot.candidates if c.word == word]:
@@ -485,7 +485,7 @@ def test_scenario_accepts_an_approximation_block_for_the_truth():
     truth = payload.pop("ground_truth")
     rows = [truth] * 16
     payload["approximation"] = "\n".join(["16 16"] + rows)
-    report = run_boxpromo(payload)
+    report = run_scenario(payload)
     assert report["extraction"]["anchor"] == truth[: len(report["extraction"]["anchor"])]
 
 
@@ -524,7 +524,7 @@ def early_trace_payload():
 def test_early_trace_values_become_candidates_when_the_test_exists():
     # A value of the right length enumerated before its slot is tested must
     # surface as a candidate the moment the test is placed.
-    report = run_boxpromo(early_trace_payload())
+    report = run_scenario(early_trace_payload())
     assert report["levels"]["2"]["candidates"]["2"] == ["000"]
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import observed_values, scan_readable_depth, stepping_bound
+from oracles import observed_values, scan_readable_depth
+from tracelab.acceptance import stepping_bound
 from tracelab.approximations import WordApproximation, compose_rows, readable_depth
 from tracelab.costs import CostTable, halving_exponent, marker_sequence
 from tracelab.errors import InvariantViolation, ScenarioError
@@ -19,6 +20,7 @@ from tracelab.synthesis import (
     audit_requirement,
     closed_form_bound,
 )
+from tracelab.words import flip
 
 F = Fraction
 
@@ -43,8 +45,7 @@ def flipping_block(horizon, flips, width=None):
     for s in range(1, horizon):
         for stage, pos in flips:
             if stage == s:
-                bit = "1" if word[pos] == "0" else "0"
-                word = word[:pos] + bit + word[pos + 1 :]
+                word = flip(word, pos)
         rows.append(word)
     return WordApproximation(tuple(rows))
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import extensions_avoiding
-from tracelab.words import comparable, random_word, restrict
+from tracelab.words import comparable, flip, random_word, restrict
 
 words = st.text(alphabet="01", max_size=7)
 
@@ -27,6 +27,14 @@ def test_restrict_prefixes():
 def test_restrict_rejects_overlong():
     with pytest.raises(ValueError):
         restrict("0110", 5)
+
+
+def test_flip_changes_one_bit_and_undoes_itself():
+    word = "0110100"
+    for position in (0, 3, len(word) - 1):
+        flipped = flip(word, position)
+        assert [x for x, (a, b) in enumerate(zip(word, flipped)) if a != b] == [position]
+        assert len(flipped) == len(word) and flip(flipped, position) == word
 
 
 def test_comparable_cases():
