@@ -119,16 +119,18 @@ def _window_fault(before, row, k, end, s, width, normalized, listed_form) -> Opt
     1, then the listed-form tail, then the column check against stage s-1.
     Outside the window `row` equals `before`, which passed all of them, so
     each check looks only where the window can break it: the entry checks at
-    the window and one neighbour on each side, the tail at window positions
-    >= s, the column check at the window.  A failure's message comes from a
-    scan of the whole row, which finds the same first fault.
+    the window and one neighbour on each side, the tail check at entry s (a
+    row that passed the entry checks is non-negative and non-increasing, so
+    its tail at positions >= s is nonzero exactly when entry s is), the
+    column check at the window.  A failure's message comes from a scan of
+    the whole row, which finds the same first fault.
     """
     if len(row) != width:
         return f"row {s} has width {len(row)}, expected {width}"
     near = row[max(k - 1, 0) : end + 1]
     if near and (min(near) < 0 or any(map(lt, near, near[1:])) or normalized and max(near) > 1):
         return _row_fault(row, s, normalized)
-    if listed_form and any(row[max(s, k) : end]):
+    if listed_form and s < width and row[s]:
         return f"nonzero tail value in listed-form row {s}"
     if before is not None and any(map(gt, before[k:end], row[k:end])):
         x = next(x for x in range(width) if before[x] > row[x])
@@ -470,15 +472,6 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         numbers[1:],
     )
     return table
-
-
-def to_listed_form(table: CostTable) -> CostTable:
-    """Zero out positions x >= s; preserves both monotonicity directions."""
-    rows = tuple(
-        tuple(v if x < s else ZERO for x, v in enumerate(row))
-        for s, row in enumerate(table.rows)
-    )
-    return CostTable(rows, normalized=table.normalized, listed_form=True)
 
 
 def static_table(base_row: Sequence, horizon: int, normalized: bool = False) -> CostTable:

@@ -511,33 +511,25 @@ def _pad(depth: int) -> str:
     return _PADS[depth] if depth < len(_PADS) else "\n" + "  " * depth
 
 
-def _json_key(key) -> str:
-    """A dict key as `json` writes it: strings as they are, float, bool,
-    None and int keys by their JSON text, quoted."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float):
-        return _json_str(json.dumps(key))
-    if key is True or key is False or key is None:
-        return '"' + _LITERALS[key] + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _write_json(value, depth: int, out) -> None:
     """Pass the indent-2 JSON text of `value`, nested `depth` deep, to `out`
     in pieces.  Strings, ints, bools and None inside a container are written
-    in its loop; a float, an int or str subclass or anything `json` rejects
-    goes through `json.dumps`, which gives its text or raises."""
+    in its loop; a float, an int or str subclass, a dict whose keys are not
+    strings or anything `json` rejects goes through `json.dumps`, which gives
+    its text or raises.  A dict's text is indented to `depth` at each newline,
+    all of them layout, as `json` escapes a newline inside a string."""
     if isinstance(value, dict):
         if not value:
             out("{}")
             return
+        items = sorted(value.items())
+        if not isinstance(items[0][0], str):
+            out(json.dumps(value, sort_keys=True, indent=2).replace("\n", _pad(depth)))
+            return
         inner = _pad(depth + 1)
         sep = "{" + inner
-        for key, item in sorted(value.items()):
-            head = sep + (_json_str(key) if type(key) is str else _json_key(key)) + ": "
+        for key, item in items:
+            head = sep + _json_str(key) + ": "
             kind = type(item)
             if kind is str:
                 out(head + _json_str(item))

@@ -150,7 +150,6 @@ class SynthesisRun:
         self.halted_at: Optional[int] = None
         self.states = [RequirementState(r) for r in requirements]
         self.doubling_stages: list[tuple[int, int]] = []  # (stage, doubled position)
-        self.extension_stages: list[int] = []
         self.worried_log: list[tuple[int, int, int]] = []  # (stage, requirement, position)
         # Set when run() ends.
         self.cost_table: Optional[CostTable] = None
@@ -250,7 +249,6 @@ class SynthesisRun:
             self.speedup.append(bar)
             self.sped.append(self.appr.rows[bar])
             self.rows.append(self.rows[-1])
-            self.extension_stages.append(stage)
             self._extend_checkpoints(stage)
             if self.speedup[-1] <= self.speedup[-2]:
                 raise InvariantViolation("speed-up map stopped increasing")

@@ -19,8 +19,10 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
+from tracelab.costs import dyadic_decay_row, format_cost_table, static_table
 from tracelab.fuzz import CANNED_SCRIPT, canned_scripted_payload
+
+from oracles import to_listed_form
 
 PREFIXES = {1: "error: ", 2: "invariant violation: ", 3: "horizon exhausted: "}
 
@@ -292,7 +294,7 @@ CASES = [
     scenario("cube-box-digits", "boxpromo", script(f"5 M2.{LONG}:1 0"), f"bad cube-box spec 'M2.{LONG}:1'"),
     scenario("cube-index-digits", "boxpromo", script(f"5 M2.2:{LONG} 0"), f"bad cube-box spec 'M2.2:{LONG}'"),
     scenario("synth-eps-digits", "synth", dict(SMALL, eps=["1e-4400"]),
-             "a rational in the report has too many digits to write"),
+             "synth scenario 'eps': bad rational '1e-4400'"),
     scenario("budget-digits", "synth", dict(SMALL, budget_exp=14300),
              "synth scenario 'budget_exp': the bound at eps 1/2 has too many digits to write"),
     # 2^budget_exp alone is too long to write, so the run stops before its
@@ -365,7 +367,10 @@ CASES += [
     Case("bound-count-digits", ["costfn", "check-benign", "{c.table}", "--eps", "1/2", "--bound", f"1/2={LONG}"],
          f"bad bound entry '1/2={LONG}', expected eps=count", TABLE),
     Case("eps-digits", ["costfn", "markers", "{c.table}", "--eps", "1e-4305"],
-         "a rational in the report has too many digits to write", TABLE),
+         "--eps: bad rational '1e-4305'", TABLE),
+    # An exponent is refused before it is expanded.
+    Case("eps-exponent-huge", ["costfn", "markers", "{c.table}", "--eps", "1e-999999999"],
+         "--eps: bad rational '1e-999999999'", TABLE),
     Case("out-directory", ["costfn", "markers", "{c.table}", "--eps", "1/2", "--out", "{DIR}"],
          "[Errno 21] Is a directory: '{DIR}'", TABLE),
     Case("out-missing-folder", ["costfn", "markers", "{c.table}", "--eps", "1/2", "--out", "{DIR}/no/report.json"],

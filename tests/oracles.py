@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from tracelab.approximations import ChangeSet, WordApproximation, pair_code
-from tracelab.costs import first_difference, marker_sequence
+from tracelab.costs import CostTable, first_difference, marker_sequence
 from tracelab.promotion import WitnessAudit
 from tracelab.scenarios import boxpromo_report, build_promotion_engine, machine_format
 from tracelab.words import comparable, is_prefix, restrict
@@ -126,6 +126,16 @@ def marker_table(cost, top_level: int) -> dict:
     """The marker sequence at every threshold 2^-r, r <= top_level, by one
     scan per threshold."""
     return {r: marker_sequence(cost, Fraction(1, 2**r)) for r in range(top_level + 1)}
+
+
+def to_listed_form(table) -> CostTable:
+    """`table` with every entry at a position x >= its stage s set to 0, as
+    a listed-form table; both monotonicity directions survive."""
+    rows = tuple(
+        tuple(v if x < s else Fraction(0) for x, v in enumerate(row))
+        for s, row in enumerate(table.rows)
+    )
+    return CostTable(rows, normalized=table.normalized, listed_form=True)
 
 
 def scan_obedience(table, rows) -> list:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tracelab
 from tracelab import acceptance, synthesis
 from tracelab.cli import main
-from tracelab.costs import dyadic_decay_row, format_cost_table, static_table, to_listed_form
+from tracelab.costs import dyadic_decay_row, format_cost_table, static_table
 from tracelab.errors import ScenarioError
 from tracelab.fuzz import boxpromo_payload, canned_scripted_payload, fuzz, synth_payload
 from tracelab.scenarios import (
@@ -26,6 +26,7 @@ from tracelab.scenarios import (
 )
 
 from bad_inputs import CASES, LISTED_20, PREFIXES, check, decay_text, synth_payload_small
+from oracles import to_listed_form
 
 
 def write_json(tmp_path, name, payload):
@@ -244,6 +245,25 @@ def test_machine_format_writes_each_levels_audits_with_their_level():
     assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def test_machine_format_writes_keys_that_are_not_strings_as_json_dumps():
+    # A dict whose keys are not strings goes to `json.dumps` whole, its
+    # layout indented to its depth.
+    report = {"kind": "x", "outer": {"mixed": {2: [1, "a\nb"], 0.5: {}, -1: True}, "none": {None: {"k": 1.5}}}}
+    assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_cli_version_matches_pyproject(capsys):
+    # pyproject.toml is read as text: Python 3.10 has no `tomllib`.
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    version = next(
+        line.split('"')[1] for line in pyproject.read_text().splitlines() if line.startswith("version = ")
+    )
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (f"tracelab {version}\n", "")
+
+
 def test_cli_usage_error_is_exit_one(capsys):
     for argv, missing in ((["boxpromo"], "action"), (["boxpromo", "run"], "scenario")):
         assert main(argv) == 1
@@ -255,6 +275,11 @@ def test_cli_usage_error_is_exit_one(capsys):
 
 def test_cli_missing_file_is_exit_one(capsys):
     assert main(["boxpromo", "run", "/nonexistent/scenario.json"]) == 1
+
+
+# A `p/q` threshold whose denominator has as many digits as `int` converts,
+# the most the reader takes.
+TINY_THRESHOLD = "1/" + "9" * 4300
 
 
 def test_cli_parse_error_is_exit_one(tmp_path, capsys):
@@ -271,19 +296,19 @@ def test_cli_parse_error_is_exit_one(tmp_path, capsys):
     assert main(["synth", "run", write_json(tmp_path, "wide.json", dict(synth_payload_small(), budget_exp=14000))]) == 0
     table = tmp_path / "c.table"
     table.write_text(decay_text(8))
-    assert main(["costfn", "sum", str(table), "--eps", "1e-4305"]) == 0
+    assert main(["costfn", "sum", str(table), "--eps", TINY_THRESHOLD]) == 0
 
 
 def test_a_tiny_synth_threshold_is_refused_quickly(tmp_path, capsys):
     """The closed-form bound finds its exponent in closed form, so a
-    threshold of 1e-16000 (about 53000 halvings) is refused at once."""
-    path = write_json(tmp_path, "s.json", dict(synth_payload_small(), eps=["1e-16000"]))
+    threshold near 1e-4300 (about 14300 halvings) is refused at once."""
+    path = write_json(tmp_path, "s.json", dict(synth_payload_small(), eps=[TINY_THRESHOLD]))
     start = time.perf_counter()
     status = main(["synth", "run", path])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (
-        1, "", "error: a rational in the report has too many digits to write\n"
+        1, "", f"error: synth scenario 'budget_exp': the bound at eps {TINY_THRESHOLD} has too many digits to write\n"
     )
     assert elapsed < 0.5
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import to_listed_form
 from tracelab.acceptance import certified_prefix, random_monotone_table
 from tracelab.costs import (
     CostTable,
@@ -16,7 +17,6 @@ from tracelab.costs import (
     parse_cost_table,
     static_table,
     sum_benign,
-    to_listed_form,
     totalize,
 )
 from tracelab.errors import ScenarioError

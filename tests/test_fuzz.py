@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import to_listed_form
 from tracelab import fuzz as fuzz_mod
 from tracelab.cli import main
 from tracelab.costs import (
@@ -12,7 +13,6 @@ from tracelab.costs import (
     format_cost_table,
     parse_cost_table,
     static_table,
-    to_listed_form,
 )
 from tracelab.errors import InvariantViolation, ScenarioError
 from tracelab.fuzz import (

@@ -272,10 +272,18 @@ def test_worry_doubles_the_cost_until_the_share_is_met():
     assert positions == {flip_pos}
     assert min(stages) > flip_stage
     # Doubling discipline: each cost bump doubles the least worried position
-    # and lifts lower positions to that value, never past 1.
+    # and lifts lower positions to that value, never past 1.  A second run,
+    # stepped as run() steps it, gives the frontier each stage starts from.
+    stepped = SynthesisRun(block, 0, [requirement], horizon)
+    frontier_at = {}
+    for stage in range(1, horizon):
+        if stepped.halted_at is not None:
+            break
+        frontier_at[stage] = stepped.frontier
+        stepped._stage(stage)
     table = out.cost_table
     for stage, target in out.doubling_stages:
-        frontier_then = sum(1 for t in out.extension_stages if t < stage)
+        frontier_then = frontier_at[stage]
         before, after = table.rows[stage], table.rows[stage + 1]
         assert after[target] == 2 * before[target]
         for y, (old, new) in enumerate(zip(before, after)):
