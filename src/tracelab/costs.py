@@ -40,7 +40,7 @@ from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ScenarioError, decimal, fraction_str, rational
+from .errors import ScenarioError, check_writable, decimal, fraction_str, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,16 +55,18 @@ class CostTable:
     """Exact cost table; stage s reads `rows[s]`, a tuple of `Fraction`s.
 
     `CostTable(rows)` takes one row per stage, of anything `Fraction`
-    accepts; a `Fraction` entry is kept as it is.  A row equal to its
-    predecessor's is neither converted nor copied, and its stage shares the
-    predecessor's row object.
+    accepts; a `Fraction` entry is kept as it is.  A row that is its
+    predecessor, or equal to it, is neither converted nor copied, and its
+    stage shares the predecessor's row object.
     """
 
     __slots__ = ("rows", "horizon", "width", "normalized", "listed_form")
 
     def __init__(self, rows: Sequence[Sequence], normalized=False, listed_form=False):
         windows = (
-            None if s and row == rows[s - 1] else (0, tuple(map(_exact, row)), 0)
+            None
+            if s and (row is rows[s - 1] or row == rows[s - 1])
+            else (0, tuple(map(_exact, row)), 0)
             for s, row in enumerate(rows)
         )
         self._build(windows, normalized, listed_form)
@@ -357,11 +359,12 @@ def totalize(
 
 def format_cost_table(table: CostTable) -> str:
     """The text format, each run of equal stages (one row object) formatted
-    once."""
+    once; a row too long to write is refused before any entry is converted."""
     lines = [f"{table.horizon} {table.width}"]
     before = None
     for row in table.rows:
         if row is not before:
+            check_writable(row)
             line = " ".join(map(fraction_str, row))
             before = row
         lines.append(line)

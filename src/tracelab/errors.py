@@ -1,13 +1,17 @@
 """Error types shared by the engines and the CLI; `decimal` and `signed`,
 the one reader of the decimal tokens that the text formats, the flags and
 the scenarios' integer strings hold; `rational`, the one reader of their
-rational tokens; and `fraction_str`, the one writer of the `p/q` token.
+rational tokens; and `fraction_str`, the one writer of the `p/q` token, with
+`check_writable`, its guard for a row.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
 """
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Optional
 
 
@@ -62,12 +66,28 @@ def rational(text: str) -> Optional[Fraction]:
     return None
 
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+TOO_MANY_DIGITS = "a rational in the report has too many digits to write"
+
+
 def fraction_str(value) -> str:
     """`value` as its `p/q` token; more digits than `str` converts is a `ScenarioError`."""
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise ScenarioError("a rational in the report has too many digits to write") from None
+        raise ScenarioError(TOO_MANY_DIGITS) from None
+
+
+def check_writable(values) -> None:
+    """Refuse rationals, before `fraction_str` converts any, when one holds an
+    integer whose bit length alone puts it past `str`'s digit limit
+    (`sys.get_int_max_str_digits()`, 0 for none).  An integer of b bits has
+    more than (b - 1) log10(2) digits, so more than `limit` once b - 1
+    exceeds 3.322 limit, as 3.322 exceeds log2(10)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    parts = chain(map(_numerator, values), map(_denominator, values))
+    if limit and max(map(int.bit_length, parts), default=0) > limit * 3322 // 1000 + 1:
+        raise ScenarioError(TOO_MANY_DIGITS)
 
 
 @contextmanager

@@ -15,7 +15,10 @@ An honest run's extraction decides credibility once: its anchor stage is the
 first at which the base level's chain check holds for the truth's prefix,
 `uniqueness_sweep` tabulates the credible word at every level and every
 stage from there on (raising where two are credible), and each step reads
-that table.
+that table.  Both run after the last stage, when the slots and candidates
+are final, and evaluate only at the stages where a level's answer can
+change: a slot's `added`, or a candidate's `appeared` or `since`
+(`LevelState.change_stages`).  Every other entry repeats the one before.
 `Extraction.expensive` counts, per threshold exponent n, the steps that cost
 at least 2^-n.
 
@@ -149,6 +152,19 @@ class LevelState:
 
     def slots_by(self, stage: int) -> int:
         return sum(1 for slot in self.slots if slot.added <= stage)
+
+    def change_stages(self) -> set[int]:
+        """Stages where a slot was added, or a candidate listed or first
+        successful: the only stages where `slots_by`, a candidate's
+        `appeared <= stage` or its `successful_at` can change."""
+        stages = set()
+        for slot in self.slots:
+            stages.add(slot.added)
+            for candidate in slot.candidates:
+                stages.add(candidate.appeared)
+                if candidate.since is not None:
+                    stages.add(candidate.since)
+        return stages
 
 
 @dataclass
@@ -500,11 +516,13 @@ class PromotionEngine:
         if self.env.ground_truth is None:
             raise ScenarioError("extraction needs a ground-truth word")
         # Stage `overhead` runs and lists a base-level length.  From the stage
-        # the last base slot was added on, the chain check covers every base slot.
+        # the last base slot was added on, the chain check covers every base
+        # slot, and its answer changes only at the base level's change stages.
         base = self.levels[self.overhead]
         anchor = self.env.ground_truth[: base.top_length()]
         first = max(self.overhead + 1, base.slots[-1].added)
-        for anchor_stage in range(first, self.horizon):
+        stages = sorted(s for s in base.change_stages() | {first} if first <= s < self.horizon)
+        for anchor_stage in stages:
             if self._believable_chain_ok(anchor, self.overhead, anchor_stage):
                 break
         else:
@@ -547,9 +565,25 @@ class PromotionEngine:
 
     def uniqueness_sweep(self, anchor: str, from_stage: int) -> dict[tuple[int, int], str | None]:
         """The credible word, or None, at every level and every stage from
-        `from_stage` on; `believable` raises where two words are credible."""
-        return {
-            (level, stage): self.believable(level, stage, anchor)
-            for level in self.levels
-            for stage in range(from_stage, self.horizon)
-        }
+        `from_stage` on; `believable` raises where two words are credible.
+
+        `believable(level, stage, anchor)` reads, at the levels up to
+        `level`, only `slots_by(stage)`, whether each candidate's `appeared`
+        is at most `stage`, and `successful_at(stage)`.  Each of these, and so
+        its answer and whether it raises, changes only at a change stage of
+        those levels: a slot's `added`, a candidate's `appeared` or its
+        `since`.  So it is evaluated at `from_stage` and at each later change
+        stage, and its answer carried across the stages between; the first
+        (level, stage) where two words are credible is one of those, and
+        raises as the every-stage table would.
+        """
+        credible: dict[tuple[int, int], str | None] = {}
+        changes: set[int] = set()
+        for level, state in self.levels.items():
+            changes |= state.change_stages()
+            word = None
+            for stage in range(from_stage, self.horizon):
+                if stage == from_stage or stage in changes:
+                    word = self.believable(level, stage, anchor)
+                credible[level, stage] = word
+        return credible

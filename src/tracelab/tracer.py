@@ -188,6 +188,7 @@ class Environment:
         self.initial_boxes: dict[tuple[int, int], Box] = {}  # (n, slot) -> box, tested or not
         self.pair_sigma: dict[tuple[int, int, int], str] = {}  # (n, k, i) -> candidate string
         self.lacking: dict[tuple[int, int, int], dict[Box, None]] = {}  # the success ledger
+        self.tested: list[Box] = []  # boxes in the order their events were set
 
     # ---- structure -------------------------------------------------------
 
@@ -220,6 +221,7 @@ class Environment:
             raise InvariantViolation(f"initial box {box} tested twice")
         box.functional.add_event("", length, stage)
         box.content = [(v, s, box.functional.member(v)) for v, s, _ in box.content]
+        self.tested.append(box)
         return box
 
     def activate_pair(self, level: int, slot: int, index: int, sigma: str, stage: int) -> list[Box]:
@@ -257,6 +259,7 @@ class Environment:
             child.functional.add_event(sigma, stage, stage)
             child.content = [(v, s, child.functional.member(v)) for v, s, _ in parent.content]
             spawned.append(child)
+        self.tested.extend(spawned)
         for child in spawned:
             family[child.pattern] = child
             for pair in child.pairs:
@@ -306,7 +309,16 @@ class Environment:
 
 class HonestPolicy:
     """Enumerates the functional's value on the ground truth into every box
-    whose tested cylinder captures it, a fixed delay after the capturing test."""
+    whose tested cylinder captures it, a fixed delay after the capturing test.
+
+    A box's due (stage, value) reads only its events and the ground truth,
+    and its events are set once, when it is tested or spawned.  So each step
+    files the boxes of `env.tested` it has not seen under their due stage
+    plus the delay, then feeds the boxes filed at or before this stage whose
+    content lacks the value.  A box may be overdue when first seen, as a
+    child inherits its parent's earlier events; it is fed at that step.
+    Content only grows, so a box skipped then is never fed.  A policy serves
+    one environment, as the random one does."""
 
     kind = "honest"
 
@@ -314,18 +326,22 @@ class HonestPolicy:
         if delay < 0:
             raise ScenarioError("delay must be nonnegative")
         self.delay = delay
+        self.seen = 0  # boxes of `env.tested` filed so far
+        self.due: dict[int, list[tuple[Box, str]]] = {}  # feeding stage -> (box, value)
 
     def step(self, env: Environment, stage: int) -> list[tuple[Box, str]]:
         if env.ground_truth is None:
             raise ScenarioError("honest policy needs a ground truth")
-        moves = []
-        for box in env.boxes():  # `oracle_step` sorts the moves
+        for box in env.tested[self.seen :]:
             due = env.honest_value(box)
-            if due is None:
-                continue
-            due_stage, value = due
-            if due_stage + self.delay <= stage and all(v != value for v, _, _ in box.content):
-                moves.append((box, value))
+            if due is not None:
+                self.due.setdefault(due[0] + self.delay, []).append((box, due[1]))
+        self.seen = len(env.tested)
+        moves = []  # `oracle_step` sorts them
+        for at in [at for at in self.due if at <= stage]:
+            for box, value in self.due.pop(at):
+                if all(v != value for v, _, _ in box.content):
+                    moves.append((box, value))
         return moves
 
 

@@ -303,39 +303,103 @@ def check_scans(engine, stage: int, audits_before: int, latched: dict) -> None:
     assert [vars(a) for a in engine.witness_audits[audits_before:]] == expected_audits, stage
 
 
-def check_stage(engine, stage: int, audits_before: int, latched: dict, members: dict) -> None:
+def scan_honest_moves(env, delay: int, stage: int) -> list:
+    """The honest oracle's moves at `stage`, (box, value) in box order, by a
+    scan of every box: each box whose due value is at least `delay` stages
+    old and not yet in its content."""
+    moves = []
+    for box in env.boxes():
+        due = env.honest_value(box)
+        if due is None:
+            continue
+        due_stage, value = due
+        if due_stage + delay <= stage and all(v != value for v, _, _ in box.content):
+            moves.append((box, value))
+    return moves
+
+
+def check_honest_moves(engine, stage: int, moves) -> None:
+    """The stage's enumerations are `moves`, the full-box scan taken before
+    the stage, in `oracle_step`'s order, each written as a new value."""
+    written = [(e["box"], e["value"]) for e in engine.stage_log[-1]["enumerations"]]
+    assert written == sorted((box.name, value) for box, value in moves), stage
+
+
+def scan_uniqueness(engine, anchor: str, from_stage: int) -> dict:
+    """The credible word, or None, at every level and every stage from
+    `from_stage` on, by one `believable` call per (level, stage)."""
+    return {
+        (level, stage): engine.believable(level, stage, anchor)
+        for level in engine.levels
+        for stage in range(from_stage, engine.horizon)
+    }
+
+
+def check_extraction(engine) -> None:
+    """An extraction's anchor stage is the first stage, from the one its
+    search starts at, where the base chain check holds, by a check of every
+    stage; when it anchors, `uniqueness_sweep` equals `scan_uniqueness`, in
+    key order too."""
+    extraction, base = engine.extraction, engine.levels[engine.overhead]
+    first = max(engine.overhead + 1, base.slots[-1].added)
+    stages = range(first, engine.horizon)
+    ok = (s for s in stages if engine._believable_chain_ok(extraction.anchor, engine.overhead, s))
+    assert extraction.anchor_stage == next(ok, engine.horizon)
+    if extraction.anchor_stage < engine.horizon:
+        sweep = engine.uniqueness_sweep(extraction.anchor, extraction.anchor_stage)
+        scan = scan_uniqueness(engine, extraction.anchor, extraction.anchor_stage)
+        assert list(sweep.items()) == list(scan.items())
+
+
+def check_stage(
+    engine, stage: int, audits_before: int, latched: dict, members: dict, moves=None
+) -> None:
     """After `engine._stage(stage)`, every fact the stage leaves behind equals
     its reference: the ledger, slot candidates, membership flags, class
-    events and scans, each as its check above states."""
+    events and scans, each as its check above states, and, for an honest
+    oracle, the enumerations `moves`, scanned before the stage."""
     check_ledger(engine, stage)
     check_slot_candidates(engine, stage)
     check_membership(engine, stage, members)
     check_class_events(engine, stage)
     check_scans(engine, stage, audits_before, latched)
+    if moves is not None:
+        check_honest_moves(engine, stage, moves)
+
+
+def honest_scan(engine, stage: int):
+    """`scan_honest_moves` at `stage` for an honest engine, else None."""
+    if engine.policy.kind != "honest":
+        return None
+    return scan_honest_moves(engine.env, engine.policy.delay, stage)
 
 
 def promotion_stages(payload: dict):
     """Build the promotion scenario `payload` and yield (engine, stage,
-    audits before the stage) after each of its stages."""
+    audits before the stage, `honest_scan` before the stage) after each of
+    its stages."""
     engine = build_promotion_engine(payload)
     for stage in range(engine.overhead, engine.horizon):
-        before = len(engine.witness_audits)
+        before, moves = len(engine.witness_audits), honest_scan(engine, stage)
         engine._stage(stage)
-        yield engine, stage, before
+        yield engine, stage, before, moves
 
 
 def check_promotion_run(payload: dict) -> None:
     """Run the promotion scenario `payload` once, through `run()`, with
-    `check_stage` after each of its stages, then check that `machine_format`
-    writes its report as `json.dumps(report, sort_keys=True, indent=2)` does."""
+    `check_stage` after each of its stages and `check_extraction` after an
+    honest run, then check that `machine_format` writes its report as
+    `json.dumps(report, sort_keys=True, indent=2)` does."""
     engine = build_promotion_engine(payload)
     run_stage, latched, members = engine._stage, {}, {}
 
     def checked_stage(stage: int) -> None:
-        before = len(engine.witness_audits)
+        before, moves = len(engine.witness_audits), honest_scan(engine, stage)
         run_stage(stage)
-        check_stage(engine, stage, before, latched, members)
+        check_stage(engine, stage, before, latched, members, moves)
 
     engine._stage = checked_stage
     report = boxpromo_report(engine.run())
+    if engine.extraction is not None:
+        check_extraction(engine)
     assert machine_format(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"

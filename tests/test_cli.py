@@ -313,6 +313,20 @@ def test_a_tiny_synth_threshold_is_refused_quickly(tmp_path, capsys):
     assert elapsed < 0.5
 
 
+def test_a_generated_table_too_long_to_write_is_refused_quickly(capsys):
+    """A horizon-15000 fuzz table repeats one dyadic row object, checked once,
+    whose denominators reach 2^14999: past the digit limit by bit length
+    alone, so the table is refused before any entry is converted."""
+    start = time.perf_counter()
+    status = main(["boxpromo", "fuzz", "--count", "1", "--horizon", "15000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (
+        1, "", "error: a rational in the report has too many digits to write\n"
+    )
+    assert elapsed < 0.5
+
+
 # Mutated inputs: a scenario with a field dropped or a value of another type
 # swapped in, and scenario, table, approximation and script texts truncated,
 # with a token or one of the bytes 0x00, 0x80 and 0xff inserted, or cut inside

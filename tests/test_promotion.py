@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,17 +274,50 @@ def test_expensive_counts_match_the_per_threshold_comparison():
     assert extracted >= 40
 
 
-def test_a_second_credible_word_is_an_invariant_violation():
-    engine = build_promotion_engine(honest_payload(4)).run()
-    anchor = engine.extraction.anchor
-    word = next(s.word for s in engine.extraction.steps if len(s.word) > len(anchor))
-    twin = flip(word, len(word) - 1)  # extends the anchor too
+def add_twins(engine, word: str, delay=None) -> None:
+    """Beside each candidate `word`, a twin that flips its last bit, listed
+    with the same stages or, given `delay`, `delay` stages later and
+    successful one stage after that."""
+    twin = flip(word, len(word) - 1)
     for state in engine.levels.values():
         for slot in state.slots:
             for c in [c for c in slot.candidates if c.word == word]:
+                appeared, since = c.appeared, c.since
+                if delay is not None:
+                    appeared = c.appeared + delay
+                    since = appeared + 1
                 index = len(slot.candidates) + 1
-                slot.candidates.append(Candidate(twin, c.appeared, c.slot, index, since=c.since))
-    with pytest.raises(InvariantViolation, match="two credible words"):
+                slot.candidates.append(Candidate(twin, appeared, c.slot, index, since=since))
+
+
+def second_credible_word(twin_delay=None):
+    """An honest engine after its run, with a twin beside its first step word
+    longer than the anchor; the message the every-stage scan raises with."""
+    engine = build_promotion_engine(honest_payload(4)).run()
+    anchor, anchor_stage = engine.extraction.anchor, engine.extraction.anchor_stage
+    word = next(s.word for s in engine.extraction.steps if len(s.word) > len(anchor))
+    add_twins(engine, word, twin_delay)  # each twin extends the anchor too
+    with pytest.raises(InvariantViolation) as raised:
+        oracles.scan_uniqueness(engine, anchor, anchor_stage)
+    return engine, str(raised.value)
+
+
+def test_a_second_credible_word_is_an_invariant_violation():
+    engine, message = second_credible_word()
+    assert message == "two credible words at level 2, stage 5: ['010', '011']"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        engine.extract_approximation()
+
+
+def test_a_second_credible_word_first_at_a_later_change_stage_is_an_invariant_violation():
+    # The twin is listed at stage 9 and succeeds at 10, a stage that only its
+    # `since` makes a change stage, well after the anchor stage 4.
+    engine, message = second_credible_word(twin_delay=5)
+    assert message == "two credible words at level 2, stage 10: ['010', '011']"
+    assert engine.extraction.anchor_stage == 4
+    run = build_promotion_engine(honest_payload(4)).run()
+    assert max(set().union(*(s.change_stages() for s in run.levels.values()))) < 9
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         engine.extract_approximation()
 
 
@@ -585,11 +619,22 @@ def test_extraction_reports_truncation_on_short_horizons():
 # ---- every stage against its references ------------------------------------------
 
 
+def late_length_payload():
+    """An honest run whose costs stay 0 until stage 12 and then reach 2^-3
+    but not 2^-2: only level 3 adds a length there, after its first word
+    became credible, so no word is credible at level 3 at stages 12-13."""
+    rows = [(F(0),) * 24] * 12 + [dyadic_decay_row(24, shift=3)] * 12
+    return dict(
+        honest_payload(0, top=3),
+        cost_table=format_cost_table(CostTable(rows, normalized=True)),
+    )
+
+
 def fixed_payloads():
     """Each fuzz index (honest, honest, random, random, scripted) at seeds 0
     and 1, a horizon-60 random run at top level 5 for each seed 0-3 (at seed
     3 level 5 latches a second conflict without adding a slot), the
-    two-conflict script and the early-trace script."""
+    two-conflict script, the early-trace script and the late-length run."""
     payloads = []
     for seed in (0, 1):
         rng = random.Random(seed)
@@ -597,7 +642,7 @@ def fixed_payloads():
     for seed in range(4):
         oracle = {"policy": "random", "seed": seed}
         payloads.append(dict(canned_scripted_payload(60), top_level=5, oracle=oracle))
-    return payloads + [two_conflict_payload(), early_trace_payload()]
+    return payloads + [two_conflict_payload(), early_trace_payload(), late_length_payload()]
 
 
 def stages_of_fixed_payloads():
@@ -606,31 +651,50 @@ def stages_of_fixed_payloads():
 
 
 def test_success_ledger_matches_the_lacking_oracle_at_every_stage():
-    for engine, stage, _ in stages_of_fixed_payloads():
+    for engine, stage, *_ in stages_of_fixed_payloads():
         oracles.check_ledger(engine, stage)
 
 
 def test_membership_flags_match_the_recursive_definition_at_every_stage():
     members = {}
-    for engine, stage, _ in stages_of_fixed_payloads():
+    for engine, stage, *_ in stages_of_fixed_payloads():
         oracles.check_membership(engine, stage, members)
 
 
 def test_slot_candidates_are_the_initial_box_members_at_every_stage():
-    for engine, stage, _ in stages_of_fixed_payloads():
+    for engine, stage, *_ in stages_of_fixed_payloads():
         oracles.check_slot_candidates(engine, stage)
 
 
 def test_every_class_holding_a_pair_has_one_event_at_its_word_at_every_stage():
-    for engine, stage, _ in stages_of_fixed_payloads():
+    for engine, stage, *_ in stages_of_fixed_payloads():
         oracles.check_class_events(engine, stage)
 
 
 def test_coherent_lengths_conflicts_and_audits_match_the_full_scans_on_fixed_payloads():
     for payload in fixed_payloads():
         latched = {}
-        for engine, stage, before in oracles.promotion_stages(payload):
+        for engine, stage, before, _ in oracles.promotion_stages(payload):
             oracles.check_scans(engine, stage, before, latched)
+
+
+def test_honest_enumerations_match_the_full_box_scan_at_every_stage():
+    honest = 0
+    for engine, stage, _, moves in stages_of_fixed_payloads():
+        if moves is not None:
+            oracles.check_honest_moves(engine, stage, moves)
+            honest += bool(moves)
+    assert honest >= 20  # stages that fed a box
+
+
+def test_uniqueness_sweep_and_anchor_stage_match_their_scans_on_fixed_payloads():
+    extracted = 0
+    for payload in fixed_payloads():
+        engine = build_promotion_engine(payload).run()
+        if engine.extraction is not None:
+            oracles.check_extraction(engine)
+            extracted += engine.extraction.anchor_stage < engine.horizon
+    assert extracted == 5
 
 
 def test_two_conflicts_latched_at_one_stage_match_the_full_scans():

@@ -351,6 +351,50 @@ def test_honest_policy_feeds_cube_classes_from_their_event_stage():
     assert by_box["M2.1:1"] == "011"  # truth restricted to the event depth (stage 3)
 
 
+def honest_steps(env, policy, stages, spawns) -> dict:
+    """Step `policy` at each of `stages`, activating the pairs `spawns[stage]`
+    after that stage's step; (box name, value) written per stage."""
+    written = {}
+    for stage in stages:
+        written[stage] = [(r.box.name, r.value) for r in oracle_step(env, policy, stage)]
+        for level, slot, index, sigma in spawns.get(stage, ()):
+            env.activate_pair(level, slot, index, sigma, stage)
+    return written
+
+
+def test_a_class_spawned_after_its_inherited_events_due_stage_is_fed_at_the_next_oracle_step():
+    # M2.1:1 tests the extensions of 01 at stage 3, and M2.1:1+2, spawned
+    # from it at stage 4, inherits that event.  At delay 2 both are fed at 5.
+    env = Environment(small_layout(), ground_truth="0110110")
+    env.add_initial_test(2, 1, 2, 1)
+    spawns = {3: [(2, 1, 1, "01")], 4: [(2, 1, 2, "00")]}
+    written = honest_steps(env, HonestPolicy(delay=2), range(1, 6), spawns)
+    assert written == {1: [], 2: [], 3: [("I2.1", "01")], 4: [], 5: [("M2.1:1", "011"), ("M2.1:1+2", "011")]}
+    # Classes that fell due at a stage the oracle skipped (here 5 and 6) are
+    # fed at its next step, whether it filed them before or sees them first.
+    for stages in ([3, 4, 7], [3, 7]):
+        env = Environment(small_layout(), ground_truth="0110110")
+        spawns = {3: [(2, 1, 1, "01"), (2, 1, 2, "00")]}
+        written = honest_steps(env, HonestPolicy(delay=2), stages, spawns)
+        assert written[7] == [("M2.1:1", "011"), ("M2.1:1+2", "011")]
+
+
+def test_a_child_that_inherited_its_due_value_is_never_moved():
+    # M2.1:1 is fed 011 at stage 4; the classes spawned from it at stage 5
+    # inherit both its event at stage 3 and its content, so no step feeds them.
+    env = Environment(small_layout(), ground_truth="0110110")
+    spawns = {3: [(2, 1, 1, "01")], 5: [(2, 1, 2, "00"), (2, 2, 1, "011")]}
+    written = honest_steps(env, HonestPolicy(delay=1), range(3, 10), spawns)
+    inheriting = {"M2.1:1+2", "M2.1:1.2:1", "M2.1:1+2.2:1"}
+    assert inheriting <= {box.name for box in env.boxes()}
+    for box in env.boxes():
+        if box.name in inheriting:
+            assert env.honest_value(box) == (3, "011") and box.content == [("011", 4, True)]
+    assert written[4] == [("M2.1:1", "011")]
+    assert not inheriting & {name for moves in written.values() for name, _ in moves}
+    assert ("M2.2:1", "01101") in written[6]  # a class due at its own spawn is fed
+
+
 def test_scripted_policy_validates_capacity_at_load():
     layout = small_layout()
     entries = [(1, "I2.1", "00"), (2, "I2.1", "01"), (3, "I2.1", "10")]
