@@ -120,7 +120,7 @@ class PromotionBatch(NamedTuple):
 
 
 def promotion_batch(*, seed: int = 20240811, runs: int = 200) -> PromotionBatch:
-    """The engines `fuzz("boxpromo", runs, seed)` tallies, with every bound
+    """The engines `boxpromo_batch(runs, seed)` tallies, with every bound
     audit armed, so a single falsified lemma aborts the batch.  Each honest
     run's `run()` extracts and, where the anchor settles inside the horizon,
     sweeps for believability uniqueness stage by stage."""

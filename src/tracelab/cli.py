@@ -17,6 +17,8 @@ from . import approximations as appr_mod
 from . import acceptance, costs, fuzz
 from .errors import HorizonExhausted, InvariantViolation, ScenarioError, decimal, fraction_str
 from .scenarios import (
+    LIMIT_THRESHOLD,
+    costfn_check_report,
     load_scenario,
     machine_format,
     parse_rational,
@@ -123,8 +125,8 @@ def _emit(report: dict, args, elapsed: float) -> None:
 def _cmd_costfn(args) -> dict:
     if args.action != "sum":
         # Checked here, so the messages name the flags.
-        eps_values = {positive_rational(text, "--eps") for text in args.eps}
-        bound, bounded = {}, set()
+        eps_list = [positive_rational(text, "--eps") for text in args.eps]
+        bound = {}
         if args.action == "check-benign":
             for token in args.bound:
                 eps_text, _, count_text = token.partition("=")
@@ -132,20 +134,13 @@ def _cmd_costfn(args) -> dict:
                 if count is None:
                     raise ScenarioError(f"bad bound entry {token!r}, expected eps=count")
                 eps = positive_rational(eps_text, "--bound")
-                if eps not in eps_values:
+                if eps not in eps_list:
                     raise ScenarioError(f"--bound: threshold {eps_text} is not among --eps")
-                if eps in bounded:
+                if eps in bound:
                     raise ScenarioError(f"--bound: threshold {eps_text} is bounded twice")
-                bounded.add(eps)
-                bound[eps_text] = count
-        return run_scenario(
-            {
-                "kind": "costfn-check",
-                "cost_table": read_text(args.table),
-                "eps": args.eps,
-                "bound": bound,
-            }
-        )
+                bound[eps] = count
+        table = costs.parse_cost_table(read_text(args.table))
+        return costfn_check_report(table, eps_list, bound, LIMIT_THRESHOLD)
     tables = [
         costs.parse_cost_table(read_text(p), normalized=True) for p in args.tables
     ]
@@ -213,7 +208,7 @@ def main(argv=None) -> int:
         if args.command == "boxpromo" and args.action == "run":
             report = run_scenario(args.scenario)
         elif args.command == "boxpromo":
-            report = fuzz.fuzz("boxpromo", args.count, args.seed, horizon=args.horizon)
+            report = fuzz.boxpromo_batch(args.count, args.seed, args.horizon)
         elif args.command == "synth" and args.action == "run":
             payload = load_scenario(args.scenario)
             kind = payload["kind"]
@@ -221,7 +216,7 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"synth run needs a synth scenario, got kind {kind!r}")
             report = run_synth(payload, artifacts_dir=args.emit_tables)
         elif args.command == "synth":
-            report = fuzz.fuzz("synth", args.count, args.seed, horizon=args.horizon)
+            report = fuzz.synth_batch(args.count, args.seed, args.horizon)
         elif args.command == "costfn":
             report = _cmd_costfn(args)
         elif args.command == "approx":

@@ -223,23 +223,6 @@ def obedience_sum(table: CostTable, rows: Sequence[str]) -> Fraction:
     return sum(change_costs(table, rows), ZERO)
 
 
-BoundFn = Callable[[Fraction], int]
-
-
-def _as_bound_fn(bound) -> BoundFn:
-    if not isinstance(bound, Mapping):
-        raise ScenarioError("bound must be a mapping")
-    table = {Fraction(k): int(v) for k, v in bound.items()}
-
-    def lookup(eps: Fraction) -> int:
-        eps = Fraction(eps)
-        if eps not in table:
-            raise ScenarioError(f"no bound recorded for threshold {eps}")
-        return table[eps]
-
-    return lookup
-
-
 def halving_exponent(epsilon) -> int:
     """Least j >= 0 with 2**-j <= epsilon."""
     eps = Fraction(epsilon)
@@ -250,11 +233,12 @@ def halving_exponent(epsilon) -> int:
     return j if p << j >= q else j + 1  # 2**-j <= p/q exactly when p * 2**j >= q
 
 
-def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, BoundFn]:
+def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, Callable]:
     """Weighted sum of the given normalized tables, part k scaled by 2**-k and
     entering only from stage k+1 on, over the shortest horizon and the
     narrowest width among them.  Each part comes with its bound g_k, a
-    mapping from threshold to marker count.
+    mapping from threshold to marker count that holds g_k(eps/4), keyed by
+    the `Fraction` eps/4, at every eps the certified bound is asked for.
 
     Returns the combined table and the certified bound
     eps -> sum over k <= ceil(-log2 eps) + 1 of g_k(eps/4).
@@ -262,7 +246,7 @@ def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, B
     if not parts:
         raise ScenarioError("need at least one part")
     tables = [p[0] for p in parts]
-    bounds = [_as_bound_fn(p[1]) for p in parts]
+    bounds = [p[1] for p in parts]
     for idx, t in enumerate(tables):
         # Rows never increase and columns never decrease, so the last stage's
         # first entry is the table's largest.
@@ -282,10 +266,9 @@ def sum_benign(parts: Sequence[tuple[CostTable, Mapping]]) -> tuple[CostTable, B
     combined = CostTable(tuple(rows))
 
     def certified(eps: Fraction) -> int:
-        eps = Fraction(eps)
         cutoff = halving_exponent(eps) + 1
         quarter = eps / 4
-        return sum(bounds[k](quarter) for k in range(min(cutoff + 1, len(bounds))))
+        return sum(bounds[k][quarter] for k in range(min(cutoff + 1, len(bounds))))
 
     return combined, certified
 

@@ -4,7 +4,8 @@ Every generated scenario is a plain payload dict, so a failing case can be
 dumped and replayed through the CLI unchanged.  A batch fails loudly: a
 case's error propagates out of the batch runner with its type unchanged and
 its message prefixed with the kind, the case index and the batch seed;
-`fuzz(kind, index + 1, seed)` generates that case's payload last.
+`boxpromo_batch(index + 1, seed, horizon)` or `synth_batch(index + 1, seed,
+horizon)`, at the batch's own horizon, generates that case's payload last.
 """
 from __future__ import annotations
 
@@ -172,16 +173,6 @@ def synth_payload(
     }
 
 
-def fuzz(kind: str, count: int, seed: int, **params) -> dict:
-    if count < 1:
-        raise ScenarioError("fuzz batch needs a positive count")
-    if kind == "boxpromo":
-        return _fuzz_boxpromo(seed, count, **params)
-    if kind == "synth":
-        return _fuzz_synth(seed, count, **params)
-    raise ScenarioError(f"unknown fuzz kind {kind!r}")
-
-
 def fuzz_case(kind: str, index: int, seed: int):
     """Context of one batch case: its errors keep their type and name what
     regenerates its payload."""
@@ -204,7 +195,9 @@ def boxpromo_engines(seed: int, count: int, horizon: int | None = None):
         yield engine
 
 
-def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
+def boxpromo_batch(count: int, seed: int, horizon: int | None = None) -> dict:
+    if count < 1:
+        raise ScenarioError("fuzz batch needs a positive count")
     conflicts = witness_stages = largest_trace = extractions = 0
     oracles: dict[str, int] = {}
     for engine in boxpromo_engines(seed, count, horizon):
@@ -227,7 +220,9 @@ def _fuzz_boxpromo(seed: int, count: int, horizon: int | None = None) -> dict:
     }
 
 
-def _fuzz_synth(seed: int, count: int, horizon: int = 120) -> dict:
+def synth_batch(count: int, seed: int, horizon: int = 120) -> dict:
+    if count < 1:
+        raise ScenarioError("fuzz batch needs a positive count")
     if horizon < 2:
         raise ScenarioError(f"synth fuzz needs a horizon of at least 2, got {horizon}")
     rng = random.Random(seed)

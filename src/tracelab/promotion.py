@@ -53,7 +53,7 @@ from .costs import (
     marker_sequence,
 )
 from .errors import InvariantViolation, ScenarioError
-from .tracer import Box, BoxLayout, Environment, oracle_step
+from .tracer import Box, BoxLayout, Environment, box_name, oracle_step
 from .words import comparable, is_prefix, restrict
 
 
@@ -253,7 +253,7 @@ class PromotionEngine:
         """Every stage, then, for an honest oracle, the extraction."""
         for stage in range(self.overhead, self.horizon):
             self._stage(stage)
-        if self.policy.kind == "honest" and self.env.ground_truth is not None:
+        if self.policy.kind == "honest":
             self.extraction = self.extract_approximation()
         return self
 
@@ -465,7 +465,7 @@ class PromotionEngine:
         box = self.env.classes.get(level, {}).get(canon)
         if box is None:
             raise InvariantViolation(
-                f"witness class {self.layout.cube_box(level, canon)} was never spawned"
+                f"witness class {box_name(('M', level, canon))} was never spawned"
             )
         return WitnessChain(slots, conflicted, antichain_members, sizes, deficits, box)
 

@@ -437,6 +437,9 @@ def run_synth(payload: dict, artifacts_dir=None) -> dict:
     return report
 
 
+LIMIT_THRESHOLD = Fraction(1, 8)  # the default vanishing-tail threshold of a costfn check
+
+
 def run_costfn_check(payload: dict) -> dict:
     where = "costfn-check scenario"
     table = costs.parse_cost_table(
@@ -458,6 +461,15 @@ def run_costfn_check(payload: dict) -> dict:
         if eps in bound:  # a second spelling of a threshold would replace its bound
             raise ScenarioError(f"{where} 'bound' key {k!r}: threshold bounded twice")
         bound[eps] = count
+    tail_threshold = parse_rational(
+        payload.get("limit_threshold", LIMIT_THRESHOLD), f"{where} 'limit_threshold'"
+    )
+    return costfn_check_report(table, eps_list, bound, tail_threshold)
+
+
+def costfn_check_report(table, eps_list: list, bound: dict, tail_threshold: Fraction) -> dict:
+    """`table`'s marker scan at each of `eps_list`, checked against `bound`
+    where it holds that threshold, and its last entry against `tail_threshold`."""
     entries = {}
     for eps in eps_list:
         seq = costs.marker_sequence(table, eps)
@@ -468,9 +480,6 @@ def run_costfn_check(payload: dict) -> dict:
     # The vanishing-tail condition is observed and reported, never enforced:
     # tables with a fat tail are legitimate inputs elsewhere.
     tail = table.value(table.horizon - 1, table.width - 1)
-    tail_threshold = parse_rational(
-        payload.get("limit_threshold", "1/8"), f"{where} 'limit_threshold'"
-    )
     return {
         "kind": "costfn-check",
         "shape": [table.horizon, table.width],

@@ -451,7 +451,7 @@ def oracle_step(env: Environment, policy, stage: int) -> list[EnumRecord]:
     """Apply one stage of the oracle: collect the policy's moves, enforce
     capacity (clamping only for the random adversary), record enumerations."""
     moves = policy.step(env, stage)
-    clamp = getattr(policy, "kind", "") == "random"
+    clamp = policy.kind == "random"
     records = []
     for box, value in sorted(moves, key=lambda m: (m[0].name, m[1])):
         record = env.enumerate_value(box, value, stage, clamp=clamp)

@@ -323,6 +323,25 @@ CASES = [
         "cost_table": FLAT_TABLE,
         "oracle": {"policy": "random", "activate_rate": "x"},
     }, "oracle 'activate_rate': expected a number, got 'x'"),
+    # A scenario that is no object, honest oracles without a usable ground
+    # truth or delay (the missing ground truth is refused before the delay is
+    # read), an unknown policy, and horizons and budgets out of range.
+    Case("scenario-list", ["boxpromo", "run", "{s.json}"], "scenario must be an object with a 'kind' field",
+         {"s.json": "[1, 2]"}),
+    scenario("honest-no-ground-truth", "boxpromo", dict(CANNED, oracle={"policy": "honest"}),
+             "honest oracle needs a ground truth word"),
+    scenario("honest-no-ground-truth-delay-text", "boxpromo", dict(CANNED, oracle={"policy": "honest", "delay": "x"}),
+             "honest oracle needs a ground truth word"),
+    scenario("ground-truth-short", "boxpromo", dict(CANNED, ground_truth="00000", oracle={"policy": "honest"}),
+             "ground truth must be at least horizon bits long"),
+    scenario("delay-negative", "boxpromo",
+             dict(CANNED, ground_truth="0" * 14, oracle={"policy": "honest", "delay": -1}),
+             "delay must be nonnegative"),
+    scenario("policy-unknown", "boxpromo", dict(CANNED, oracle={"policy": "lazy"}), "unknown oracle policy 'lazy'"),
+    scenario("boxpromo-horizon-one", "boxpromo", dict(CANNED, horizon=1),
+             "boxpromo scenario needs a horizon of at least 2"),
+    scenario("budget-negative", "synth", dict(SMALL, budget_exp=-1), "budget exponent must be nonnegative"),
+    scenario("synth-horizon-one", "synth", dict(SMALL, horizon=1), "horizon must be at least 2"),
 ]
 for rate in ("activate_rate", "feed_rate", "junk_rate"):
     CASES.append(scenario(f"{rate}-text", "boxpromo", random_rate(rate, "x"),
@@ -411,6 +430,11 @@ CASES += [
          "line 1: expected header 'S X', got '²4 3'", {"b.approx": "²4 3\n000\n"}),
     Case("approx-header-digits", ["approx", "change-set", "{b.approx}"],
          f"line 1: expected header 'S X', got '{LONG} 3'", {"b.approx": f"{LONG} 3\n000\n"}),
+    # A header with no stage rows.
+    Case("approx-no-rows", ["approx", "change-set", "{b.approx}"], "approximation needs at least one row",
+         {"b.approx": "0 5\n"}),
+    Case("table-no-rows", ["costfn", "markers", "{c.table}", "--eps", "1/2"],
+         "line 1: cost table needs at least one stage row", {"c.table": "0 5\n"}),
     Case("schedule-text", ["approx", "change-set", "{b.approx}"], "line 5: expected integer fields in '(a,1,2)'",
          {"b.approx": "2 2\n00\n01\n\n(a,1,2)\n"}),
     # A schedule field is a decimal token after an optional '-', like every
@@ -427,6 +451,7 @@ CASES += [
     # negative stage or none below the horizon, and a negative step count or
     # budget.
     Case("fuzz-count", ["boxpromo", "fuzz", "--count", "0"], "fuzz batch needs a positive count"),
+    Case("synth-fuzz-count", ["synth", "fuzz", "--count", "0"], "fuzz batch needs a positive count"),
     Case("boxpromo-fuzz-horizon", ["boxpromo", "fuzz", "--count", "1", "--horizon", "0"],
          "boxpromo fuzz needs a horizon of at least 3, got 0"),
     # The fifth case is the canned script, whose boxes sit at level 2.

@@ -9,7 +9,7 @@ import pytest
 
 from tracelab import acceptance
 from tracelab.errors import InvariantViolation
-from tracelab.fuzz import fuzz
+from tracelab.fuzz import boxpromo_batch
 from tracelab.promotion import PromotionEngine
 from tracelab.synthesis import SynthesisRun
 
@@ -92,7 +92,7 @@ def test_a_promotion_batch_fault_names_its_fuzz_case(monkeypatch):
         acceptance.verify(0)
     # The same payload fails the same way in the fuzz batch.
     with pytest.raises(InvariantViolation, match=rf"^{re.escape(message)}$"):
-        fuzz("boxpromo", 20, 0)
+        boxpromo_batch(20, 0)
 
 
 def test_a_synthesis_fault_names_its_criterion_and_run(monkeypatch):

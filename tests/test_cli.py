@@ -16,7 +16,7 @@ from tracelab import acceptance, synthesis
 from tracelab.cli import main
 from tracelab.costs import dyadic_decay_row, format_cost_table, static_table
 from tracelab.errors import ScenarioError
-from tracelab.fuzz import boxpromo_payload, canned_scripted_payload, fuzz, synth_payload
+from tracelab.fuzz import boxpromo_batch, boxpromo_payload, canned_scripted_payload, synth_payload
 from tracelab.scenarios import (
     build_synthesis_run,
     load_scenario,
@@ -89,7 +89,7 @@ def test_parse_script_rejects_malformed_lines():
 
 def test_fuzz_rejects_empty_batches():
     with pytest.raises(ScenarioError):
-        fuzz("boxpromo", 0, seed=1)
+        boxpromo_batch(0, seed=1)
 
 
 def test_synth_scenario_with_halt_flag():
@@ -530,6 +530,15 @@ def test_cli_costfn_markers_is_the_costfn_check_report_without_bounds(tmp_path, 
     expected = run_scenario({"kind": "costfn-check", "cost_table": text, "eps": ["1/4", "1/2", "1/3"]})
     assert capsys.readouterr().out == machine_format(expected)
     assert "limit_tail" in expected and "1/4" in expected["thresholds"]
+    # check-benign with a bound is the costfn-check report with that bound:
+    # 4 markers at eps 1/4, so a bound of 4 passes and a bound of 3 fails.
+    for count, status in ((4, 0), (3, 2)):
+        argv = ["costfn", "check-benign", str(table), "--eps", "0.25", "1/2", "--bound", f"0.25={count}"]
+        assert main(argv + ["--format", "machine"]) == status
+        payload = {"kind": "costfn-check", "cost_table": text, "eps": ["1/4", "1/2"], "bound": {"1/4": count}}
+        expected = run_scenario(payload)
+        assert capsys.readouterr().out == machine_format(expected)
+        assert expected["thresholds"]["1/4"]["ok"] is (status == 0)
 
 
 def test_cli_costfn_sum(tmp_path, capsys):

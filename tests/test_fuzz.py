@@ -14,13 +14,14 @@ from tracelab.costs import (
     parse_cost_table,
     static_table,
 )
-from tracelab.errors import InvariantViolation, ScenarioError
+from tracelab.errors import InvariantViolation
 from tracelab.fuzz import (
+    boxpromo_batch,
     boxpromo_payload,
     canned_scripted_payload,
-    fuzz,
     fuzz_cost_table,
     listed_cost_block,
+    synth_batch,
     synth_payload,
 )
 from tracelab.scenarios import machine_format, run_scenario
@@ -55,7 +56,7 @@ def test_fuzz_cost_tables_are_valid_and_varied():
 
 
 def test_boxpromo_batch_mixes_oracles_and_finds_conflicts():
-    report = fuzz("boxpromo", 25, seed=1)
+    report = boxpromo_batch(25, seed=1)
     assert report["ok"]
     tallies = report["tallies"]
     assert set(tallies["oracles"]) == {"honest", "random", "scripted"}
@@ -64,14 +65,9 @@ def test_boxpromo_batch_mixes_oracles_and_finds_conflicts():
 
 
 def test_synth_batch_reports_activity():
-    report = fuzz("synth", 6, seed=2, horizon=60)
+    report = synth_batch(6, seed=2, horizon=60)
     assert report["ok"]
     assert report["tallies"]["benign_checks"] == 18
-
-
-def test_fuzz_rejects_unknown_kind():
-    with pytest.raises(ScenarioError):
-        fuzz("mystery", 3, seed=0)
 
 
 def test_canned_scenario_is_stable():
@@ -89,7 +85,7 @@ def test_boxpromo_fuzz_accepts_a_fixed_horizon():
     payloads = [boxpromo_payload(rng, index, horizon=5) for index in range(5)]
     assert [payload["horizon"] for payload in payloads] == [5] * 5
     assert payloads[4]["oracle"]["policy"] == "scripted"
-    report = fuzz("boxpromo", 5, seed=4, horizon=24)
+    report = boxpromo_batch(5, seed=4, horizon=24)
     assert report["ok"]
 
 
@@ -163,13 +159,13 @@ def test_fuzz_failure_names_its_case_and_seed(monkeypatch, capsys):
     assert main(["boxpromo", "fuzz", "--count", "6", "--seed", "17"]) == 2
     err = capsys.readouterr().err
     assert err == "invariant violation: boxpromo fuzz case 3 (batch seed 17): conflict bound exceeded\n"
-    # fuzz(kind, index + 1, seed) regenerates the failing payload last.
+    # boxpromo_batch(index + 1, seed, horizon) regenerates the failing payload last.
     failed = seen[3]
     seen.clear()
     monkeypatch.setattr(
         fuzz_mod, "build_promotion_engine", lambda payload: seen.append(payload) or real(payload)
     )
-    fuzz("boxpromo", 3 + 1, 17)
+    boxpromo_batch(3 + 1, 17)
     assert seen[-1] == failed
 
 
@@ -190,7 +186,7 @@ def test_synth_fuzz_counts_a_halted_case(monkeypatch):
     monkeypatch.setattr(
         fuzz_mod, "synth_payload", lambda rng, index, **params: halting if index == 1 else real(rng, index, **params)
     )
-    report = fuzz("synth", 3, 0, horizon=40)
+    report = synth_batch(3, 0, horizon=40)
     assert report["runs"] == 3 and report["tallies"]["halted"] == 1
 
 
@@ -221,5 +217,5 @@ def tallied_from_reports(count, seed, horizon=None):
 @pytest.mark.parametrize("horizon", [None, 40])
 @pytest.mark.parametrize("seed", [0, 7, 17])
 def test_boxpromo_fuzz_tallies_match_the_per_payload_reports(seed, horizon):
-    batch = fuzz("boxpromo", 30, seed, horizon=horizon)
+    batch = boxpromo_batch(30, seed, horizon=horizon)
     assert machine_format(batch) == machine_format(tallied_from_reports(30, seed, horizon))
