@@ -47,6 +47,8 @@ class WordApproximation:
             raise ScenarioError("approximation needs at least one row")
         width = len(self.rows[0])
         for s, row in enumerate(self.rows):
+            if s and row is self.rows[s - 1]:
+                continue  # a repeated row object is checked once
             check_word(row)
             if len(row) != width:
                 raise ScenarioError(f"row {s} has width {len(row)}, expected {width}")
@@ -276,7 +278,9 @@ def parse_word_approx(text: str) -> WordApproximation:
         raise ScenarioError(f"line {head}: header promises {S} rows, found {len(numbered) - 1}")
     rows = []
     for i, line in numbered[1 : 1 + S]:
-        if len(line) != X or line.strip("01"):
+        if rows and line == rows[-1]:
+            line = rows[-1]  # a repeated row shares its predecessor's object
+        elif len(line) != X or line.strip("01"):
             raise ScenarioError(f"line {i}: expected {X} bits, got {line!r}")
         rows.append(line)
     schedule: dict[tuple[int, int], Optional[int]] = {}

@@ -16,9 +16,13 @@ Only a window's entries are checked, against their neighbours and the row
 before, so a table costs the sum of its windows' sizes to check.
 
 The text parser finds each line's window against the line before it with
-string compares alone: the two lines' common prefix and suffix, each found
-by bisection and snapped to the spaces between tokens, and the shared tokens
-counted by their spaces.
+string compares alone, at a cost that follows what changed between the two
+lines rather than their length.  The two lines' common prefix and suffix are
+each found by a gallop from a hint (the prefix from the end of the previous
+line's window, the suffix from the first space after the first difference)
+and snapped to the spaces between tokens.  The tokens before and after the
+window are counted from the previous line's window edges, so only the text
+between an old edge and its new place is scanned.
 Only the window's text is split, and each distinct token is parsed once.  A
 line whose whitespace is irregular (not ASCII, a tab, a unit separator, a
 run of spaces, or a space at either end) is split whole, and so is the line
@@ -130,7 +134,9 @@ def _window_fault(before, row, k, end, s, width, normalized, listed_form) -> Opt
     if len(row) != width:
         return f"row {s} has width {len(row)}, expected {width}"
     near = row[max(k - 1, 0) : end + 1]
-    if near and (min(near) < 0 or any(map(lt, near, near[1:])) or normalized and max(near) > 1):
+    # Once `near` is non-increasing, its least entry is its last and its
+    # greatest its first.
+    if near and (any(map(lt, near, near[1:])) or near[-1] < 0 or normalized and near[0] > 1):
         return _row_fault(row, s, normalized)
     if listed_form and s < width and row[s]:
         return f"nonzero tail value in listed-form row {s}"
@@ -373,11 +379,22 @@ def _regular(text: str) -> bool:
     )
 
 
-def _match_length(same: Callable[[int, int], bool], limit: int) -> int:
-    """Largest p <= limit such that positions [0, p) match, by bisection.
+def _match_length(same: Callable[[int, int], bool], limit: int, hint: int) -> int:
+    """Largest p <= limit such that positions [0, p) match.  When [0, hint)
+    matches, the search gallops up from `hint` in doubling steps and then
+    bisects the last step (Bentley and Yao's unbounded search), so p at d
+    positions past the hint costs about 2 log2 d compares; otherwise it
+    bisects [0, hint).  The hint changes only the cost, never the answer.
     `same(lo, hi)` compares positions [lo, hi) and is only asked once
     [0, lo) is known to match."""
-    lo, hi = 0, limit + 1
+    hint = min(hint, limit)
+    if same(0, hint):
+        lo, step = hint, 1
+        while lo + step <= limit and same(lo, lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(lo + step, limit + 1)
+    else:
+        lo, hi = 0, hint
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if same(lo, mid):
@@ -387,23 +404,45 @@ def _match_length(same: Callable[[int, int], bool], limit: int) -> int:
     return lo
 
 
-def _line_window(before: str, line: str) -> tuple[int, str, int]:
-    """(k, window text, m) for two different lines, `before` regular.  When
-    the window text is regular, `line` is `before` with every token but the
-    first k and the last m replaced by the window's tokens.  The window is
-    the text between the two lines' common prefix and (not overlapping it)
-    common suffix, each found by bisection, snapped out to the spaces around
-    them."""
+# The edges of a line split whole: no tokens before offset 0, none in an
+# empty tail.
+WHOLE = (0, 0, 0, 0)
+
+
+def _line_window(
+    before: str, line: str, edges: tuple[int, int, int, int]
+) -> tuple[tuple[int, int, int, int], str]:
+    """(edges, window text) for two different lines, `before` regular.
+    `edges` is (start, k, tail, m): the window text is
+    `line[start:len(line) - tail]`, with k tokens before it and m after it.
+    When the window text is regular, `line` is `before` with every token but
+    the first k and the last m replaced by the window's tokens.
+
+    The window is the text between the two lines' common prefix and (not
+    overlapping it) common suffix, snapped out to the spaces around them.
+    The prefix search is hinted at the end of `before`'s own window, the
+    suffix search at the first space after the prefix (see `_match_length`).
+    The given `edges` are `before`'s, and `line` equals `before` on the
+    shared prefix and suffix, so k and m are counted only between `before`'s
+    window edges and the new ones."""
     n, b = len(line), len(before)
-    p = _match_length(lambda lo, hi: line.startswith(before[lo:hi], lo), min(n, b))
+    start0, k0, tail0, m0 = edges
+    p = _match_length(lambda lo, hi: line.startswith(before[lo:hi], lo), min(n, b), b - tail0)
+    after = line.find(" ", p)
     q = _match_length(
-        lambda lo, hi: line.endswith(before[b - hi : b - lo], 0, n - lo), min(n, b) - p
+        lambda lo, hi: line.endswith(before[b - hi : b - lo], 0, n - lo),
+        min(n, b) - p,
+        0 if after < 0 else n - after,
     )
     start = line.rfind(" ", 0, p) + 1
     stop = line.find(" ", n - q)
     if stop < 0:
-        return line.count(" ", 0, start), line[start:], 0
-    return line.count(" ", 0, start), line[start:stop], line.count(" ", stop)
+        stop = n
+    tail = n - stop
+    # One of each pair of counts is over an empty range.
+    k = k0 + before.count(" ", start0, start) - before.count(" ", start, start0)
+    m = m0 + before.count(" ", b - tail, b - tail0) - before.count(" ", b - tail0, b - tail)
+    return (start, k, tail, m), line[start:stop]
 
 
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
@@ -423,19 +462,20 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
     if S == 0:
         raise ScenarioError(f"line {head}: cost table needs at least one stage row")
     windows: list[Optional[tuple[int, list[str], int]]] = []
-    before, regular_before, wrong_width = None, False, None
+    before, regular_before, wrong_width, edges = None, False, None, WHOLE
     for i, line in zip(numbers[1:], lines[1:]):
         if line == before:
             windows.append(None)
             continue
         # Outside its window a line repeats a regular `before`, so it is
         # regular when its window is.
-        window = _line_window(before, line) if regular_before else None
-        if window is not None and _regular(window[1]):
-            k, middle, m = window
+        if regular_before:
+            edges, middle = _line_window(before, line, edges)
+        if regular_before and _regular(middle):
+            _, k, _, m = edges
             tokens, regular = middle.split(" "), True
         else:
-            k, tokens, m = 0, line.split(), 0
+            k, tokens, m, edges = 0, line.split(), 0, WHOLE
             regular = _regular(line)
         if k + len(tokens) + m != X:  # raised after any bad token on an earlier line
             wrong_width = i, k + len(tokens) + m

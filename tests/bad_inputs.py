@@ -131,6 +131,7 @@ CASES = [
              "synth requirement 0 stage_map entry 1: expected [arg, value, visible_at], got [0, 1]"),
     scenario("stage-map-text", "synth", requirement([[0, "x", 0]]),
              f"synth requirement 0 stage_map entry 0: {INTEGER} 'x'"),
+    scenario("stage-map-negative", "synth", requirement([[0, -1, 0]]), "stage map entries must be nonnegative"),
     scenario("synth-eps-text", "synth", dict(SMALL, eps=["1/2", "half"]),
              "synth scenario 'eps': bad rational 'half'"),
     scenario("check-eps-text", "boxpromo", dict(CHECK, eps=["x"]),
@@ -447,6 +448,11 @@ CASES += [
          {"b.approx": "2 2\n00\n01\n(1,2,3)\n"}),
     Case("schedule-twice", ["approx", "change-set", "{b.approx}"], "line 5: schedule entry (0,1) listed twice",
          {"b.approx": "2 2\n00\n00\n(0,1,3)\n(0,1,inf)\n"}),
+    Case("schedule-not-triple", ["approx", "change-set", "{b.approx}"],
+         "line 4: expected schedule triple, got 'foo'", {"b.approx": "2 2\n00\n01\nfoo\n"}),
+    # A bad row after rows that repeat their predecessor is still refused.
+    Case("approx-bad-row-after-repeats", ["approx", "change-set", "{b.approx}"],
+         "line 4: expected 2 bits, got '0x'", {"b.approx": "3 2\n00\n00\n0x\n"}),
     # Fuzz batches with no runs or too short a horizon, speed-up maps with a
     # negative stage or none below the horizon, and a negative step count or
     # budget.

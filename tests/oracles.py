@@ -138,6 +138,14 @@ def to_listed_form(table) -> CostTable:
     return CostTable(rows, normalized=table.normalized, listed_form=True)
 
 
+def whole_line_table(text: str) -> CostTable:
+    """A synth requirement table read the long way: every non-blank line
+    after the header split whole, every token read with `Fraction`, and the
+    rows checked as a normalized listed-form `CostTable`."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    return CostTable([tuple(map(Fraction, line.split())) for line in lines[1:]], True, True)
+
+
 def scan_obedience(table, rows) -> list:
     """The change cost of each stage 1 <= s < min(len(rows), horizon) of the
     bit words `rows`, by a loop over the stages that compares each row with

@@ -281,6 +281,18 @@ def test_word_approx_round_trip_with_schedule():
     assert again.schedule == block.schedule
 
 
+def test_a_repeated_row_is_its_predecessor():
+    # Rows equal to the row before them, blank lines between or not, share
+    # that row's object; a changed row gets its own.
+    block = parse_word_approx("4 3\n010\n010\n\n010\n011\n")
+    assert block.rows == ("010", "010", "010", "011")
+    assert block.rows[1] is block.rows[0] and block.rows[2] is block.rows[0]
+    assert block.rows[3] is not block.rows[2]
+    # A row after a shared one still gets the width check.
+    with pytest.raises(ScenarioError, match="^row 2 has width 3, expected 2$"):
+        WordApproximation(("00", "00", "000"))
+
+
 def test_word_approx_parse_errors_carry_line_numbers():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_word_approx("")

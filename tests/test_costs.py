@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import to_listed_form
+from oracles import to_listed_form, whole_line_table
 from tracelab.acceptance import certified_prefix, random_monotone_table
 from tracelab.costs import (
     CostTable,
@@ -295,6 +296,35 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("2 2\n\n1/2 1/4\n\n1/4 1/4\n")
     with pytest.raises(ScenarioError, match=r"^line 6: nonzero tail value in listed-form row 1$"):
         parse_cost_table("2 2\n\n0 0\n\n\n1/2 1/4\n", listed_form=True)
+
+
+def wandering_window_text(rng, horizon, width):
+    """A valid normalized listed-form table of n/48 entries, whose texts
+    share prefixes (1/48, 12/48).  Stage s raises a random span [a, b),
+    b <= s, of the row before to the entry left of the span, so windows jump
+    left and right by many tokens, and an empty span repeats the row.  One
+    line in ten has a run of two spaces, so that it and the line after it
+    are split whole, and one in ten is followed by a blank line."""
+    row, lines = [0] * width, [f"{horizon} {width}"]
+    for s in range(horizon):
+        a = rng.randint(0, min(s, width))
+        b = rng.randint(a, min(s, width))
+        top = row[a - 1] if a else min(48, row[0] + rng.randint(1, 9))
+        row[a:b] = [top] * (b - a)
+        line = " ".join(f"{v}/48" for v in row)
+        if rng.random() < 0.1:
+            line = line.replace(" ", "  ", 1)
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_cost_table_matches_the_whole_line_reference():
+    rng = random.Random(5)
+    for _ in range(40):
+        text = wandering_window_text(rng, rng.randint(9, 30), rng.randint(1, 30))
+        assert parse_cost_table(text, True, True).rows == whole_line_table(text).rows
 
 
 def test_first_difference():
