@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .costs import CostTable, ZERO, change_costs, first_difference, ready_depth, ready_prefix
-from .errors import HorizonExhausted, ScenarioError, decimal, signed
+from .errors import HorizonExhausted, ScenarioError, decimal, nonblank_lines, signed
 from .words import check_word
 
 
@@ -266,7 +266,7 @@ def obedience_speedup(
 
 
 def parse_word_approx(text: str) -> WordApproximation:
-    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    numbered = [(i, line.strip()) for i, line in nonblank_lines(text)]
     if not numbered:
         raise ScenarioError("line 1: empty approximation")
     head, header_line = numbered[0]

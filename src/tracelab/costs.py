@@ -15,9 +15,12 @@ window is the whole row, and a stage equal to its predecessor has no window.
 Only a window's entries are checked, against their neighbours and the row
 before, so a table costs the sum of its windows' sizes to check.
 
-The text parser finds each line's window against the line before it with
-string compares alone, at a cost that follows what changed between the two
-lines rather than their length.  The two lines' common prefix and suffix are
+The text parser takes the text's lines one at a time from
+`errors.nonblank_lines`, which finds each "\n" with `str.find` rather than
+splitting the whole text first, and counts the rows as it reads them.  It
+finds each line's window against the line before it with string compares
+alone, at a cost that follows what changed between the two lines rather
+than their length.  The two lines' common prefix and suffix are
 each found by a gallop from a hint (the prefix from the end of the previous
 line's window, the suffix from the first space after the first difference)
 and snapped to the spaces between tokens.  The tokens before and after the
@@ -44,7 +47,7 @@ from itertools import accumulate, chain, takewhile
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ScenarioError, check_writable, decimal, fraction_str, rational
+from .errors import ScenarioError, check_writable, decimal, fraction_str, nonblank_lines, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -360,12 +363,6 @@ def format_cost_table(table: CostTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _nonblank_lines(text: str) -> tuple[list[int], list[str]]:
-    """The text's non-blank lines, and their 1-based line numbers."""
-    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    return [i for i, _ in numbered], [ln for _, ln in numbered]
-
-
 def _regular(text: str) -> bool:
     """True when `text` is tokens joined by single spaces (ASCII, no tab or
     unit separator), so that `text.split()` is `text.split(" ")`."""
@@ -447,23 +444,26 @@ def _line_window(
 
 def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = False) -> CostTable:
     """Parse the text format; errors name the text line.  Blank lines are
-    skipped.  Each line is read as a window against the line before it (see
-    `_line_window`), so only tokens in a window are split and parsed."""
-    numbers, lines = _nonblank_lines(text)
-    if not lines:
+    skipped.  Lines are read one at a time (see `errors.nonblank_lines`),
+    and each as a window against the line before it (see `_line_window`), so
+    only tokens in a window are split and parsed.  The row count is known
+    only once the text is read; a wrong count is refused first, then no
+    rows, a bad token, a wrong width and the table's own checks."""
+    lines = nonblank_lines(text)
+    head, first = next(lines, (1, None))
+    if first is None:
         raise ScenarioError("line 1: empty cost table")
-    head = numbers[0]
-    header = [decimal(tok) for tok in lines[0].split()]
+    header = [decimal(tok) for tok in first.split()]
     if len(header) != 2 or None in header:
-        raise ScenarioError(f"line {head}: expected header 'S X', got {lines[0]!r}")
+        raise ScenarioError(f"line {head}: expected header 'S X', got {first!r}")
     S, X = header
-    if len(lines) - 1 != S:
-        raise ScenarioError(f"line {head}: header promises {S} rows, found {len(lines) - 1}")
-    if S == 0:
-        raise ScenarioError(f"line {head}: cost table needs at least one stage row")
+    numbers: list[int] = []
     windows: list[Optional[tuple[int, list[str], int]]] = []
     before, regular_before, wrong_width, edges = None, False, None, WHOLE
-    for i, line in zip(numbers[1:], lines[1:]):
+    for i, line in lines:
+        numbers.append(i)
+        if len(numbers) > S:
+            break  # more rows than the header promises
         if line == before:
             windows.append(None)
             continue
@@ -482,11 +482,16 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
             break
         windows.append((k, tokens, m))
         before, regular_before = line, regular
+    found = len(numbers) + sum(1 for _ in lines)
+    if found != S:
+        raise ScenarioError(f"line {head}: header promises {S} rows, found {found}")
+    if S == 0:
+        raise ScenarioError(f"line {head}: cost table needs at least one stage row")
     distinct = dict.fromkeys(chain.from_iterable(w[1] for w in windows if w is not None))
     exact = {tok: rational(tok) for tok in distinct}  # in reading order
     bad = next((tok for tok, value in exact.items() if value is None), None)
     if bad is not None:
-        i = next(i for i, w in zip(numbers[1:], windows) if w is not None and bad in w[1])
+        i = next(i for i, w in zip(numbers, windows) if w is not None and bad in w[1])
         raise ScenarioError(f"line {i}: bad rational {bad!r}")
     if wrong_width is not None:
         raise ScenarioError(f"line {wrong_width[0]}: expected {X} values, found {wrong_width[1]}")
@@ -495,7 +500,7 @@ def parse_cost_table(text: str, normalized: bool = False, listed_form: bool = Fa
         [None if w is None else (w[0], tuple(map(exact.__getitem__, w[1])), w[2]) for w in windows],
         normalized,
         listed_form,
-        numbers[1:],
+        numbers,
     )
     return table
 

@@ -1,8 +1,9 @@
-"""Error types shared by the engines and the CLI; `decimal` and `signed`,
-the one reader of the decimal tokens that the text formats, the flags and
-the scenarios' integer strings hold; `rational`, the one reader of their
-rational tokens; and `fraction_str`, the one writer of the `p/q` token, with
-`check_writable`, its guard for a row.
+"""Error types shared by the engines and the CLI; `nonblank_lines`, the one
+reader of the lines of the text formats (cost tables, approximations and
+scripts); `decimal` and `signed`, the one reader of the decimal tokens that
+the text formats, the flags and the scenarios' integer strings hold;
+`rational`, the one reader of their rational tokens; and `fraction_str`, the
+one writer of the `p/q` token, with `check_writable`, its guard for a row.
 
 Exit-code mapping used by the CLI: ScenarioError -> 1, InvariantViolation -> 2,
 HorizonExhausted -> 3.
@@ -12,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class ScenarioError(ValueError):
@@ -29,6 +30,30 @@ class InvariantViolation(AssertionError):
 
 class HorizonExhausted(RuntimeError):
     """A finite run ended before a required completion was reached."""
+
+
+# With "\n", every line break `str.splitlines` knows in ASCII text.
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def nonblank_lines(text: str) -> Iterator[tuple[int, str]]:
+    r"""Each line of `text.splitlines()` that is not all whitespace, with its
+    1-based number, yielded as the walk reaches it.  Each piece up to and
+    including a "\n" is found with `str.find`.  In ASCII text with no other
+    break (checked once) the piece without its "\n" is the line; otherwise
+    the piece is split with its own "\n", since a break before the "\n"
+    ends a line of its own ("x\x1c\n" is two lines) unless it is "\r"."""
+    plain = text.isascii() and not any(map(text.__contains__, _ASCII_BREAKS))
+    number, start, end = 0, 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        for line in (text[start:stop],) if plain else text[start : stop + 1].splitlines():
+            number += 1
+            if line.strip():
+                yield number, line
+        start = stop + 1
 
 
 def decimal(text: str) -> Optional[int]:

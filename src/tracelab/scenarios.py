@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import approximations as appr_mod
 from . import costs
-from .errors import InvariantViolation, ScenarioError, decimal, fraction_str, rational, signed
+from .errors import InvariantViolation, ScenarioError, decimal, fraction_str, nonblank_lines, rational, signed
 from .promotion import CoherentLengths, PromotionEngine
 from .synthesis import (
     PartialStageMap,
@@ -69,6 +69,8 @@ def _integer(value, what: str) -> int:
     """`int(value)`, a string read by `signed` like every integer token in
     the text formats; a boolean, a non-integral number or a value `int` or
     `signed` rejects is a `ScenarioError` naming it."""
+    if type(value) is int:  # not a bool, which `isinstance` would take
+        return value
     number = signed(value) if isinstance(value, str) else value
     if isinstance(number, bool) or (isinstance(number, float) and not number.is_integer()):
         raise ScenarioError(f"{what}: expected an integer, got {value!r}")
@@ -130,7 +132,7 @@ def _required(payload: dict, field: str, where: str):
 def parse_script(text: str) -> list[tuple[int, str, str]]:
     """Lines of 'stage box value'; blank lines and #-comments are skipped."""
     entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in nonblank_lines(text):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

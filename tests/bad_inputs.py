@@ -343,6 +343,22 @@ CASES = [
              "boxpromo scenario needs a horizon of at least 2"),
     scenario("budget-negative", "synth", dict(SMALL, budget_exp=-1), "budget exponent must be nonnegative"),
     scenario("synth-horizon-one", "synth", dict(SMALL, horizon=1), "horizon must be at least 2"),
+    # Every break `str.splitlines` knows ends a line: a lone "\r", and a break
+    # just before a "\n", which ends a blank line of its own.  A wrong row
+    # count is refused before a bad token, though the rows are counted last.
+    scenario("cost-table-lone-cr", "boxpromo", dict(FLAT, cost_table="3 2\n1/2 1/4\r1/2 1/4\n1/2 1/4\n1 1/2"),
+             "line 1: header promises 3 rows, found 4"),
+    scenario("cost-table-break-before-newline", "boxpromo",
+             dict(FLAT, cost_table="3 2\n1/2 1/4\x1c\n1/2 x\n1 1/2\n"), "line 4: bad rational 'x'"),
+    scenario("cost-table-count-before-token", "boxpromo", dict(FLAT, cost_table="2 2\n1/2 x\n1/2 1/4\n1 1/2\n"),
+             "line 1: header promises 2 rows, found 3"),
+    scenario("cost-table-count-after-width", "boxpromo", dict(FLAT, cost_table="2 2\n1/2\n1/2 1/4\n1 1/2\n"),
+             "line 1: header promises 2 rows, found 3"),
+    scenario("script-break-before-newline", "boxpromo", script("4 I2.2 000\x1c", "oops"),
+             "line 3: expected 'stage box value', got 'oops'"),
+    # An integer field takes no boolean.
+    scenario("stage-map-boolean", "synth", requirement([[0, True, 0]]),
+             f"synth requirement 0 stage_map entry 0: {INTEGER} True"),
 ]
 for rate in ("activate_rate", "feed_rate", "junk_rate"):
     CASES.append(scenario(f"{rate}-text", "boxpromo", random_rate(rate, "x"),
@@ -453,6 +469,10 @@ CASES += [
     # A bad row after rows that repeat their predecessor is still refused.
     Case("approx-bad-row-after-repeats", ["approx", "change-set", "{b.approx}"],
          "line 4: expected 2 bits, got '0x'", {"b.approx": "3 2\n00\n00\n0x\n"}),
+    # A break before a "\n" ends a line of its own (the file is read with
+    # universal newlines, which leave "\x1c" in place).
+    Case("approx-break-before-newline", ["approx", "change-set", "{b.approx}"],
+         "line 4: expected 2 bits, got '0x'", {"b.approx": "2 2\n00\x1c\n0x\n"}),
     # Fuzz batches with no runs or too short a horizon, speed-up maps with a
     # negative stage or none below the horizon, and a negative step count or
     # budget.

@@ -20,7 +20,7 @@ from tracelab.costs import (
     sum_benign,
     totalize,
 )
-from tracelab.errors import ScenarioError
+from tracelab.errors import ScenarioError, nonblank_lines
 from tracelab.scenarios import run_costfn_check
 
 F = Fraction
@@ -296,6 +296,14 @@ def test_parse_cost_table_reports_line_numbers():
         parse_cost_table("2 2\n\n1/2 1/4\n\n1/4 1/4\n")
     with pytest.raises(ScenarioError, match=r"^line 6: nonzero tail value in listed-form row 1$"):
         parse_cost_table("2 2\n\n0 0\n\n\n1/2 1/4\n", listed_form=True)
+    # A wrong row count is refused first, though the rows are counted last:
+    # after a line of the wrong width, past the promised rows, and for none.
+    with pytest.raises(ScenarioError, match=r"^line 1: header promises 2 rows, found 4$"):
+        parse_cost_table("2 2\n1/2\n1/2 1/4\n1 1/2\n1 1/2\n")
+    with pytest.raises(ScenarioError, match=r"^line 1: header promises 2 rows, found 4$"):
+        parse_cost_table("2 2\n1/2 x\n1/2 1/4\n1 1/2\n1 1/2\n")
+    with pytest.raises(ScenarioError, match=r"^line 1: header promises 0 rows, found 1$"):
+        parse_cost_table("0 2\n1/2 1/4\n")
 
 
 def wandering_window_text(rng, horizon, width):
@@ -325,6 +333,20 @@ def test_parse_cost_table_matches_the_whole_line_reference():
     for _ in range(40):
         text = wandering_window_text(rng, rng.randint(9, 30), rng.randint(1, 30))
         assert parse_cost_table(text, True, True).rows == whole_line_table(text).rows
+
+
+# Every line break `str.splitlines` knows.
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(["1/2", "0", " ", "\t", "\x1f", "é", ""] + BREAKS), max_size=24))
+def test_nonblank_lines_number_the_lines_as_splitlines_does(pieces):
+    r"""A break just before a "\n" ends a blank line of its own, unless it
+    is "\r": the walker must split a piece together with its "\n"."""
+    text = "".join(pieces)
+    reference = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    assert list(nonblank_lines(text)) == reference
 
 
 def test_first_difference():
